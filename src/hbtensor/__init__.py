@@ -1,5 +1,7 @@
 """Hyper-bag-graphs, their algebra, and exact e-adjacency tensors."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -79,4 +81,8 @@ from .transform import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name
+    for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+]

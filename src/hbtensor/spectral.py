@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import DomainError
-from .tensor import SymTensor, _check_trace, _multinomial
+from .tensor import SymTensor, _check_trace, _perms_first
 from .transform import LAYERED, SILO, STRAIGHTFORWARD, UniformisationTrace
 
 
@@ -45,10 +45,9 @@ def spectral_bound(
 ) -> SpectralBoundReport:
     """Exact bound max(Delta, Delta*) + r_H from the tensor's row sums."""
     n = _check_trace(t, trace)
-    delta = max((t.row_sum(i) for i in range(1, n + 1)), default=Fraction(0))
-    delta_star = max(
-        (t.row_sum(i) for i in range(n + 1, t.dim + 1)), default=Fraction(0)
-    )
+    rows = t.row_sums()
+    delta = max(rows[:n], default=Fraction(0))
+    delta_star = max(rows[n:], default=Fraction(0))
     return SpectralBoundReport(
         approach=trace.approach,
         r_h=trace.r_h,
@@ -104,9 +103,8 @@ def estimate_max_eigenvalue(
     for key, v in entries:
         counts = Counter(key)
         per_index = []
-        for i, mu in counts.items():
-            rest = [m for j, m in counts.items() if j != i]
-            coeff = v * _multinomial([mu - 1] + rest)
+        for i, perms in _perms_first(counts).items():
+            coeff = v * perms
             powers = [(j, m - (1 if j == i else 0)) for j, m in counts.items()]
             per_index.append((i - 1, coeff, [(j - 1, m) for j, m in powers if m]))
         plans.append(per_index)

@@ -6,7 +6,16 @@ permutation of a stored tuple denotes the same logical entry.  All values are
 exact rationals.
 
 The e-adjacency tensor of an hb-graph contributes one canonical entry per
-hb-edge: the index multiset of its uniformized edge, with value
+hb-edge, built straight from the edge and its closed-form padding
+(``transform.padding``) without materialising the uniform hb-graph.  An edge
+of m-cardinality c over n original vertices gets the indices of its vertices
+with their multiplicities plus
+
+* straightforward: index n+1 repeated r_H - c times;
+* silo: index n+c repeated r_H - c times;
+* layered: each of the indices n+c .. n+r_H-1 once,
+
+with value
 
     (product of the multiplicities' factorials) / (r_H - 1)!
 
@@ -36,15 +45,16 @@ from .errors import (
     NotUniform,
     RepeatedEdges,
     TraceMismatch,
-    VertexCollision,
 )
 from .hbgraph import HbGraph
 from .mset import Multiset, Rational
 from .transform import (
-    RESERVED_PREFIX,
+    LAYERED,
     SILO,
+    STRAIGHTFORWARD,
     UniformisationTrace,
-    uniformize,
+    _uniformisation_trace,
+    padding,
 )
 
 DEFAULT_MAX_FULL_RECORDS = 10**7
@@ -52,31 +62,36 @@ DEFAULT_MAX_FULL_RECORDS = 10**7
 
 def _multinomial(counts: Iterable[int]) -> int:
     counts = list(counts)
-    total = sum(counts)
-    value = math.factorial(total)
-    for c in counts:
-        value //= math.factorial(c)
-    return value
+    return math.factorial(sum(counts)) // math.prod(map(math.factorial, counts))
 
 
-def _distinct_permutations(counts: Counter):
-    """Distinct permutations of a multiset of indices, lexicographically."""
-    total = sum(counts.values())
-    prefix: list[int] = []
+def _perms_first(counts: Mapping[int, int]) -> dict[int, int]:
+    """Index i -> number of distinct index permutations that start with i.
 
-    def rec():
-        if len(prefix) == total:
-            yield tuple(prefix)
+    Exact in integers: perms_first(i) = multinomial(counts) * counts[i] / r.
+    """
+    r = sum(counts.values())
+    total = _multinomial(counts.values())
+    # one big-integer product per distinct multiplicity, not per index
+    by_mu = {mu: total * mu // r for mu in set(counts.values())}
+    return {i: by_mu[mu] for i, mu in counts.items()}
+
+
+def _distinct_permutations(key: tuple[int, ...]):
+    """Distinct permutations of a sorted index tuple, lexicographically."""
+    perm = list(key)
+    while True:
+        yield tuple(perm)
+        k = len(perm) - 2
+        while k >= 0 and perm[k] >= perm[k + 1]:
+            k -= 1
+        if k < 0:
             return
-        for idx in sorted(counts):
-            if counts[idx] > 0:
-                counts[idx] -= 1
-                prefix.append(idx)
-                yield from rec()
-                prefix.pop()
-                counts[idx] += 1
-
-    yield from rec()
+        j = len(perm) - 1
+        while perm[j] <= perm[k]:
+            j -= 1
+        perm[k], perm[j] = perm[j], perm[k]
+        perm[k + 1 :] = reversed(perm[k + 1 :])
 
 
 class SymTensor:
@@ -175,13 +190,17 @@ class SymTensor:
             raise IndexOutOfRange(f"index {i} outside 1..{self._dim}")
         total = Fraction(0)
         for key, value in self._entries.items():
-            counts = Counter(key)
-            if i not in counts:
-                continue
-            rest = [m for j, m in counts.items() if j != i]
-            perms_first = _multinomial([counts[i] - 1] + rest)
-            total += value * perms_first
+            if i in key:
+                total += value * _perms_first(Counter(key))[i]
         return total
+
+    def row_sums(self) -> list[Fraction]:
+        """All row sums in one pass over the entries; item i-1 is row_sum(i)."""
+        sums = [Fraction(0)] * self._dim
+        for key, value in self._entries.items():
+            for i, coeff in _perms_first(Counter(key)).items():
+                sums[i - 1] += value * coeff
+        return sums
 
     def apply(self, x: Sequence) -> list:
         """Left contraction (A x^{r-1})_i over all dimensions."""
@@ -190,9 +209,7 @@ class SymTensor:
         result = [Fraction(0)] * self._dim
         for key, value in self._entries.items():
             counts = Counter(key)
-            for i, mu in counts.items():
-                rest = [m for j, m in counts.items() if j != i]
-                coeff = _multinomial([mu - 1] + rest)
+            for i, coeff in _perms_first(counts).items():
                 monomial = value * coeff
                 for j, m in counts.items():
                     monomial *= x[j - 1] ** (m - (1 if j == i else 0))
@@ -228,7 +245,7 @@ class SymTensor:
             )
         records = []
         for key, value in self.canonical_items():
-            for perm in _distinct_permutations(Counter(key)):
+            for perm in _distinct_permutations(key):
                 records.append((perm, value))
         return records
 
@@ -257,13 +274,27 @@ class HbPolynomial:
 # -- constructions ----------------------------------------------------------
 
 
-def _natural_counts(m: Multiset) -> dict[str, int]:
+def _positions(universe: Sequence[str]) -> dict[str, int]:
+    return {x: k + 1 for k, x in enumerate(universe)}
+
+
+def _indexed(a: Multiset, position: Mapping[str, int]) -> dict[int, int]:
+    """Tensor index -> multiplicity of a natural multiset."""
     counts = {}
-    for x, v in m.mult.items():
+    for x, v in a.mult.items():
         if not isinstance(v, int):
             raise NotNatural(f"non-integer multiplicity for {x!r}")
-        counts[x] = v
+        counts[position[x]] = v
     return counts
+
+
+def _entry(counts: Mapping[int, int], r: int) -> tuple[tuple[int, ...], Fraction]:
+    """Canonical key of index -> multiplicity counts and its normalized value."""
+    key = tuple(i for i, m in sorted(counts.items()) for _ in range(m))
+    value = Fraction(
+        math.prod(math.factorial(m) for m in counts.values()), math.factorial(r - 1)
+    )
+    return key, value
 
 
 def mset_hypermatrix(a: Multiset, normalized: bool) -> SymTensor:
@@ -274,20 +305,14 @@ def mset_hypermatrix(a: Multiset, normalized: bool) -> SymTensor:
     factorials) / (r-1)! on the same tuples, which makes the logical total
     equal the m-cardinality r.
     """
-    counts = _natural_counts(a)
+    counts = _indexed(a, _positions(a.universe))
     if not counts:
         raise EmptyMultiset("hypermatrix representation of an empty multiset")
-    position = {x: k + 1 for k, x in enumerate(a.universe)}
-    key = tuple(sorted(position[x] for x in counts for _ in range(counts[x])))
-    r = len(key)
-    if normalized:
-        value = Fraction(
-            math.prod(math.factorial(v) for v in counts.values()),
-            math.factorial(r - 1),
-        )
-    else:
-        value = Fraction(1)
-    return SymTensor(order=r, dim=len(a.universe), entries={key: value})
+    r = sum(counts.values())
+    key, value = _entry(counts, r)
+    return SymTensor(
+        order=r, dim=len(a.universe), entries={key: value if normalized else 1}
+    )
 
 
 def elementary_tensor(h: HbGraph) -> SymTensor:
@@ -313,22 +338,9 @@ def uniform_tensor(h: HbGraph) -> SymTensor:
         raise NotUniform("hb-edges have differing m-cardinalities")
     if k == 0:
         raise EmptyEdge("uniform tensor forbids empty hb-edges")
-    entries: dict[tuple[int, ...], Fraction] = {}
-    for e in h.edges:
-        t = mset_hypermatrix(e, normalized=True)
-        ((key, value),) = t.entries.items()
-        entries[key] = entries.get(key, Fraction(0)) + value
+    position = _positions(h.vertices)
+    entries = dict(_entry(_indexed(e, position), k) for e in h.edges)
     return SymTensor(order=k, dim=h.n, entries=entries)
-
-
-def _edge_entry(uniform_edge: Multiset, position: Mapping[str, int], r_h: int):
-    counts = uniform_edge.mult
-    key = tuple(sorted(position[x] for x in counts for _ in range(counts[x])))
-    value = Fraction(
-        math.prod(math.factorial(v) for v in counts.values()),
-        math.factorial(r_h - 1),
-    )
-    return key, value
 
 
 def e_adjacency_tensor(
@@ -339,63 +351,28 @@ def e_adjacency_tensor(
     Order r_H; dimension n+1 (straightforward) or n+r_H-1 (silo, layered;
     n when r_H = 1).  User edge weights scale the entries linearly.
     """
-    uniform, trace = uniformize(h, approach)
-    position = {v: k + 1 for k, v in enumerate(uniform.vertices)}
+    trace = _uniformisation_trace(h, approach)
+    position = _positions(h.vertices)
     entries: dict[tuple[int, ...], Fraction] = {}
-    for out_idx, edge in enumerate(uniform.edges):
-        key, value = _edge_entry(edge, position, trace.r_h)
-        value *= h.weight(trace.edge_provenance[out_idx])
-        entries[key] = entries.get(key, Fraction(0)) + value
-    tensor = SymTensor(order=trace.r_h, dim=uniform.n, entries=entries)
-    return tensor, trace
+    for i in trace.edge_provenance:
+        counts = _indexed(h.edges[i], position)
+        counts.update(padding(approach, h.n, trace.r_h, sum(counts.values())))
+        key, value = _entry(counts, trace.r_h)
+        entries[key] = value * h.weight(i)
+    return SymTensor(order=trace.r_h, dim=h.n + trace.n_a, entries=entries), trace
 
 
 def hypergraph_tensor(hg: HbGraph) -> tuple[SymTensor, UniformisationTrace]:
     """e-adjacency tensor of a hypergraph (all multiplicities in {0, 1}).
 
-    Built directly from the per-hyperedge formula: a hyperedge of cardinality
-    k gets the index multiset of its vertices plus the null index (n+k)
-    repeated k_max - k times, with value (k_max - k)! / (k_max - 1)!.  This
-    coincides entrywise with the silo construction.
+    This is the silo construction on {0, 1} inputs: a hyperedge of
+    cardinality k gets the index multiset of its vertices plus the null index
+    (n+k) repeated k_max - k times, with value (k_max - k)! / (k_max - 1)!.
     """
     for e in hg.edges:
         if any(v != 1 for v in e.mult.values()):
             raise NotAHypergraph("hyperedges must have multiplicities in {0, 1}")
-    if not hg.edges:
-        raise EmptyEdgeFamily("hypergraph tensor needs at least one hyperedge")
-    if hg.has_empty_edges():
-        raise EmptyEdge("hyperedges must be nonempty")
-    if not hg.no_repeated_edges():
-        raise RepeatedEdges("hypergraph tensor forbids repeated hyperedges")
-    for v in hg.vertices:
-        if v.startswith(RESERVED_PREFIX):
-            raise VertexCollision(f"vertex id {v!r} uses the reserved prefix '__'")
-    n = hg.n
-    k_max = hg.m_range()
-    position = {v: k + 1 for k, v in enumerate(hg.vertices)}
-    entries: dict[tuple[int, ...], Fraction] = {}
-    for i, e in enumerate(hg.edges):
-        k_i = e.cardinality()
-        indices = [position[v] for v in e.support()]
-        if k_i < k_max:
-            indices.extend([n + k_i] * (k_max - k_i))
-        key = tuple(sorted(indices))
-        value = Fraction(math.factorial(k_max - k_i), math.factorial(k_max - 1))
-        value *= hg.weight(i)
-        entries[key] = entries.get(key, Fraction(0)) + value
-    dim = n + k_max - 1 if k_max > 1 else n
-    cardinalities = [e.m_cardinality() for e in hg.edges]
-    trace = UniformisationTrace(
-        approach=SILO,
-        r_h=k_max,
-        null_vertices={f"__N{r}": n + r for r in range(1, k_max)},
-        n_a=max(k_max - 1, 0),
-        layer_coeffs={r: Fraction(k_max, r) for r in range(1, k_max + 1)},
-        edge_provenance=tuple(
-            sorted(range(hg.p), key=lambda i: (cardinalities[i], i))
-        ),
-    )
-    return SymTensor(order=k_max, dim=dim, entries=entries), trace
+    return e_adjacency_tensor(hg, SILO)
 
 
 # -- information retrieval ---------------------------------------------------
@@ -425,26 +402,25 @@ def edge_distribution(
     n = _check_trace(t, trace)
     r_h = trace.r_h
     counts: dict[int, int] = {}
-    if trace.approach == "straightforward":
+    if trace.approach == STRAIGHTFORWARD:
+        # the null row split by the null multiplicity r_H - j of each entry
         null = n + 1
+        acc = [Fraction(0)] * r_h
+        for key, value in t.entries.items():
+            key_counts = Counter(key)
+            if 0 < key_counts[null] < r_h:
+                acc[r_h - key_counts[null]] += value * _perms_first(key_counts)[null]
         for j in range(1, r_h):
-            acc = Fraction(0)
-            for key, value in t.entries.items():
-                key_counts = Counter(key)
-                if key_counts.get(null, 0) != r_h - j:
-                    continue
-                rest = [m for i, m in key_counts.items() if i != null]
-                acc += value * _multinomial([key_counts[null] - 1] + rest)
-            counts[j] = _as_count(acc / (r_h - j))
-    elif trace.approach == "silo":
+            counts[j] = _as_count(acc[j] / (r_h - j))
+    elif trace.approach in (SILO, LAYERED):
+        null_rows = [0] + t.row_sums()[n:]  # null_rows[j]: row of index n + j
+        if len(null_rows) < r_h:
+            raise TraceMismatch(f"{trace.approach} needs {r_h - 1} null vertices")
         for j in range(1, r_h):
-            counts[j] = _as_count(t.row_sum(n + j) / (r_h - j))
-    elif trace.approach == "layered":
-        cumulative = [t.row_sum(n + j) for j in range(1, r_h)]
-        previous = Fraction(0)
-        for j in range(1, r_h):
-            counts[j] = _as_count(cumulative[j - 1] - previous)
-            previous = cumulative[j - 1]
+            if trace.approach == SILO:
+                counts[j] = _as_count(null_rows[j] / (r_h - j))
+            else:
+                counts[j] = _as_count(null_rows[j] - null_rows[j - 1])
     else:
         raise TraceMismatch(f"unknown approach {trace.approach!r}")
     counts[r_h] = total_edges - sum(counts.values())

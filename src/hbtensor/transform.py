@@ -1,18 +1,23 @@
-"""Elementary hb-graph operations and m-uniformisation pipelines.
+"""Elementary hb-graph operations and m-uniformisation.
 
 Uniformisation pads every hb-edge to the m-range r_H with null vertices so
-that all edges share the same m-cardinality.  Three strategies exist:
+that all edges share the same m-cardinality.  For an edge of m-cardinality c
+over n original vertices, ``padding`` gives the closed form of each
+approach (null tensor indices follow the original ones):
 
-* ``straightforward``: one shared null vertex ``__N1`` absorbs the full
-  deficit of each edge.
-* ``silo``: a per-cardinality null vertex ``__Nr`` pads every edge of
-  m-cardinality r with multiplicity r_H - r.
-* ``layered``: cumulative null vertices ``__Lk``; an edge of m-cardinality c
-  ends up containing ``__Lc`` .. ``__L{r_H-1}``, each once.
+* ``straightforward``: one shared null vertex ``__N1`` (index n+1) with
+  multiplicity r_H - c.
+* ``silo``: the per-cardinality null vertex ``__Nc`` (index n+c) with
+  multiplicity r_H - c; nothing when c = r_H.
+* ``layered``: the cumulative null vertices ``__Lc`` .. ``__L{r_H-1}``
+  (indices n+c .. n+r_H-1), each once.
 
-Every output edge carries the dilatation weight c_r = r_H / r of its level.
-The returned trace records the null-vertex index assignment and the output
-edge order, which is sorted by (m-cardinality, input index).
+These are what the paper's compositions of ``decompose``, ``dilatation``,
+``y_complement``, ``vertex_increase`` and ``merge`` produce; ``uniformize``
+and the tensor constructions apply the closed form directly.  Every output
+edge carries the dilatation weight c_r = r_H / r of its level.  The returned
+trace records the null-vertex index assignment and the output edge order,
+which is sorted by (m-cardinality, input index).
 """
 
 from __future__ import annotations
@@ -145,7 +150,10 @@ def decompose(h: HbGraph) -> tuple[HbGraph, ...]:
     return tuple(levels)
 
 
-def _validate_uniformize_input(h: HbGraph) -> None:
+def _uniformisation_trace(h: HbGraph, approach: str) -> UniformisationTrace:
+    """Validate the input of a uniformisation and describe its output."""
+    if approach not in APPROACHES:
+        raise DomainError(f"unknown approach {approach!r}; expected one of {APPROACHES}")
     if not h.edges:
         raise EmptyEdgeFamily("uniformisation needs at least one hb-edge")
     if not h.is_natural():
@@ -157,6 +165,37 @@ def _validate_uniformize_input(h: HbGraph) -> None:
     for v in h.vertices:
         if v.startswith(RESERVED_PREFIX):
             raise VertexCollision(f"vertex id {v!r} uses the reserved prefix '__'")
+    n = h.n
+    r_h = h.m_range()
+    if approach == STRAIGHTFORWARD:
+        null_vertices = {"__N1": n + 1}
+    else:
+        prefix = "__N" if approach == SILO else "__L"
+        null_vertices = {f"{prefix}{k}": n + k for k in range(1, r_h)}
+    cardinalities = [e.m_cardinality() for e in h.edges]
+    return UniformisationTrace(
+        approach=approach,
+        r_h=r_h,
+        null_vertices=null_vertices,
+        n_a=len(null_vertices),
+        layer_coeffs={r: Fraction(r_h, r) for r in range(1, r_h + 1)},
+        edge_provenance=tuple(sorted(range(h.p), key=lambda i: (cardinalities[i], i))),
+    )
+
+
+def padding(approach: str, n: int, r_h: int, c: int) -> dict[int, int]:
+    """Null-vertex index -> multiplicity that pads an edge of m-cardinality c.
+
+    The indices are those of the e-adjacency tensor (n original vertices
+    first, 1-based); an edge already at m-cardinality r_H gets no padding.
+    """
+    if approach == STRAIGHTFORWARD:
+        pad = {n + 1: r_h - c}
+    elif approach == SILO:
+        pad = {n + c: r_h - c}
+    else:
+        pad = dict.fromkeys(range(n + c, n + r_h), 1)
+    return {i: m for i, m in pad.items() if m}
 
 
 def uniformize(h: HbGraph, approach: str) -> tuple[HbGraph, UniformisationTrace]:
@@ -166,44 +205,16 @@ def uniformize(h: HbGraph, approach: str) -> tuple[HbGraph, UniformisationTrace]
     structure and the output carries the dilatation coefficients.  User
     weights only enter at tensor-construction time.
     """
-    if approach not in APPROACHES:
-        raise DomainError(f"unknown approach {approach!r}; expected one of {APPROACHES}")
-    _validate_uniformize_input(h)
-    base = HbGraph(h.vertices, h.edges)
-    n = base.n
-    r_h = base.m_range()
-    dilated = [
-        dilatation(canonical_weighting(level), Fraction(r_h, r))
-        for r, level in enumerate(decompose(base), start=1)
-    ]
-
-    if approach == STRAIGHTFORWARD:
-        uniform = y_complement(merge(dilated), "__N1")
-        null_vertices = {"__N1": n + 1}
-    elif approach == SILO:
-        lifted = [
-            vertex_increase(level, f"__N{r}", r_h - r) if r < r_h else level
-            for r, level in enumerate(dilated, start=1)
-        ]
-        uniform = merge(lifted)
-        null_vertices = {f"__N{r}": n + r for r in range(1, r_h)}
-    else:
-        accumulated = dilated[0]
-        for k in range(1, r_h):
-            accumulated = merge(
-                [vertex_increase(accumulated, f"__L{k}", 1), dilated[k]]
-            )
-        uniform = accumulated
-        null_vertices = {f"__L{k}": n + k for k in range(1, r_h)}
-
-    cardinalities = [e.m_cardinality() for e in h.edges]
-    provenance = tuple(sorted(range(h.p), key=lambda i: (cardinalities[i], i)))
-    trace = UniformisationTrace(
-        approach=approach,
-        r_h=r_h,
-        null_vertices=null_vertices,
-        n_a=len(null_vertices),
-        layer_coeffs={r: Fraction(r_h, r) for r in range(1, r_h + 1)},
-        edge_provenance=provenance,
-    )
-    return uniform, trace
+    trace = _uniformisation_trace(h, approach)
+    vertices = h.vertices + tuple(trace.null_vertices)
+    name = {i: v for v, i in trace.null_vertices.items()}
+    edges = []
+    weights = []
+    for i in trace.edge_provenance:
+        counts = dict(h.edges[i].mult)
+        c = h.edges[i].m_cardinality()
+        for j, m in padding(approach, h.n, trace.r_h, c).items():
+            counts[name[j]] = m
+        edges.append(Multiset(vertices, counts))
+        weights.append(Fraction(trace.r_h, c))
+    return HbGraph(vertices, edges, weights), trace

@@ -34,6 +34,7 @@ from hbtensor import (
 )
 from conftest import DEMO_EDGES, DEMO_VERTICES
 from randgen import random_hbgraph, random_hypergraph
+from test_tensor import hypergraph_formula
 from test_paths import _valid_alternations, brute_force_count
 
 
@@ -147,6 +148,7 @@ def test_criterion_6_hypergraph_reduction():
         direct, _ = hypergraph_tensor(hg)
         via_silo, _ = e_adjacency_tensor(hg, "silo")
         assert direct == via_silo
+        assert direct.entries == hypergraph_formula(hg)
     for _ in range(20):
         n = rng.randint(2, 8)
         k = rng.randint(1, min(5, n))

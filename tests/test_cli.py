@@ -176,3 +176,13 @@ def test_export(demo_file, capsys, monkeypatch):
     monkeypatch.setenv("HBTENSOR_MAX_DENSE", "10")
     assert main(["export", demo_file, "--format", "coo", "--approach", "str", "--full"]) == 3
     assert main(["export", demo_file, "--format", "coo"]) == 3  # approach required
+
+
+def test_export_full_at_large_order(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(dumps({"vertices": ["a"], "edges": [{"mult": {"a": 3000}}]}))
+    args = ["export", str(path), "--format", "coo", "--approach", "sil", "--full"]
+    assert main(args) == 0
+    header, record = capsys.readouterr().out.splitlines()
+    assert header == "# order=3000 dim=3000 entries=1"
+    assert record == " ".join(["1"] * 3000) + " 3000"

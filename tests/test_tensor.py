@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
@@ -32,6 +33,7 @@ from hbtensor.errors import (
     EmptyMultiset,
     IndexOutOfRange,
 )
+from hbtensor.tensor import _perms_first
 from randgen import random_hbgraph, random_hypergraph
 
 DEMO_COUNTS = {1: 1, 2: 0, 3: 1, 4: 1, 5: 1}
@@ -59,6 +61,19 @@ def dense_apply(t: SymTensor, x):
             term *= x[j - 1]
         out[idx[0] - 1] += term
     return out
+
+
+def hypergraph_formula(hg: HbGraph) -> dict:
+    """Per-hyperedge formula: support indices plus (n+k) repeated k_max-k times,
+    with value (k_max-k)!/(k_max-1)! * w."""
+    n, k_max = hg.n, hg.m_range()
+    entries = {}
+    for i, e in enumerate(hg.edges):
+        k = e.cardinality()
+        indices = [hg.vertex_index(v) + 1 for v in e.support()] + [n + k] * (k_max - k)
+        value = Fraction(math.factorial(k_max - k), math.factorial(k_max - 1))
+        entries[tuple(sorted(indices))] = value * hg.weight(i)
+    return entries
 
 
 def small_instances(count=6, seed=29):
@@ -188,6 +203,7 @@ def test_row_sum_and_apply_against_dense_oracle():
             t, _ = e_adjacency_tensor(h, approach)
             for i in range(1, t.dim + 1):
                 assert t.row_sum(i) == dense_row_sum(t, i)
+            assert t.row_sums() == [dense_row_sum(t, i) for i in range(1, t.dim + 1)]
             x = [Fraction(k + 1, 3) for k in range(t.dim)]
             assert t.apply(x) == dense_apply(t, x)
 
@@ -254,6 +270,30 @@ def test_export_coo(demo):
         t.export_coo("full", max_records=10)
 
 
+def test_export_full_is_sorted_distinct_permutations():
+    for key in [(1,), (1, 1), (1, 2), (1, 1, 2), (1, 2, 3), (1, 1, 2, 2, 3), (2, 2, 2, 4)]:
+        t = SymTensor(order=len(key), dim=4, entries={key: 1})
+        perms = [idx for idx, _ in t.export_coo("full")]
+        assert perms == sorted(set(itertools.permutations(key)))
+
+
+def test_export_full_at_large_order():
+    t, _ = e_adjacency_tensor(HbGraph.from_dicts(("a",), [{"a": 3000}]), "silo")
+    assert t.export_coo("full") == [((1,) * 3000, Fraction(3000))]
+
+
+def test_perms_first_identity():
+    rng = random.Random(61)
+    for _ in range(2000):
+        counts = {i: rng.randint(1, 6) for i in rng.sample(range(1, 9), rng.randint(1, 5))}
+        r = sum(counts.values())
+        perms_first = _perms_first(counts)
+        for i, mu in counts.items():
+            others = math.prod(math.factorial(m) for j, m in counts.items() if j != i)
+            expected = math.factorial(r - 1) // (math.factorial(mu - 1) * others)
+            assert perms_first[i] == expected
+
+
 def test_distribution(demo):
     for approach in APPROACHES:
         t, trace = e_adjacency_tensor(demo, approach)
@@ -266,6 +306,12 @@ def test_distribution(demo):
         for approach in APPROACHES:
             t, trace = e_adjacency_tensor(h, approach)
             assert edge_distribution(t, trace, h.p) == expected
+    # a trace with fewer null vertices than r_H - 1 levels need
+    for approach in ("silo", "layered"):
+        t, trace = e_adjacency_tensor(demo, approach)
+        short = dataclasses.replace(trace, n_a=2, null_vertices={"__x": 10, "__y": 11})
+        with pytest.raises(DomainError):
+            edge_distribution(t, short, demo.p)
 
 
 def test_reconstruction(demo):
@@ -306,6 +352,11 @@ def test_hypergraph_matches_silo():
         via_silo, trace_silo = e_adjacency_tensor(hg, "silo")
         assert direct == via_silo
         assert trace_direct == trace_silo
+        assert direct.entries == hypergraph_formula(hg)
+        assert direct.dim == hg.n + hg.m_range() - 1
+        weights = [Fraction(k + 2, 3) for k in range(hg.p)]
+        weighted = HbGraph(hg.vertices, hg.edges, weights)
+        assert hypergraph_tensor(weighted)[0].entries == hypergraph_formula(weighted)
 
 
 def test_cooper_dutle_reduction():

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hbtensor import (
     APPROACHES,
@@ -17,6 +19,7 @@ from hbtensor import (
     canonical_weighting,
     decompose,
     dilatation,
+    e_adjacency_tensor,
     hb_sum,
     merge,
     uniformize,
@@ -24,6 +27,7 @@ from hbtensor import (
     y_complement,
 )
 from hbtensor.errors import EmptyEdge, EmptyEdgeFamily
+from hbtensor.transform import UniformisationTrace
 from randgen import random_hbgraph, random_uniform_hbgraph
 
 
@@ -201,3 +205,106 @@ def test_uniformize_preconditions(demo, trivial):
         )
     with pytest.raises(VertexCollision):
         uniformize(HbGraph.from_dicts(("__x",), [{"__x": 1}]), "silo")
+
+
+# -- differential check against the paper's composition ----------------------
+
+
+def reference_uniformize(h: HbGraph, approach: str):
+    """m-uniformisation as the paper composes it from the elementary operations."""
+    base = HbGraph(h.vertices, h.edges)
+    n = base.n
+    r_h = base.m_range()
+    dilated = [
+        dilatation(canonical_weighting(level), Fraction(r_h, r))
+        for r, level in enumerate(decompose(base), start=1)
+    ]
+
+    if approach == "straightforward":
+        uniform = y_complement(merge(dilated), "__N1")
+        null_vertices = {"__N1": n + 1}
+    elif approach == "silo":
+        lifted = [
+            vertex_increase(level, f"__N{r}", r_h - r) if r < r_h else level
+            for r, level in enumerate(dilated, start=1)
+        ]
+        uniform = merge(lifted)
+        null_vertices = {f"__N{r}": n + r for r in range(1, r_h)}
+    else:
+        accumulated = dilated[0]
+        for k in range(1, r_h):
+            accumulated = merge(
+                [vertex_increase(accumulated, f"__L{k}", 1), dilated[k]]
+            )
+        uniform = accumulated
+        null_vertices = {f"__L{k}": n + k for k in range(1, r_h)}
+
+    cardinalities = [e.m_cardinality() for e in h.edges]
+    provenance = tuple(sorted(range(h.p), key=lambda i: (cardinalities[i], i)))
+    trace = UniformisationTrace(
+        approach=approach,
+        r_h=r_h,
+        null_vertices=null_vertices,
+        n_a=len(null_vertices),
+        layer_coeffs={r: Fraction(r_h, r) for r in range(1, r_h + 1)},
+        edge_provenance=provenance,
+    )
+    return uniform, trace
+
+
+def tensor_from_uniform(uniform: HbGraph, trace, h: HbGraph) -> dict:
+    """One entry per uniformized edge: sorted index key, prod m! / (r_H-1)! * w."""
+    position = {v: k + 1 for k, v in enumerate(uniform.vertices)}
+    entries = {}
+    for out_idx, edge in enumerate(uniform.edges):
+        key = tuple(sorted(position[x] for x, m in edge.mult.items() for _ in range(m)))
+        value = Fraction(
+            math.prod(math.factorial(m) for m in edge.mult.values()),
+            math.factorial(trace.r_h - 1),
+        )
+        entries[key] = value * h.weight(trace.edge_provenance[out_idx])
+    return entries
+
+
+def assert_matches_reference(h: HbGraph) -> None:
+    for approach in APPROACHES:
+        expected, expected_trace = reference_uniformize(h, approach)
+        uni, trace = uniformize(h, approach)
+        assert uni == expected
+        assert uni.vertices == expected.vertices
+        assert trace == expected_trace
+        t, t_trace = e_adjacency_tensor(h, approach)
+        assert t_trace == expected_trace
+        assert (t.order, t.dim) == (expected_trace.r_h, expected.n)
+        assert t.entries == tensor_from_uniform(expected, expected_trace, h)
+
+
+def test_uniformize_matches_paper_composition_seeded(demo):
+    assert_matches_reference(demo)
+    weighted = HbGraph(demo.vertices, demo.edges, [2, Fraction(1, 3), 5, 7])
+    assert_matches_reference(weighted)
+    rng = random.Random(59)
+    for _ in range(40):
+        h = random_hbgraph(rng, n_max=6, p_max=6, mult_max=3)
+        assert_matches_reference(h)
+        weights = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(h.p)]
+        assert_matches_reference(HbGraph(h.vertices, h.edges, weights))
+
+
+@st.composite
+def natural_hbgraphs(draw):
+    n = draw(st.integers(1, 4))
+    vertices = tuple(f"v{i + 1}" for i in range(n))
+    edge = st.dictionaries(st.sampled_from(vertices), st.integers(1, 3), min_size=1)
+    edges = draw(
+        st.lists(edge, min_size=1, max_size=5, unique_by=lambda e: tuple(sorted(e.items())))
+    )
+    weight = st.fractions(min_value=Fraction(1, 8), max_value=8)
+    weights = draw(st.none() | st.lists(weight, min_size=len(edges), max_size=len(edges)))
+    return HbGraph.from_dicts(vertices, edges, weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(natural_hbgraphs())
+def test_uniformize_matches_paper_composition_hypothesis(h):
+    assert_matches_reference(h)
