@@ -9,7 +9,6 @@ are 1-based; output is deterministic for fixed input and flags.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -18,11 +17,11 @@ from pathlib import Path
 
 from . import io
 from .errors import DomainError, ParseError
-from .hbgraph import HbGraph
 from .paths import connected_components, diameter, distance
 from .spectral import estimate_max_eigenvalue, spectral_bound
 from .tensor import (
     DEFAULT_MAX_FULL_RECORDS,
+    _indexed,
     e_adjacency_tensor,
     edge_distribution,
     reconstruct_edges,
@@ -128,11 +127,6 @@ def cmd_tensor(args) -> int:
     return 0
 
 
-def _true_indexed_edges(h: HbGraph) -> list[dict[int, int]]:
-    position = {v: k + 1 for k, v in enumerate(h.vertices)}
-    return [{position[x]: m for x, m in e.mult.items()} for e in h.edges]
-
-
 def cmd_verify(args) -> int:
     h = io.load_hbgraph(args.input)
     if args.from_tensor:
@@ -157,7 +151,7 @@ def cmd_verify(args) -> int:
         checks["edge_distribution"] = False
     try:
         recovered = reconstruct_edges(tensor, trace)
-        truth = _true_indexed_edges(h)
+        truth = [_indexed(e) for e in h.edges]
         checks["reconstruction"] = Counter(
             tuple(sorted(e.items())) for e in recovered
         ) == Counter(tuple(sorted(e.items())) for e in truth)

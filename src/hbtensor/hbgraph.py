@@ -4,6 +4,12 @@ An hb-graph generalizes a hypergraph by letting each edge be a multiset
 (hb-edge) over the vertex universe.  The edge family is ordered and may
 contain repeats; an edge's identity is its index.  Instances are immutable
 and all queries are read-only.
+
+The vertex list is the graph's only vertex -> position table: it is a
+``Universe`` that every hb-edge built by this package shares.  Construction
+makes one pass over the edge supports to build each vertex's hb-star, its
+(edge index, multiplicity) pairs, so m-degree, degree and maximal
+multiplicity cost O(degree) per vertex and the order O(n + sum of degrees).
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from .errors import (
     UnknownEdge,
     UnknownVertex,
 )
-from .mset import Multiset, Rational, as_rational
+from .mset import Multiset, Rational, Universe, as_rational
 
 
 @dataclass(frozen=True)
@@ -69,7 +75,7 @@ class NumberedCopyHypergraph:
 class HbGraph:
     """Immutable hb-graph: vertex list, ordered hb-edge family, optional weights."""
 
-    __slots__ = ("_vertices", "_vindex", "_edges", "_weights")
+    __slots__ = ("_vertices", "_edges", "_weights", "_stars", "_edge_ids")
 
     def __init__(
         self,
@@ -77,12 +83,10 @@ class HbGraph:
         edges: Iterable[Multiset] = (),
         weights: Sequence[Rational] | None = None,
     ):
-        vs = tuple(vertices)
-        if len(set(vs)) != len(vs):
-            raise DomainError("duplicate vertex identifiers")
+        vs = vertices if isinstance(vertices, Universe) else Universe(vertices)
         es = tuple(edges)
         for e in es:
-            if e.universe != vs:
+            if e.universe is not vs and e.universe != vs:
                 raise UniverseMismatch("edge universe differs from vertex list")
         ws: tuple[Rational, ...] | None = None
         if weights is not None:
@@ -91,10 +95,15 @@ class HbGraph:
                 raise DomainError("one weight per hb-edge required")
             if any(w <= 0 for w in ws):
                 raise DomainError("weights must be positive")
+        stars: list[list[tuple[int, Rational]]] = [[] for _ in vs]
+        for j, e in enumerate(es):
+            for x, m in e.mult.items():
+                stars[vs.position[x]].append((j, m))
         object.__setattr__(self, "_vertices", vs)
-        object.__setattr__(self, "_vindex", {v: k for k, v in enumerate(vs)})
         object.__setattr__(self, "_edges", es)
         object.__setattr__(self, "_weights", ws)
+        object.__setattr__(self, "_stars", stars)
+        object.__setattr__(self, "_edge_ids", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("HbGraph is immutable")
@@ -106,13 +115,13 @@ class HbGraph:
         edges: Iterable[Mapping[str, Rational]],
         weights: Sequence[Rational] | None = None,
     ) -> "HbGraph":
-        vs = tuple(vertices)
+        vs = Universe(vertices)
         return cls(vs, [Multiset(vs, m) for m in edges], weights)
 
     # -- structure ----------------------------------------------------------
 
     @property
-    def vertices(self) -> tuple[str, ...]:
+    def vertices(self) -> Universe:
         return self._vertices
 
     @property
@@ -138,9 +147,13 @@ class HbGraph:
 
     def vertex_index(self, v: str) -> int:
         try:
-            return self._vindex[v]
+            return self._vertices.position[v]
         except KeyError:
             raise UnknownVertex(v) from None
+
+    def _star(self, v: str) -> list[tuple[int, Rational]]:
+        """(edge index, multiplicity) of every hb-edge containing ``v``."""
+        return self._stars[self.vertex_index(v)]
 
     def _check_edge(self, i: int) -> None:
         if not 0 <= i < len(self._edges):
@@ -180,35 +193,30 @@ class HbGraph:
 
     def max_multiplicity(self, v: str) -> Rational:
         """Maximum multiplicity of ``v`` over all hb-edges."""
-        self.vertex_index(v)
-        return max((e.multiplicity(v) for e in self._edges), default=0)
+        return max((m for _, m in self._star(v)), default=0)
 
     def order(self) -> Rational:
-        return sum(self.max_multiplicity(v) for v in self._vertices)
+        return sum(max((m for _, m in star), default=0) for star in self._stars)
 
     def size(self) -> int:
         return len(self._edges)
 
     def isolated_vertices(self) -> tuple[str, ...]:
-        covered = set()
-        for e in self._edges:
-            covered.update(e.support())
-        return tuple(v for v in self._vertices if v not in covered)
+        return tuple(v for v, star in zip(self._vertices, self._stars) if not star)
 
     def m_degree(self, v: str) -> Rational:
-        self.vertex_index(v)
-        return sum(e.multiplicity(v) for e in self._edges)
+        return sum(m for _, m in self._star(v))
 
     def degree(self, v: str) -> int:
         """Degree in the support hypergraph."""
-        self.vertex_index(v)
-        return sum(1 for e in self._edges if v in e)
+        return len(self._star(v))
 
     def hb_star(self, v: str) -> Multiset:
         """Multiset of incident edge indices, each with multiplicity m_e(v)."""
-        self.vertex_index(v)
-        counts = {i: e.multiplicity(v) for i, e in enumerate(self._edges) if v in e}
-        return Multiset(tuple(range(len(self._edges))), counts)
+        star = self._star(v)
+        if self._edge_ids is None:
+            object.__setattr__(self, "_edge_ids", Universe(range(len(self._edges))))
+        return Multiset(self._edge_ids, dict(star))
 
     def m_range(self) -> Rational:
         if not self._edges:
@@ -229,10 +237,13 @@ class HbGraph:
     # -- derived objects ----------------------------------------------------
 
     def incidence_matrix(self) -> IncidenceMatrix:
-        rows = tuple(
-            tuple(e.multiplicity(v) for e in self._edges) for v in self._vertices
-        )
-        return IncidenceMatrix(self._vertices, rows)
+        rows = []
+        for star in self._stars:
+            row = [0] * len(self._edges)
+            for j, m in star:
+                row[j] = m
+            rows.append(tuple(row))
+        return IncidenceMatrix(self._vertices, tuple(rows))
 
     def support_hypergraph(self) -> SupportHypergraph:
         return SupportHypergraph(
@@ -244,15 +255,11 @@ class HbGraph:
 
         Weights are dropped; isolated vertices become empty dual edges.
         """
-        dual_vertices = tuple(f"~e{i + 1}" for i in range(len(self._edges)))
-        dual_edges = []
-        for v in self._vertices:
-            counts = {
-                dual_vertices[i]: e.multiplicity(v)
-                for i, e in enumerate(self._edges)
-                if v in e
-            }
-            dual_edges.append(Multiset(dual_vertices, counts))
+        dual_vertices = Universe(f"~e{i + 1}" for i in range(len(self._edges)))
+        dual_edges = [
+            Multiset(dual_vertices, {dual_vertices[j]: m for j, m in star})
+            for star in self._stars
+        ]
         return HbGraph(dual_vertices, dual_edges)
 
     def numbered_copy_hypergraph(self) -> NumberedCopyHypergraph:
@@ -265,8 +272,8 @@ class HbGraph:
             raise NotNatural("numbered copies need integer multiplicities")
         copy_vertices = tuple(
             (v, j)
-            for v in self._vertices
-            for j in range(1, int(self.max_multiplicity(v)) + 1)
+            for v, star in zip(self._vertices, self._stars)
+            for j in range(1, max((m for _, m in star), default=0) + 1)
         )
         copy_edges = tuple(
             frozenset((x, j) for x in e.support() for j in range(1, e.multiplicity(x) + 1))
@@ -321,17 +328,14 @@ def two_section(support: SupportHypergraph) -> tuple[tuple[str, str], ...]:
     return tuple(sorted(pairs, key=lambda uv: (position[uv[0]], position[uv[1]])))
 
 
-def hb_sum(h1: HbGraph, h2: HbGraph) -> HbGraph:
-    """Sum of two hb-graphs: union of vertex sets, concatenated edge family."""
-    vertices = h1.vertices + tuple(v for v in h2.vertices if v not in set(h1.vertices))
-    edges = [
-        Multiset(vertices, dict(e.mult)) for e in h1.edges
-    ] + [
-        Multiset(vertices, dict(e.mult)) for e in h2.edges
-    ]
+def hb_sum(*graphs: HbGraph) -> HbGraph:
+    """Sum of hb-graphs: ordered union of the vertex sets, concatenated edge
+    families; weighted (default weight 1) when any summand is."""
+    vertices = Universe(dict.fromkeys(v for h in graphs for v in h.vertices))
+    edges = [Multiset(vertices, e.mult) for h in graphs for e in h.edges]
     weights = None
-    if h1.weights is not None or h2.weights is not None:
-        weights = [h1.weight(i) for i in range(h1.p)] + [h2.weight(i) for i in range(h2.p)]
+    if any(h.weights is not None for h in graphs):
+        weights = [h.weight(i) for h in graphs for i in range(h.p)]
     return HbGraph(vertices, edges, weights)
 
 

@@ -20,14 +20,15 @@ from .tensor import SymTensor
 from .transform import APPROACHES, UniformisationTrace
 
 
-def format_rational(x: Rational) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def rational_to_json(x: Rational):
+    if type(x) is int:  # exactly int: bools still go through Fraction
+        return x
     x = Fraction(x)
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def format_rational(x: Rational) -> str:
+    return str(rational_to_json(x))
 
 
 def json_to_rational(obj, where: str) -> Rational:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from .errors import InvalidPath, NotNatural, UnknownEdge, UnknownVertex
+from .errors import InvalidPath, NotNatural, UnknownEdge
 from .hbgraph import HbGraph
 
 STRICT = "strict"
@@ -44,8 +44,7 @@ class MPath:
 
 def _check_ids(h: HbGraph, path: MPath) -> None:
     for v in path.vertices:
-        if v not in h.vertices:
-            raise UnknownVertex(v)
+        h.vertex_index(v)
     for i in path.edge_indices:
         if not 0 <= i < h.p:
             raise UnknownEdge(i)

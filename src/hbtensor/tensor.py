@@ -47,7 +47,7 @@ from .errors import (
     TraceMismatch,
 )
 from .hbgraph import HbGraph
-from .mset import Multiset, Rational
+from .mset import Multiset, Rational, Universe
 from .transform import (
     LAYERED,
     SILO,
@@ -274,17 +274,15 @@ class HbPolynomial:
 # -- constructions ----------------------------------------------------------
 
 
-def _positions(universe: Sequence[str]) -> dict[str, int]:
-    return {x: k + 1 for k, x in enumerate(universe)}
-
-
-def _indexed(a: Multiset, position: Mapping[str, int]) -> dict[int, int]:
-    """Tensor index -> multiplicity of a natural multiset."""
+def _indexed(a: Multiset) -> dict[int, int]:
+    """Tensor index (1-based universe position) -> multiplicity of a natural
+    multiset."""
+    position = a.universe.position
     counts = {}
     for x, v in a.mult.items():
         if not isinstance(v, int):
             raise NotNatural(f"non-integer multiplicity for {x!r}")
-        counts[position[x]] = v
+        counts[position[x] + 1] = v
     return counts
 
 
@@ -305,7 +303,7 @@ def mset_hypermatrix(a: Multiset, normalized: bool) -> SymTensor:
     factorials) / (r-1)! on the same tuples, which makes the logical total
     equal the m-cardinality r.
     """
-    counts = _indexed(a, _positions(a.universe))
+    counts = _indexed(a)
     if not counts:
         raise EmptyMultiset("hypermatrix representation of an empty multiset")
     r = sum(counts.values())
@@ -338,8 +336,7 @@ def uniform_tensor(h: HbGraph) -> SymTensor:
         raise NotUniform("hb-edges have differing m-cardinalities")
     if k == 0:
         raise EmptyEdge("uniform tensor forbids empty hb-edges")
-    position = _positions(h.vertices)
-    entries = dict(_entry(_indexed(e, position), k) for e in h.edges)
+    entries = dict(_entry(_indexed(e), k) for e in h.edges)
     return SymTensor(order=k, dim=h.n, entries=entries)
 
 
@@ -352,10 +349,9 @@ def e_adjacency_tensor(
     n when r_H = 1).  User edge weights scale the entries linearly.
     """
     trace = _uniformisation_trace(h, approach)
-    position = _positions(h.vertices)
     entries: dict[tuple[int, ...], Fraction] = {}
     for i in trace.edge_provenance:
-        counts = _indexed(h.edges[i], position)
+        counts = _indexed(h.edges[i])
         counts.update(padding(approach, h.n, trace.r_h, sum(counts.values())))
         key, value = _entry(counts, trace.r_h)
         entries[key] = value * h.weight(i)
@@ -462,7 +458,7 @@ def reconstruct_hbgraph(
     n = _check_trace(t, trace)
     if len(vertices) != n:
         raise TraceMismatch(f"expected {n} vertex names, got {len(vertices)}")
-    vs = tuple(vertices)
+    vs = Universe(vertices)
     edges = [
         Multiset(vs, {vs[i - 1]: m for i, m in family.items()})
         for family in reconstruct_edges(t, trace)

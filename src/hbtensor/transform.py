@@ -35,8 +35,8 @@ from .errors import (
     RepeatedEdges,
     VertexCollision,
 )
-from .hbgraph import HbGraph
-from .mset import Multiset, Rational, as_rational
+from .hbgraph import HbGraph, hb_sum
+from .mset import Multiset, Rational, Universe, as_rational
 
 STRAIGHTFORWARD = "straightforward"
 SILO = "silo"
@@ -71,61 +71,38 @@ def dilatation(h: HbGraph, c: Rational) -> HbGraph:
     return HbGraph(h.vertices, h.edges, [h.weight(i) * c for i in range(h.p)])
 
 
-def _extended_edges(vertices, edges) -> list[Multiset]:
-    return [Multiset(vertices, dict(e.mult)) for e in edges]
+def _with_vertex(h: HbGraph, y: str, multiplicity) -> HbGraph:
+    """Append vertex y to every edge e with multiplicity ``multiplicity(e)``."""
+    vertices = Universe(h.vertices + (y,))
+    edges = [Multiset(vertices, {**e.mult, y: multiplicity(e)}) for e in h.edges]
+    return HbGraph(vertices, edges, h.weights)
 
 
 def y_complement(h: HbGraph, y: str) -> HbGraph:
     """Append vertex y to every edge with multiplicity r_H - m-cardinality."""
-    if y in h.vertices:
+    if y in h.vertices.position:
         raise VertexCollision(y)
     if not h.is_natural():
         raise NotNatural("y-complement needs integer multiplicities")
     if not h.edges:
         raise EmptyEdgeFamily("y-complement needs at least one hb-edge")
     r_h = h.m_range()
-    vertices = h.vertices + (y,)
-    edges = []
-    for e in h.edges:
-        counts = dict(e.mult)
-        counts[y] = r_h - e.m_cardinality()
-        edges.append(Multiset(vertices, counts))
-    return HbGraph(vertices, edges, h.weights)
+    return _with_vertex(h, y, lambda e: r_h - e.m_cardinality())
 
 
 def vertex_increase(h: HbGraph, y: str, alpha: int) -> HbGraph:
     """Append vertex y to every edge with the fixed multiplicity alpha."""
-    if y in h.vertices:
+    if y in h.vertices.position:
         raise VertexCollision(y)
     if not isinstance(alpha, int) or alpha < 1:
         raise DomainError(f"alpha must be a positive integer, got {alpha!r}")
-    vertices = h.vertices + (y,)
-    edges = []
-    for e in h.edges:
-        counts = dict(e.mult)
-        counts[y] = alpha
-        edges.append(Multiset(vertices, counts))
-    return HbGraph(vertices, edges, h.weights)
+    return _with_vertex(h, y, lambda e: alpha)
 
 
 def merge(family: Iterable[HbGraph]) -> HbGraph:
-    """Concatenate edge families over the ordered union of the vertex sets."""
-    members = list(family)
-    vertices: list[str] = []
-    seen: set[str] = set()
-    for h in members:
-        for v in h.vertices:
-            if v not in seen:
-                seen.add(v)
-                vertices.append(v)
-    vs = tuple(vertices)
-    edges = []
-    weights = []
-    weighted = any(h.weights is not None for h in members)
-    for h in members:
-        edges.extend(_extended_edges(vs, h.edges))
-        weights.extend(h.weight(i) for i in range(h.p))
-    return HbGraph(vs, edges, weights if weighted else None)
+    """Concatenate edge families over the ordered union of the vertex sets
+    (the hb-sum of the family)."""
+    return hb_sum(*family)
 
 
 def decompose(h: HbGraph) -> tuple[HbGraph, ...]:
@@ -206,7 +183,7 @@ def uniformize(h: HbGraph, approach: str) -> tuple[HbGraph, UniformisationTrace]
     weights only enter at tensor-construction time.
     """
     trace = _uniformisation_trace(h, approach)
-    vertices = h.vertices + tuple(trace.null_vertices)
+    vertices = Universe(h.vertices + tuple(trace.null_vertices))
     name = {i: v for v, i in trace.null_vertices.items()}
     edges = []
     weights = []

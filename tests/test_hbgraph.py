@@ -1,19 +1,32 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hbtensor import (
+    APPROACHES,
     EmptyEdgeFamily,
     HbGraph,
     Multiset,
     UniverseMismatch,
     UnknownEdge,
     UnknownVertex,
+    canonical_weighting,
+    decompose,
+    dilatation,
+    e_adjacency_tensor,
     hb_sum,
+    io,
     is_direct,
+    merge,
+    reconstruct_hbgraph,
     two_section,
+    uniformize,
+    vertex_increase,
+    y_complement,
 )
 from randgen import random_hbgraph, random_uniform_hbgraph
 
@@ -182,6 +195,22 @@ def test_hb_sum(demo, trivial):
     assert total.vertices == demo.vertices + ("w1", "w2")
     assert is_direct(demo, other)
     assert not is_direct(demo, HbGraph.from_dicts(demo.vertices, [{"v6": 1}]))
+    # random summands over overlapping vertex names: unweighted, weighted, mixed
+    rng = random.Random(11)
+    for k in range(60):
+        a, b = random_weighted_hbgraph(rng, k % 2), random_weighted_hbgraph(rng, k % 3)
+        total = hb_sum(a, b)
+        assert total == merge([a, b])
+        assert total.vertices == a.vertices + tuple(
+            v for v in b.vertices if v not in a.vertices
+        )
+        assert [e.mult for e in total.edges] == [e.mult for e in a.edges + b.edges]
+        if a.weights is None and b.weights is None:
+            assert total.weights is None
+        else:
+            assert total.weights == tuple(
+                [a.weight(i) for i in range(a.p)] + [b.weight(i) for i in range(b.p)]
+            )
 
 
 def test_numbered_copy_hypergraph(demo):
@@ -217,3 +246,114 @@ def test_adjacency_predicates(demo):
 def test_edge_universe_checked():
     with pytest.raises(UniverseMismatch):
         HbGraph(("a", "b"), [Multiset(("a",), {"a": 1})])
+
+
+# -- the vertex stars against a recomputation over every (vertex, edge) pair --
+
+
+def random_weighted_hbgraph(rng: random.Random, weighted: bool) -> HbGraph:
+    """Random hb-graph with integer and Fraction multiplicities, optional weights."""
+    n = rng.randint(0, 6)
+    vertices = tuple(f"v{i + 1}" for i in range(n))
+    edges = [
+        {
+            v: rng.choice([rng.randint(1, 4), Fraction(rng.randint(1, 9), rng.randint(1, 4))])
+            for v in rng.sample(vertices, rng.randint(0, n))
+        }
+        for _ in range(rng.randint(0, 5))
+    ]
+    weights = (
+        [rng.choice([rng.randint(1, 3), Fraction(rng.randint(1, 7), 3)]) for _ in edges]
+        if weighted
+        else None
+    )
+    return HbGraph.from_dicts(vertices, edges, weights)
+
+
+def typed(values):
+    return [(x, type(x)) for x in values]
+
+
+def assert_metrics_match_pairwise_recomputation(h: HbGraph) -> None:
+    rows = [[e.multiplicity(v) for e in h.edges] for v in h.vertices]
+    assert typed(h.m_degree(v) for v in h.vertices) == typed(sum(row) for row in rows)
+    assert [h.degree(v) for v in h.vertices] == [sum(1 for m in row if m) for row in rows]
+    assert typed(h.max_multiplicity(v) for v in h.vertices) == typed(
+        max(row, default=0) for row in rows
+    )
+    assert typed([h.order()]) == typed([sum(max(row, default=0) for row in rows)])
+    assert h.isolated_vertices() == tuple(
+        v for v, row in zip(h.vertices, rows) if not any(row)
+    )
+    edge_ids = tuple(range(h.p))
+    assert [h.hb_star(v) for v in h.vertices] == [
+        Multiset(edge_ids, {j: m for j, m in enumerate(row) if m}) for row in rows
+    ]
+    assert h.incidence_matrix().entries == tuple(tuple(row) for row in rows)
+    dual_vertices = tuple(f"~e{j + 1}" for j in range(h.p))
+    assert h.dual() == HbGraph(
+        dual_vertices,
+        [
+            Multiset(dual_vertices, {dual_vertices[j]: m for j, m in enumerate(row)})
+            for row in rows
+        ],
+    )
+
+
+def test_star_metrics_seeded():
+    rng = random.Random(12)
+    for k in range(200):
+        assert_metrics_match_pairwise_recomputation(random_weighted_hbgraph(rng, k % 2))
+    for _ in range(50):
+        assert_metrics_match_pairwise_recomputation(random_hbgraph(rng))
+
+
+multiplicities = st.one_of(
+    st.integers(min_value=0, max_value=4),
+    st.fractions(min_value=0, max_value=4, max_denominator=5),
+)
+weights = st.one_of(
+    st.integers(min_value=1, max_value=4),
+    st.fractions(min_value=Fraction(1, 5), max_value=4, max_denominator=5),
+)
+
+
+@st.composite
+def hbgraphs(draw):
+    vertices = tuple(f"v{i + 1}" for i in range(draw(st.integers(0, 6))))
+    edge = st.dictionaries(st.sampled_from(vertices), multiplicities) if vertices else st.just({})
+    edges = draw(st.lists(edge, max_size=6))
+    ws = draw(st.none() | st.lists(weights, min_size=len(edges), max_size=len(edges)))
+    return HbGraph.from_dicts(vertices, edges, ws)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hbgraphs())
+def test_star_metrics_hypothesis(h):
+    assert_metrics_match_pairwise_recomputation(h)
+
+
+def test_builders_share_the_vertex_table(demo, tmp_path):
+    path = tmp_path / "demo.json"
+    io.dump_hbgraph(demo, path)
+    weighted = HbGraph.from_dicts(("v1", "w1"), [{"w1": 2}, {"v1": 1}], [3, Fraction(1, 2)])
+    graphs = {
+        "from_dicts": demo,
+        "load_hbgraph": io.load_hbgraph(path),
+        "dual": demo.dual(),
+        "hb_sum": hb_sum(demo, weighted, demo.dual()),
+        "merge": merge([weighted, demo]),
+        "y_complement": y_complement(demo, "N"),
+        "vertex_increase": vertex_increase(demo, "N", 2),
+        "dilatation": dilatation(canonical_weighting(demo), 2),
+        "decompose": decompose(demo)[0],
+    }
+    for approach in APPROACHES:
+        graphs[f"uniformize {approach}"] = uniformize(demo, approach)[0]
+        tensor, trace = e_adjacency_tensor(demo, approach)
+        graphs[f"reconstruct_hbgraph {approach}"] = reconstruct_hbgraph(
+            tensor, trace, demo.vertices
+        )
+    for name, h in graphs.items():
+        assert h.edges, name
+        assert all(e.universe is h.vertices for e in h.edges), name
