@@ -166,7 +166,8 @@ class Multiset:
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self._universe, tuple(self._mult.items())))
+            # the support only, O(s) rather than O(n); __eq__ compares universes
+            h = hash(tuple(self._mult.items()))
             object.__setattr__(self, "_hash", h)
         return h
 

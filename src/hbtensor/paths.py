@@ -142,9 +142,9 @@ def connected_components(h: HbGraph) -> tuple[tuple[str, ...], ...]:
     for v in h.vertices:
         if v in seen:
             continue
-        members = set(_bfs(neighbors, v))
-        seen |= members
-        components.append(tuple(u for u in h.vertices if u in members))
+        members = _bfs(neighbors, v)
+        seen.update(members)
+        components.append(tuple(sorted(members, key=h.vertex_index)))
     return tuple(components)
 
 

@@ -6,20 +6,19 @@ Every eigenvalue of an e-adjacency tensor satisfies
 
 where Delta and Delta* are the maximal m-degrees over original and null
 vertices (both readable off the tensor as row sums).  The power iteration
-below produces a lower estimate of the largest H-eigenvalue, so the bound
-can be checked empirically.
+below, run on the tensor's own contraction plan, gives a lower estimate of
+the largest H-eigenvalue, so the bound can be checked empirically.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from .errors import DomainError
-from .tensor import SymTensor, _check_trace, _perms_first
+from .tensor import SymTensor, _check_trace
 from .transform import LAYERED, SILO, STRAIGHTFORWARD, UniformisationTrace
 
 
@@ -90,33 +89,22 @@ def estimate_max_eigenvalue(
     """
     if t.order < 2:
         raise DomainError("power iteration needs tensor order >= 2")
-    entries = [(key, float(v)) for key, v in t.canonical_items()]
-    if any(v < 0 for _, v in entries):
+    if any(v < 0 for _, v in t.entries_rle()):
         raise DomainError("power iteration needs nonnegative entries")
     d = t.dim
-    if d == 0 or not entries:
+    if d == 0 or not t.canonical_count():
         return PowerIterationResult(value=0.0, converged=True, iterations=0)
     r = t.order
-
-    # contraction coefficients per (entry, target index)
-    plans = []
-    for key, v in entries:
-        counts = Counter(key)
-        per_index = []
-        for i, perms in _perms_first(counts).items():
-            coeff = v * perms
-            powers = [(j, m - (1 if j == i else 0)) for j, m in counts.items()]
-            per_index.append((i - 1, coeff, [(j - 1, m) for j, m in powers if m]))
-        plans.append(per_index)
+    # the lazy plan fails on the first coefficient too large for a float
+    plan = [(i0, float(v) * perms, pw) for i0, v, perms, pw in t._contraction_plan()]
 
     def contract(x: list[float]) -> list[float]:
         y = [0.0] * d
-        for per_index in plans:
-            for i0, coeff, powers in per_index:
-                term = coeff
-                for j0, m in powers:
-                    term *= x[j0] ** m
-                y[i0] += term
+        for i0, coeff, powers in plan:
+            term = coeff
+            for j0, m in powers:
+                term *= x[j0] ** m
+            y[i0] += term
         return y
 
     rng = random.Random(seed)
@@ -124,27 +112,19 @@ def estimate_max_eigenvalue(
     top = max(x)
     x = [xi / top for xi in x]
 
-    rayleigh = 0.0
-    converged = False
-    used = 0
+    converged, used = False, 0
     for used in range(1, iterations + 1):
         y = contract(x)
-        denom = sum(xi**r for xi in x)
-        rayleigh = sum(xi * yi for xi, yi in zip(x, y)) / denom
-        shifted = [yi + xi ** (r - 1) for xi, yi in zip(x, y)]
-        nxt = [s ** (1.0 / (r - 1)) for s in shifted]
+        nxt = [(yi + xi ** (r - 1)) ** (1.0 / (r - 1)) for xi, yi in zip(x, y)]
         top = max(nxt)
         if top == 0.0:
             return PowerIterationResult(value=0.0, converged=True, iterations=used)
         nxt = [v / top for v in nxt]
-        if max(abs(a - b) for a, b in zip(nxt, x)) < tol:
-            x = nxt
-            converged = True
-            break
+        converged = max(abs(a - b) for a, b in zip(nxt, x)) < tol
         x = nxt
+        if converged:
+            break
 
-    if converged:
-        y = contract(x)
-        denom = sum(xi**r for xi in x)
-        rayleigh = sum(xi * yi for xi, yi in zip(x, y)) / denom
+    y = contract(x)
+    rayleigh = sum(xi * yi for xi, yi in zip(x, y)) / sum(xi**r for xi in x)
     return PowerIterationResult(value=rayleigh, converged=converged, iterations=used)

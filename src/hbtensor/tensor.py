@@ -1,21 +1,17 @@
 """Canonical sparse symmetric hypermatrices and e-adjacency tensors.
 
 A symmetric tensor of order r and dimension d stores one canonical entry per
-index multiset (a nondecreasing tuple of length r, indices 1..d); every
-permutation of a stored tuple denotes the same logical entry.  All values are
-exact rationals.
+index multiset, run-length encoded as ((index, multiplicity), ...) in
+ascending index order and kept in canonical order (that of the dense
+nondecreasing index tuples, which appear only at the API boundary); every
+permutation of its indices denotes the same logical entry.  All values are
+exact rationals.  One lazy contraction plan drives both the exact ``apply``
+and the power iteration of ``spectral``.
 
 The e-adjacency tensor of an hb-graph contributes one canonical entry per
-hb-edge, built straight from the edge and its closed-form padding
-(``transform.padding``) without materialising the uniform hb-graph.  An edge
-of m-cardinality c over n original vertices gets the indices of its vertices
-with their multiplicities plus
-
-* straightforward: index n+1 repeated r_H - c times;
-* silo: index n+c repeated r_H - c times;
-* layered: each of the indices n+c .. n+r_H-1 once,
-
-with value
+hb-edge: the indices of its vertices with their multiplicities plus its
+closed-form null-vertex padding (``transform.padding``; no uniform hb-graph
+is built), with value
 
     (product of the multiplicities' factorials) / (r_H - 1)!
 
@@ -31,7 +27,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -77,6 +74,16 @@ def _perms_first(counts: Mapping[int, int]) -> dict[int, int]:
     return {i: by_mu[mu] for i, mu in counts.items()}
 
 
+def _runs(key: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """Run-length form of a nondecreasing index tuple."""
+    return tuple(Counter(key).items())
+
+
+def _dense(runs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """Nondecreasing index tuple of a run-length key."""
+    return tuple(chain.from_iterable([(i,) * m for i, m in runs]))
+
+
 def _distinct_permutations(key: tuple[int, ...]):
     """Distinct permutations of a sorted index tuple, lexicographically."""
     perm = list(key)
@@ -104,21 +111,32 @@ class SymTensor:
             raise DomainError("tensor order must be >= 1")
         if dim < 0:
             raise DomainError("tensor dimension must be >= 0")
-        canonical: dict[tuple[int, ...], Fraction] = {}
+        rows: list[tuple[tuple[int, ...], Fraction]] = []
         for key, raw in entries.items():
             key = tuple(key)
             if len(key) != order:
                 raise DomainError(f"index tuple {key} has length != order {order}")
-            if any(not 1 <= i <= dim for i in key):
+            ordered = tuple(sorted(key))
+            if ordered[0] < 1 or ordered[-1] > dim:
                 raise IndexOutOfRange(f"index tuple {key} outside 1..{dim}")
-            if tuple(sorted(key)) != key:
+            if ordered != key:
                 raise DomainError(f"index tuple {key} is not sorted")
             value = Fraction(raw)
             if value != 0:
-                canonical[key] = value
+                rows.append((key, value))
+        rows.sort()
         object.__setattr__(self, "_order", order)
         object.__setattr__(self, "_dim", dim)
-        object.__setattr__(self, "_entries", canonical)
+        object.__setattr__(self, "_entries", {_runs(key): value for key, value in rows})
+
+    @classmethod
+    def _from_runs(cls, order: int, dim: int, entries: Mapping) -> "SymTensor":
+        """Tensor of the nonzero run-length entries built in this module, put in
+        canonical order: runs as (index, -multiplicity) sort as dense keys do."""
+        t = cls(order, dim, {})
+        canonical = sorted(entries.items(), key=lambda e: [(i, -m) for i, m in e[0]])
+        object.__setattr__(t, "_entries", dict(canonical))
+        return t
 
     def __setattr__(self, name, value):
         raise AttributeError("SymTensor is immutable")
@@ -133,7 +151,7 @@ class SymTensor:
 
     @property
     def entries(self) -> Mapping[tuple[int, ...], Fraction]:
-        return dict(self._entries)
+        return dict(self.canonical_items())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymTensor):
@@ -145,7 +163,7 @@ class SymTensor:
         )
 
     def __hash__(self) -> int:
-        return hash((self._order, self._dim, tuple(sorted(self._entries.items()))))
+        return hash((self._order, self._dim, tuple(self._entries.items())))
 
     def __repr__(self) -> str:
         return f"SymTensor(order={self._order}, dim={self._dim}, nnz={len(self._entries)})"
@@ -154,73 +172,74 @@ class SymTensor:
         return len(self._entries)
 
     def canonical_items(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        return sorted(self._entries.items())
+        return [(_dense(runs), value) for runs, value in self._entries.items()]
 
     def entries_rle(self) -> list[tuple[tuple[tuple[int, int], ...], Fraction]]:
-        """Run-length view: ((index, multiplicity), ...) per canonical entry."""
-        out = []
-        for key, value in self.canonical_items():
-            counts = Counter(key)
-            out.append((tuple(sorted(counts.items())), value))
-        return out
+        """((index, multiplicity), ...) per canonical entry, in canonical order."""
+        return list(self._entries.items())
 
     def get(self, idx: Sequence[int]) -> Fraction:
         """Logical entry for any index permutation; zero when absent."""
         key = tuple(sorted(idx))
         if len(key) != self._order:
             raise DimensionMismatch(f"expected {self._order} indices, got {len(key)}")
-        if any(not 1 <= i <= self._dim for i in key):
+        if key[0] < 1 or key[-1] > self._dim:
             raise IndexOutOfRange(f"index tuple {key} outside 1..{self._dim}")
-        return self._entries.get(key, Fraction(0))
+        return self._entries.get(_runs(key), Fraction(0))
 
     def logical_nonzero_count(self) -> int:
         """Number of nonzero positions in the full symmetric expansion."""
-        return sum(_multinomial(Counter(k).values()) for k in self._entries)
+        return sum(_multinomial(m for _, m in runs) for runs in self._entries)
 
     def total_sum(self) -> Fraction:
         """Sum over all logical entries."""
-        return sum(
-            (v * _multinomial(Counter(k).values()) for k, v in self._entries.items()),
-            Fraction(0),
-        )
+        terms = (v * _multinomial(m for _, m in runs) for runs, v in self._entries.items())
+        return sum(terms, Fraction(0))
 
     def row_sum(self, i: int) -> Fraction:
         """Sum of all logical entries whose first index is ``i``."""
         if not 1 <= i <= self._dim:
             raise IndexOutOfRange(f"index {i} outside 1..{self._dim}")
         total = Fraction(0)
-        for key, value in self._entries.items():
-            if i in key:
-                total += value * _perms_first(Counter(key))[i]
+        for runs, value in self._entries.items():
+            counts = dict(runs)
+            if i in counts:
+                total += value * _perms_first(counts)[i]
         return total
 
     def row_sums(self) -> list[Fraction]:
         """All row sums in one pass over the entries; item i-1 is row_sum(i)."""
         sums = [Fraction(0)] * self._dim
-        for key, value in self._entries.items():
-            for i, coeff in _perms_first(Counter(key)).items():
+        for runs, value in self._entries.items():
+            for i, coeff in _perms_first(dict(runs)).items():
                 sums[i - 1] += value * coeff
         return sums
+
+    def _contraction_plan(self) -> Iterator[tuple[int, Fraction, int, list]]:
+        """Lazily, per entry and per index i of its runs, the term of (A x^{r-1})_i
+        as (i - 1, value, perms_first(i), [(j - 1, nonzero power of x_j), ...])."""
+        for runs, value in self._entries.items():
+            for i, perms in _perms_first(dict(runs)).items():
+                powers = [(j - 1, m - (j == i)) for j, m in runs]
+                yield i - 1, value, perms, [(j0, m) for j0, m in powers if m]
 
     def apply(self, x: Sequence) -> list:
         """Left contraction (A x^{r-1})_i over all dimensions."""
         if len(x) != self._dim:
             raise DimensionMismatch(f"vector length {len(x)} != dim {self._dim}")
         result = [Fraction(0)] * self._dim
-        for key, value in self._entries.items():
-            counts = Counter(key)
-            for i, coeff in _perms_first(counts).items():
-                monomial = value * coeff
-                for j, m in counts.items():
-                    monomial *= x[j - 1] ** (m - (1 if j == i else 0))
-                result[i - 1] += monomial
+        for i0, value, perms, powers in self._contraction_plan():
+            term = value * perms
+            for j0, m in powers:
+                term *= x[j0] ** m
+            result[i0] += term
         return result
 
     def polynomial(self) -> "HbPolynomial":
         """Homogeneous polynomial P(z) = sum a_{i_1..i_r} z_{i_1}..z_{i_r}."""
         monomials: dict[tuple[int, ...], Fraction] = {}
-        for key, value in self._entries.items():
-            counts = Counter(key)
+        for runs, value in self._entries.items():
+            counts = dict(runs)
             exponents = tuple(counts.get(i, 0) for i in range(1, self._dim + 1))
             coeff = value * _multinomial(counts.values())
             monomials[exponents] = monomials.get(exponents, Fraction(0)) + coeff
@@ -243,11 +262,11 @@ class SymTensor:
             raise DomainError(
                 f"full export would emit {total} records (limit {max_records})"
             )
-        records = []
-        for key, value in self.canonical_items():
-            for perm in _distinct_permutations(key):
-                records.append((perm, value))
-        return records
+        return [
+            (perm, value)
+            for key, value in self.canonical_items()
+            for perm in _distinct_permutations(key)
+        ]
 
 
 @dataclass(frozen=True)
@@ -286,9 +305,9 @@ def _indexed(a: Multiset) -> dict[int, int]:
     return counts
 
 
-def _entry(counts: Mapping[int, int], r: int) -> tuple[tuple[int, ...], Fraction]:
-    """Canonical key of index -> multiplicity counts and its normalized value."""
-    key = tuple(i for i, m in sorted(counts.items()) for _ in range(m))
+def _entry(counts: Mapping[int, int], r: int) -> tuple[tuple, Fraction]:
+    """Run-length key of index -> multiplicity counts and its normalized value."""
+    key = tuple(sorted(counts.items()))
     value = Fraction(
         math.prod(math.factorial(m) for m in counts.values()), math.factorial(r - 1)
     )
@@ -308,8 +327,8 @@ def mset_hypermatrix(a: Multiset, normalized: bool) -> SymTensor:
         raise EmptyMultiset("hypermatrix representation of an empty multiset")
     r = sum(counts.values())
     key, value = _entry(counts, r)
-    return SymTensor(
-        order=r, dim=len(a.universe), entries={key: value if normalized else 1}
+    return SymTensor._from_runs(
+        r, len(a.universe), {key: value if normalized else Fraction(1)}
     )
 
 
@@ -337,7 +356,7 @@ def uniform_tensor(h: HbGraph) -> SymTensor:
     if k == 0:
         raise EmptyEdge("uniform tensor forbids empty hb-edges")
     entries = dict(_entry(_indexed(e), k) for e in h.edges)
-    return SymTensor(order=k, dim=h.n, entries=entries)
+    return SymTensor._from_runs(k, h.n, entries)
 
 
 def e_adjacency_tensor(
@@ -349,13 +368,13 @@ def e_adjacency_tensor(
     n when r_H = 1).  User edge weights scale the entries linearly.
     """
     trace = _uniformisation_trace(h, approach)
-    entries: dict[tuple[int, ...], Fraction] = {}
+    entries: dict[tuple[tuple[int, int], ...], Fraction] = {}
     for i in trace.edge_provenance:
         counts = _indexed(h.edges[i])
         counts.update(padding(approach, h.n, trace.r_h, sum(counts.values())))
         key, value = _entry(counts, trace.r_h)
         entries[key] = value * h.weight(i)
-    return SymTensor(order=trace.r_h, dim=h.n + trace.n_a, entries=entries), trace
+    return SymTensor._from_runs(trace.r_h, h.n + trace.n_a, entries), trace
 
 
 def hypergraph_tensor(hg: HbGraph) -> tuple[SymTensor, UniformisationTrace]:
@@ -402,10 +421,10 @@ def edge_distribution(
         # the null row split by the null multiplicity r_H - j of each entry
         null = n + 1
         acc = [Fraction(0)] * r_h
-        for key, value in t.entries.items():
-            key_counts = Counter(key)
-            if 0 < key_counts[null] < r_h:
-                acc[r_h - key_counts[null]] += value * _perms_first(key_counts)[null]
+        for runs, value in t.entries_rle():
+            mult = dict(runs)
+            if 0 < mult.get(null, 0) < r_h:
+                acc[r_h - mult[null]] += value * _perms_first(mult)[null]
         for j in range(1, r_h):
             counts[j] = _as_count(acc[j] / (r_h - j))
     elif trace.approach in (SILO, LAYERED):
@@ -442,11 +461,10 @@ def reconstruct_edges(
     """
     n = _check_trace(t, trace)
     family = []
-    for key, _ in t.canonical_items():
-        counts = Counter(key)
-        edge = {i: m for i, m in sorted(counts.items()) if i <= n}
+    for runs, _ in t.entries_rle():
+        edge = {i: m for i, m in runs if i <= n}
         if not edge:
-            raise TraceMismatch(f"entry {key} has no original-vertex index")
+            raise TraceMismatch(f"entry {_dense(runs)} has no original-vertex index")
         family.append(edge)
     return family
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hbtensor import Multiset, NotNatural, UniverseMismatch
+from hbtensor import HbGraph, Multiset, NotNatural, UniverseMismatch
 from hbtensor.errors import DomainError
 
 U = ("a", "b", "c")
@@ -102,6 +102,37 @@ def test_numbered_copies():
 def test_equality_needs_same_universe():
     assert Multiset(("a", "b"), {"a": 1}) != Multiset(("a", "b", "c"), {"a": 1})
     assert Multiset(U, {"a": 1, "b": 0}) == Multiset(U, {"a": 1})
+
+
+def test_equal_multisets_hash_equal():
+    shared = Multiset(U, {}).universe
+    third = Fraction(1, 3)
+    pairs = [
+        (Multiset(shared, {"a": 2, "c": third}), Multiset(shared, {"c": third, "a": 2})),
+        # separate but equal universes
+        (Multiset(U, {"b": 1, "a": 0}), Multiset(tuple(U), {"b": 1})),
+        (Multiset(U, {}), Multiset(list(U), {"c": 0})),
+    ]
+    for x, y in pairs:
+        assert x == y and hash(x) == hash(y)
+        assert len({x, y}) == 1
+    assert Multiset(U, {"a": 1}) != Multiset(U, {"a": 2})
+
+
+def test_no_repeated_edges_flags_repeats():
+    # edges over the graph's own universe, then over separate equal copies
+    for universe_of in (lambda vs: vs, lambda vs: tuple(vs)):
+        vs = HbGraph(("a", "b", "c")).vertices
+
+        def edge(mult):
+            return Multiset(universe_of(vs), mult)
+
+        distinct = HbGraph(vs, [edge({"a": 1}), edge({"a": 2}), edge({"a": 1, "b": 1})])
+        assert distinct.no_repeated_edges()
+        twice = [edge({"a": 1, "b": 2}), edge({"c": 1}), edge({"b": 2, "a": 1})]
+        repeated = HbGraph(vs, twice)
+        assert not repeated.no_repeated_edges()
+        assert repeated.edge_counter()[edge({"a": 1, "b": 2})] == 2
 
 
 def test_mutation_blocked():

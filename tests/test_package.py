@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import ast
+import sys
 import types
+from pathlib import Path
 
 import hbtensor
 
@@ -11,3 +14,23 @@ def test_all_exports_no_modules():
     assert {"HbGraph", "SymTensor", "uniformize", "e_adjacency_tensor"} <= set(
         hbtensor.__all__
     )
+
+
+def test_imports_are_standard_library_only():
+    sources = sorted(Path(hbtensor.__file__).parent.glob("*.py"))
+    assert len(sources) >= 10
+    outside = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                (path.name, name)
+                for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names
+            ]
+    assert not outside

@@ -149,3 +149,45 @@ def test_count_matches_copy_enumeration():
                 assert count_paths(h, path) == brute_force_count(h, path)
                 checked += 1
     assert checked > 500
+
+
+def union_find_components(h: HbGraph) -> tuple[tuple[str, ...], ...]:
+    """Reference: union-find over the edge supports, grouped in vertex-list order."""
+    parent = {v: v for v in h.vertices}
+
+    def find(v: str) -> str:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for e in h.edges:
+        support = e.support()
+        for u in support[1:]:
+            parent[find(u)] = find(support[0])
+    groups: dict[str, list[str]] = {}
+    for v in h.vertices:
+        groups.setdefault(find(v), []).append(v)
+    return tuple(tuple(g) for g in groups.values())
+
+
+def test_components_match_union_find():
+    rng = random.Random(23)
+    # one edge plus thousands of isolated vertices, listed in shuffled order
+    names = [f"x{i}" for i in range(3000)]
+    rng.shuffle(names)
+    lone = HbGraph.from_dicts(names, [{names[1700]: 2, names[5]: 1}])
+    components = connected_components(lone)
+    assert len(components) == 2999
+    assert components == union_find_components(lone)
+    assert components[0] == (names[0],) and (names[5], names[1700]) in components
+    # a few larger components among isolated vertices
+    triples = [
+        {names[i]: 1, names[i + 400]: 1, names[i + 2000]: 3} for i in range(0, 400, 7)
+    ]
+    spread = HbGraph.from_dicts(names, triples)
+    assert connected_components(spread) == union_find_components(spread)
+    for _ in range(40):
+        h = random_hbgraph(rng, n_max=12, p_max=6, mult_max=3)
+        assert connected_components(h) == union_find_components(h)
+        assert is_connected(h) == (len(union_find_components(h)) <= 1)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 
@@ -15,6 +16,7 @@ from hbtensor import (
     estimate_max_eigenvalue,
     spectral_bound,
 )
+from hbtensor import tensor as tensor_module
 from hbtensor.errors import DomainError
 from randgen import random_hbgraph
 
@@ -112,3 +114,97 @@ def test_trace_mismatch(demo):
     other = SymTensor(order=4, dim=t.dim, entries={})
     with pytest.raises(TraceMismatch):
         spectral_bound(other, trace)
+
+
+# -- the estimator against the iteration it replaced -------------------------
+
+
+def reference_estimate(t: SymTensor, iterations: int, tol: float = 1e-10, seed=None):
+    """The dense-key power iteration with its own contraction plan, changed only
+    to take the quotient from the last iterate."""
+    entries = [(key, float(v)) for key, v in t.canonical_items()]
+    d, r = t.dim, t.order
+    if d == 0 or not entries:
+        return 0.0, True, 0
+    plans = []
+    for key, v in entries:
+        counts = Counter(key)
+        per_index = []
+        for i, mu in counts.items():
+            perms = math.factorial(r - 1) // math.prod(
+                math.factorial(m - (j == i)) for j, m in counts.items()
+            )
+            powers = [(j - 1, m - (1 if j == i else 0)) for j, m in counts.items()]
+            per_index.append((i - 1, v * perms, [(j, m) for j, m in powers if m]))
+        plans.append(per_index)
+
+    def contract(x):
+        y = [0.0] * d
+        for per_index in plans:
+            for i0, coeff, powers in per_index:
+                term = coeff
+                for j0, m in powers:
+                    term *= x[j0] ** m
+                y[i0] += term
+        return y
+
+    rng = random.Random(seed)
+    x = [rng.uniform(0.5, 1.5) for _ in range(d)]
+    top = max(x)
+    x = [xi / top for xi in x]
+    converged = False
+    used = 0
+    for used in range(1, iterations + 1):
+        y = contract(x)
+        shifted = [yi + xi ** (r - 1) for xi, yi in zip(x, y)]
+        nxt = [s ** (1.0 / (r - 1)) for s in shifted]
+        top = max(nxt)
+        if top == 0.0:
+            return 0.0, True, used
+        nxt = [v / top for v in nxt]
+        if max(abs(a - b) for a, b in zip(nxt, x)) < tol:
+            x = nxt
+            converged = True
+            break
+        x = nxt
+    y = contract(x)
+    return sum(xi * yi for xi, yi in zip(x, y)) / sum(xi**r for xi in x), converged, used
+
+
+def test_estimate_matches_reference_iteration(demo):
+    rng = random.Random(83)
+    graphs = [demo] + [random_hbgraph(rng, n_max=6, p_max=5, mult_max=3) for _ in range(12)]
+    cut_short = 0
+    for k, h in enumerate(graphs):
+        if k % 3 == 0:
+            h = HbGraph(h.vertices, h.edges, weights=[rng.randint(1, 4) for _ in h.edges])
+        for approach in APPROACHES:
+            t, _ = e_adjacency_tensor(h, approach)
+            if t.order < 2:
+                continue
+            for iterations in (1, 2, 3, 10_000):
+                seed = rng.randint(0, 99)
+                result = estimate_max_eigenvalue(t, iterations=iterations, seed=seed)
+                expected = reference_estimate(t, iterations, seed=seed)
+                assert (result.value, result.converged, result.iterations) == expected
+                cut_short += iterations < 4 and not result.converged
+    assert cut_short >= 20  # runs stopped before converging were compared
+
+
+def test_estimate_overflow_is_lazy(monkeypatch):
+    # layered padding of {a} puts 300 distinct indices in the first canonical
+    # entry: its row coefficients are 299!, too large for a float
+    h = HbGraph.from_dicts(("a", "b"), [{"b": 300}, {"a": 1}])
+    t, _ = e_adjacency_tensor(h, "layered")
+    assert t.canonical_items()[0][0] == (1, *range(3, 302))
+    with pytest.raises(OverflowError) as expected:
+        reference_estimate(t, iterations=1)
+    calls = []
+    original = tensor_module._perms_first
+    monkeypatch.setattr(
+        tensor_module, "_perms_first", lambda counts: calls.append(1) or original(counts)
+    )
+    with pytest.raises(OverflowError) as raised:
+        estimate_max_eigenvalue(t, seed=0)
+    assert str(raised.value) == str(expected.value) == "int too large to convert to float"
+    assert len(calls) == 1  # the plan stopped inside the first entry

@@ -8,6 +8,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hbtensor import (
     APPROACHES,
@@ -392,3 +393,123 @@ def test_entries_rle(demo):
     t, _ = e_adjacency_tensor(demo, "silo")
     rle = dict(t.entries_rle())
     assert rle[((3, 1), (5, 2), (10, 2))] == Fraction(1, 6)
+
+
+# -- run-length storage against a dense-key reference -------------------------
+
+
+class DenseTensor:
+    """Reference storage: one nondecreasing index tuple of length r per entry,
+    every query answered from the dense tuples."""
+
+    def __init__(self, order: int, dim: int, entries: dict):
+        self.order, self.dim = order, dim
+        self.entries = {tuple(k): Fraction(v) for k, v in entries.items() if v != 0}
+
+    def canonical_items(self):
+        return sorted(self.entries.items())
+
+    def entries_rle(self):
+        return [(tuple(sorted(Counter(k).items())), v) for k, v in self.canonical_items()]
+
+    def get(self, idx):
+        return self.entries.get(tuple(sorted(idx)), Fraction(0))
+
+    def full(self):
+        return [
+            (perm, v)
+            for key, v in self.canonical_items()
+            for perm in sorted(set(itertools.permutations(key)))
+        ]
+
+    def logical_nonzero_count(self):
+        return len(self.full())
+
+    def total_sum(self):
+        return sum((v for _, v in self.full()), Fraction(0))
+
+    def row_sums(self):
+        sums = [Fraction(0)] * self.dim
+        for perm, v in self.full():
+            sums[perm[0] - 1] += v
+        return sums
+
+    def apply(self, x):
+        out = [Fraction(0)] * self.dim
+        for perm, v in self.full():
+            out[perm[0] - 1] += v * math.prod(x[j - 1] for j in perm[1:])
+        return out
+
+
+def random_dense_entries(rng: random.Random, order: int, dim: int) -> dict:
+    entries = {}
+    for _ in range(rng.randint(0, 6)):
+        key = tuple(sorted(rng.randint(1, dim) for _ in range(order)))
+        entries[key] = rng.choice([0, 1, 2, Fraction(1, 3), Fraction(-5, 2), Fraction(7)])
+    return entries
+
+
+def check_against_dense(t: SymTensor, ref: DenseTensor, rng: random.Random) -> None:
+    assert t.entries == ref.entries
+    assert t.canonical_items() == ref.canonical_items()
+    assert t.entries_rle() == ref.entries_rle()
+    assert t.canonical_count() == len(ref.entries)
+    for key, value in ref.canonical_items():
+        perm = list(key)
+        rng.shuffle(perm)
+        assert t.get(perm) == value
+    for _ in range(5):
+        idx = [rng.randint(1, t.dim) for _ in range(t.order)]
+        assert t.get(idx) == ref.get(idx)
+    assert t.row_sums() == ref.row_sums()
+    assert [t.row_sum(i) for i in range(1, t.dim + 1)] == ref.row_sums()
+    assert t.total_sum() == ref.total_sum()
+    assert t.logical_nonzero_count() == ref.logical_nonzero_count()
+    x = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(t.dim)]
+    assert t.apply(x) == ref.apply(x)
+    assert t.export_coo("full") == ref.full()
+    # the same entries, given densely in reverse order, make an equal tensor
+    twin = SymTensor(t.order, t.dim, dict(reversed(ref.canonical_items())))
+    assert twin == t and hash(twin) == hash(t)
+    if ref.entries:
+        key = rng.choice(list(ref.entries))
+        changed = SymTensor(t.order, t.dim, {**ref.entries, key: ref.entries[key] + 1})
+        assert changed != t
+
+
+def check_dense_spec(order: int, dim: int, entries: dict, rng: random.Random) -> None:
+    check_against_dense(SymTensor(order, dim, entries), DenseTensor(order, dim, entries), rng)
+
+
+def test_rle_storage_matches_dense_reference_seeded():
+    rng = random.Random(71)
+    for _ in range(150):
+        order, dim = rng.randint(1, 5), rng.randint(1, 5)
+        entries = random_dense_entries(rng, order, dim)
+        check_dense_spec(order, dim, entries, rng)
+    for _ in range(40):  # tensors built from run-length keys by the constructions
+        h = random_hbgraph(rng, n_max=4, p_max=3, mult_max=2)
+        if h.m_range() > 4:
+            continue
+        if rng.random() < 0.5:
+            h = HbGraph(h.vertices, h.edges, weights=[rng.randint(1, 4) for _ in h.edges])
+        for approach in APPROACHES:
+            t, _ = e_adjacency_tensor(h, approach)
+            check_against_dense(t, DenseTensor(t.order, t.dim, t.entries), rng)
+
+
+@st.composite
+def dense_tensors(draw):
+    order, dim = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    key = st.lists(st.integers(1, dim), min_size=order, max_size=order).map(
+        lambda k: tuple(sorted(k))
+    )
+    value = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    return order, dim, draw(st.dictionaries(key, value, max_size=6))
+
+
+@settings(max_examples=80, deadline=None)
+@given(dense_tensors(), st.randoms(use_true_random=False))
+def test_rle_storage_matches_dense_reference_hypothesis(spec, rng):
+    order, dim, entries = spec
+    check_dense_spec(order, dim, entries, rng)
