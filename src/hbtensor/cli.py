@@ -161,9 +161,7 @@ def cmd_verify(args) -> int:
     estimate = (
         estimate_max_eigenvalue(tensor, seed=args.seed) if tensor.order >= 2 else None
     )
-    report = spectral_bound(
-        tensor, trace, empirical_lambda=estimate.value if estimate else None
-    )
+    report = spectral_bound(tensor, trace)
     bound_obj = {
         "approach": report.approach,
         "r_h": report.r_h,

@@ -16,7 +16,7 @@ from typing import Any
 from .errors import ParseError
 from .hbgraph import HbGraph, IncidenceMatrix
 from .mset import Multiset, Rational
-from .tensor import SymTensor
+from .tensor import DEFAULT_MAX_FULL_RECORDS, SymTensor
 from .transform import APPROACHES, UniformisationTrace
 
 
@@ -165,16 +165,19 @@ def incidence_csv(matrix: IncidenceMatrix) -> str:
 # -- tensor ------------------------------------------------------------------
 
 
-def tensor_to_coo(t: SymTensor, mode: str = "canonical", max_records: int | None = None) -> str:
-    kwargs = {} if max_records is None else {"max_records": max_records}
-    records = t.export_coo(mode, **kwargs)
+def tensor_to_coo(
+    t: SymTensor, mode: str = "canonical", max_records: int = DEFAULT_MAX_FULL_RECORDS
+) -> str:
+    records = t.export_coo(mode, max_records)
     lines = [f"# order={t.order} dim={t.dim} entries={len(records)}"]
     for key, value in records:
         lines.append(" ".join(str(i) for i in key) + " " + format_rational(value))
     return "\n".join(lines) + "\n"
 
 
-def dump_tensor_coo(t: SymTensor, path, mode: str = "canonical", max_records: int | None = None) -> None:
+def dump_tensor_coo(
+    t: SymTensor, path, mode: str = "canonical", max_records: int = DEFAULT_MAX_FULL_RECORDS
+) -> None:
     Path(path).write_text(tensor_to_coo(t, mode, max_records), encoding="utf-8")
 
 

@@ -50,21 +50,24 @@ def _check_ids(h: HbGraph, path: MPath) -> None:
             raise UnknownEdge(i)
 
 
-def validate_path(h: HbGraph, path: MPath) -> bool:
-    """Check the membership conditions of the alternation for its kind."""
+def _choices(h: HbGraph, path: MPath) -> list:
+    """Multiplicity bounding the copy choices of each vertex of the path: in
+    its edge at an extremity, in the strict (min) or large (max) join of the
+    two surrounding edges inside.  The path is valid when none is zero."""
     _check_ids(h, path)
     edges = [h.edges[i] for i in path.edge_indices]
-    if path.vertices[0] not in edges[0] or path.vertices[-1] not in edges[-1]:
-        return False
-    for k in range(1, path.length):
-        joined = (
-            edges[k - 1].intersection(edges[k])
-            if path.kind == STRICT
-            else edges[k - 1].union(edges[k])
-        )
-        if path.vertices[k] not in joined:
-            return False
-    return True
+    join = min if path.kind == STRICT else max
+    inner = [
+        join(edges[k - 1].multiplicity(v), edges[k].multiplicity(v))
+        for k, v in enumerate(path.vertices[1:-1], 1)
+    ]
+    first, last = path.vertices[0], path.vertices[-1]
+    return [edges[0].multiplicity(first), *inner, edges[-1].multiplicity(last)]
+
+
+def validate_path(h: HbGraph, path: MPath) -> bool:
+    """Check the membership conditions of the alternation for its kind."""
+    return all(_choices(h, path))
 
 
 def interior_choices(h: HbGraph, path: MPath) -> int:
@@ -80,21 +83,10 @@ def count_paths(h: HbGraph, path: MPath) -> int:
 def _count(h: HbGraph, path: MPath, interior_only: bool) -> int:
     if not h.is_natural():
         raise NotNatural("path counting needs integer multiplicities")
-    if not validate_path(h, path):
+    choices = _choices(h, path)
+    if not all(choices):
         raise InvalidPath("alternation fails the membership conditions")
-    edges = [h.edges[i] for i in path.edge_indices]
-    total = 1
-    for k in range(1, path.length):
-        joined = (
-            edges[k - 1].intersection(edges[k])
-            if path.kind == STRICT
-            else edges[k - 1].union(edges[k])
-        )
-        total *= joined.multiplicity(path.vertices[k])
-    if not interior_only:
-        total *= edges[0].multiplicity(path.vertices[0])
-        total *= edges[-1].multiplicity(path.vertices[-1])
-    return total
+    return math.prod(choices[1:-1] if interior_only else choices)
 
 
 def _support_adjacency(h: HbGraph) -> dict[str, set[str]]:
@@ -157,11 +149,11 @@ def diameter(h: HbGraph):
     mutually unreachable (disconnected hb-graph or isolated vertex)."""
     if h.n == 0:
         return 0
-    if not is_connected(h):
-        return math.inf
     neighbors = _support_adjacency(h)
     best = 0
     for v in h.vertices:
         reached = _bfs(neighbors, v)
+        if len(reached) < h.n:
+            return math.inf
         best = max(best, max(reached.values()))
     return best

@@ -36,12 +36,9 @@ class SpectralBoundReport:
     delta: Fraction
     delta_star: Fraction
     bound: Fraction
-    empirical_lambda: float | None = None
 
 
-def spectral_bound(
-    t: SymTensor, trace: UniformisationTrace, empirical_lambda: float | None = None
-) -> SpectralBoundReport:
+def spectral_bound(t: SymTensor, trace: UniformisationTrace) -> SpectralBoundReport:
     """Exact bound max(Delta, Delta*) + r_H from the tensor's row sums."""
     n = _check_trace(t, trace)
     rows = t.row_sums()
@@ -53,7 +50,6 @@ def spectral_bound(
         delta=delta,
         delta_star=delta_star,
         bound=max(delta, delta_star) + trace.r_h,
-        empirical_lambda=empirical_lambda,
     )
 
 

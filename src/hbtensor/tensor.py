@@ -15,10 +15,13 @@ is built), with value
 
     (product of the multiplicities' factorials) / (r_H - 1)!
 
-scaled by the user edge weight when present.  This single folded constant
-makes the degree-retrieval and total-sum identities hold exactly, and yields
-diagonal entries equal to r_H precisely for full-multiplicity singleton
-edges.
+scaled by the user edge weight w when present; diagonal entries equal r_H
+precisely for full-multiplicity singleton edges.  Every row and level sum
+reads one share per entry, share = a * multinomial(m) / r for an entry of
+value a and multiplicities m: multinomial(m) * m_i / r of its permutations
+start with i, so it adds share * m_i to row i.  On an e-adjacency tensor the
+share is exactly w, so row i is the m-degree of vertex i and the total is
+r_H |E| (Cooper and Dutle's degree normalisation for k-uniform hypergraphs).
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from .errors import (
     TraceMismatch,
 )
 from .hbgraph import HbGraph
-from .mset import Multiset, Rational, Universe
+from .mset import Multiset, Rational, Universe, as_rational
 from .transform import (
     LAYERED,
     SILO,
@@ -72,6 +75,11 @@ def _perms_first(counts: Mapping[int, int]) -> dict[int, int]:
     # one big-integer product per distinct multiplicity, not per index
     by_mu = {mu: total * mu // r for mu in set(counts.values())}
     return {i: by_mu[mu] for i, mu in counts.items()}
+
+
+def _share(runs: Iterable[tuple[int, int]], value: Fraction, r: int) -> Rational:
+    """The entry's share (module docstring): value * multinomial / r, int if integral."""
+    return as_rational(value * _multinomial(m for _, m in runs) / r)
 
 
 def _runs(key: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
@@ -202,18 +210,21 @@ class SymTensor:
             raise IndexOutOfRange(f"index {i} outside 1..{self._dim}")
         total = Fraction(0)
         for runs, value in self._entries.items():
-            counts = dict(runs)
-            if i in counts:
-                total += value * _perms_first(counts)[i]
+            for j, m in runs:  # ascending: stop at the first index >= i
+                if j >= i:
+                    if j == i:
+                        total += _share(runs, value, self._order) * m
+                    break
         return total
 
     def row_sums(self) -> list[Fraction]:
         """All row sums in one pass over the entries; item i-1 is row_sum(i)."""
-        sums = [Fraction(0)] * self._dim
+        sums = [0] * self._dim
         for runs, value in self._entries.items():
-            for i, coeff in _perms_first(dict(runs)).items():
-                sums[i - 1] += value * coeff
-        return sums
+            share = _share(runs, value, self._order)
+            for i, m in runs:
+                sums[i - 1] += share * m
+        return [Fraction(s) for s in sums]
 
     def _contraction_plan(self) -> Iterator[tuple[int, Fraction, int, list]]:
         """Lazily, per entry and per index i of its runs, the term of (A x^{r-1})_i
@@ -418,15 +429,15 @@ def edge_distribution(
     r_h = trace.r_h
     counts: dict[int, int] = {}
     if trace.approach == STRAIGHTFORWARD:
-        # the null row split by the null multiplicity r_H - j of each entry
+        # level j counts the shares of the entries of null multiplicity r_H - j
         null = n + 1
-        acc = [Fraction(0)] * r_h
+        acc = [0] * r_h
         for runs, value in t.entries_rle():
-            mult = dict(runs)
-            if 0 < mult.get(null, 0) < r_h:
-                acc[r_h - mult[null]] += value * _perms_first(mult)[null]
+            m = dict(runs).get(null, 0)
+            if 0 < m < r_h:
+                acc[r_h - m] += _share(runs, value, r_h)
         for j in range(1, r_h):
-            counts[j] = _as_count(acc[j] / (r_h - j))
+            counts[j] = _as_count(acc[j])
     elif trace.approach in (SILO, LAYERED):
         null_rows = [0] + t.row_sums()[n:]  # null_rows[j]: row of index n + j
         if len(null_rows) < r_h:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -191,3 +192,70 @@ def test_components_match_union_find():
         h = random_hbgraph(rng, n_max=12, p_max=6, mult_max=3)
         assert connected_components(h) == union_find_components(h)
         assert is_connected(h) == (len(union_find_components(h)) <= 1)
+
+
+# -- the one join rule against the join multisets -----------------------------
+
+
+def join_reference(h: HbGraph, path: MPath):
+    """Reference: (valid, interior choices, paths) from the intersection or
+    union multisets of consecutive hb-edges."""
+    edges = [h.edges[i] for i in path.edge_indices]
+    joins = [
+        a.intersection(b) if path.kind == STRICT else a.union(b)
+        for a, b in zip(edges, edges[1:])
+    ]
+    first, last = path.vertices[0], path.vertices[-1]
+    inner = list(zip(path.vertices[1:-1], joins))
+    valid = first in edges[0] and last in edges[-1] and all(v in j for v, j in inner)
+    if not valid:
+        return False, None, None
+    interior = math.prod(j.multiplicity(v) for v, j in inner)
+    ends = edges[0].multiplicity(first) * edges[-1].multiplicity(last)
+    return True, interior, interior * ends
+
+
+def test_join_rule_matches_join_multisets():
+    rng = random.Random(31)
+    outcomes = Counter()
+    for _ in range(300):
+        h = random_hbgraph(rng, n_max=5, p_max=4, mult_max=4)
+        length = rng.randint(1, 4)
+        edge_seq = tuple(rng.randrange(h.p) for _ in range(length))
+        vertices = tuple(rng.choice(h.vertices) for _ in range(length + 1))
+        for kind in (STRICT, LARGE):
+            path = MPath(vertices, edge_seq, kind)
+            valid, interior, total = join_reference(h, path)
+            assert validate_path(h, path) is valid
+            if valid:
+                assert interior_choices(h, path) == interior
+                assert count_paths(h, path) == total
+            else:
+                with pytest.raises(InvalidPath):
+                    count_paths(h, path)
+                with pytest.raises(InvalidPath):
+                    interior_choices(h, path)
+            outcomes[kind, valid] += 1
+    assert min(outcomes.values()) > 20  # both kinds, valid and invalid
+
+
+def all_pairs_diameter(h: HbGraph):
+    """Reference: the largest distance over all vertex pairs."""
+    return max((distance(h, x, y) for x in h.vertices for y in h.vertices), default=0)
+
+
+def test_diameter_matches_all_pairs_bfs():
+    rng = random.Random(37)
+    seen = Counter()
+    for _ in range(80):
+        h = random_hbgraph(rng, n_max=8, p_max=8, mult_max=3)
+        expected = all_pairs_diameter(h)
+        assert diameter(h) == expected
+        seen[expected == math.inf] += 1
+    # a path through every vertex is connected, with diameter n - 1
+    for n in range(1, 7):
+        names = [f"x{i}" for i in range(n)]
+        chain = HbGraph.from_dicts(names, [{a: 1, b: 2} for a, b in zip(names, names[1:])])
+        assert diameter(chain) == all_pairs_diameter(chain) == n - 1
+    assert diameter(HbGraph(())) == all_pairs_diameter(HbGraph(())) == 0
+    assert seen[True] > 10 and seen[False] > 10

@@ -33,8 +33,10 @@ from hbtensor.errors import (
     DomainError,
     EmptyMultiset,
     IndexOutOfRange,
+    TraceMismatch,
 )
 from hbtensor.tensor import _perms_first
+from hbtensor.transform import STRAIGHTFORWARD, UniformisationTrace
 from randgen import random_hbgraph, random_hypergraph
 
 DEMO_COUNTS = {1: 1, 2: 0, 3: 1, 4: 1, 5: 1}
@@ -513,3 +515,101 @@ def dense_tensors(draw):
 def test_rle_storage_matches_dense_reference_hypothesis(spec, rng):
     order, dim, entries = spec
     check_dense_spec(order, dim, entries, rng)
+
+
+# -- one share per entry against the per-index formulas it replaced ---------
+
+
+def perms_first_row_sums(t: SymTensor) -> list[Fraction]:
+    """Reference: value * perms_first(i) for every entry and every index i."""
+    sums = [Fraction(0)] * t.dim
+    for runs, value in t.entries_rle():
+        counts = dict(runs)
+        for i, perms in _perms_first(counts).items():
+            sums[i - 1] += value * perms
+    return sums
+
+
+def perms_first_levels(t: SymTensor, trace: UniformisationTrace, total_edges: int):
+    """Reference for the straightforward branch of edge_distribution: the null
+    row split by null multiplicity r_H - j, level j read as acc[j] / (r_H - j)."""
+    r_h, null = trace.r_h, t.dim - trace.n_a + 1
+    acc = [Fraction(0)] * r_h
+    for runs, value in t.entries_rle():
+        mult = dict(runs)
+        if 0 < mult.get(null, 0) < r_h:
+            acc[r_h - mult[null]] += value * _perms_first(mult)[null]
+    counts = {}
+    for j in range(1, r_h):
+        level = acc[j] / (r_h - j)
+        if level.denominator != 1 or level < 0:
+            raise TraceMismatch(f"recovered edge count {level} is not a natural number")
+        counts[j] = int(level)
+    counts[r_h] = total_edges - sum(counts.values())
+    if counts[r_h] < 0:
+        raise TraceMismatch("recovered counts exceed the total edge count")
+    return counts
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except TraceMismatch as exc:
+        return "TraceMismatch", str(exc)
+
+
+def straightforward_trace(order: int, dim: int) -> UniformisationTrace:
+    return UniformisationTrace(STRAIGHTFORWARD, order, {"N": dim}, 1, {}, ())
+
+
+def check_shares(t: SymTensor, trace: UniformisationTrace | None, total_edges: int):
+    expected = perms_first_row_sums(t)
+    sums = t.row_sums()
+    assert sums == expected
+    assert all(type(s) is Fraction for s in sums)
+    for i in range(1, t.dim + 1):
+        row = t.row_sum(i)
+        assert row == expected[i - 1] and type(row) is Fraction
+    assert t.total_sum() == sum(expected, Fraction(0))
+    if trace is not None:
+        assert outcome(edge_distribution, t, trace, total_edges) == outcome(
+            perms_first_levels, t, trace, total_edges
+        )
+
+
+def test_shares_match_perms_first_on_random_tensors():
+    rng = random.Random(83)
+    values = [1, 3, Fraction(1, 3), Fraction(-5, 2), Fraction(7, 6), -2]
+    mismatches = 0
+    for _ in range(300):
+        order, dim = rng.randint(1, 6), rng.randint(1, 6)
+        entries = {}
+        for _ in range(rng.randint(0, 6)):
+            key = tuple(sorted(rng.randint(1, dim) for _ in range(order)))
+            entries[key] = rng.choice(values)
+        t, trace = SymTensor(order, dim, entries), straightforward_trace(order, dim)
+        total_edges = rng.randint(0, 8)
+        check_shares(t, trace, total_edges)
+        mismatches += outcome(edge_distribution, t, trace, total_edges)[0] != "ok"
+    assert 30 < mismatches < 270  # both outcomes were compared
+
+
+@settings(max_examples=80, deadline=None)
+@given(dense_tensors(), st.integers(0, 6))
+def test_shares_match_perms_first_hypothesis(spec, total_edges):
+    order, dim, entries = spec
+    check_shares(SymTensor(order, dim, entries), straightforward_trace(order, dim), total_edges)
+
+
+def test_shares_match_perms_first_on_e_adjacency_tensors():
+    rng = random.Random(89)
+    weights = [lambda: rng.randint(1, 5), lambda: Fraction(rng.randint(1, 9), rng.randint(1, 6))]
+    for k in range(60):
+        h = random_hbgraph(rng, n_max=6, p_max=5, mult_max=5)
+        if k % 3:
+            h = HbGraph(h.vertices, h.edges, weights=[weights[k % 3 - 1]() for _ in h.edges])
+        for approach in APPROACHES:
+            t, trace = e_adjacency_tensor(h, approach)
+            check_shares(t, trace if approach == STRAIGHTFORWARD else None, h.p)
+            if h.weights is None:
+                assert t.row_sums()[: h.n] == [h.m_degree(v) for v in h.vertices]
