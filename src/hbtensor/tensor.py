@@ -20,8 +20,10 @@ precisely for full-multiplicity singleton edges.  Every row and level sum
 reads one share per entry, share = a * multinomial(m) / r for an entry of
 value a and multiplicities m: multinomial(m) * m_i / r of its permutations
 start with i, so it adds share * m_i to row i.  On an e-adjacency tensor the
-share is exactly w, so row i is the m-degree of vertex i and the total is
-r_H |E| (Cooper and Dutle's degree normalisation for k-uniform hypergraphs).
+share is exactly w: row i is sum_e w_e m_e(v_i) and the total r_H sum_e w_e
+(Cooper and Dutle's degree normalisation for k-uniform hypergraphs), and under
+every approach an entry's level, the summed multiplicity of its original-vertex
+indices, is its hb-edge's m-cardinality.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .errors import (
 from .hbgraph import HbGraph
 from .mset import Multiset, Rational, Universe, as_rational
 from .transform import (
-    LAYERED,
+    APPROACHES,
     SILO,
     STRAIGHTFORWARD,
     UniformisationTrace,
@@ -112,7 +114,7 @@ def _distinct_permutations(key: tuple[int, ...]):
 class SymTensor:
     """Immutable sparse symmetric hypermatrix with exact rational entries."""
 
-    __slots__ = ("_order", "_dim", "_entries")
+    __slots__ = ("_order", "_dim", "_entries", "_rows")
 
     def __init__(self, order: int, dim: int, entries: Mapping[tuple[int, ...], Rational]):
         if order < 1:
@@ -136,6 +138,7 @@ class SymTensor:
         object.__setattr__(self, "_order", order)
         object.__setattr__(self, "_dim", dim)
         object.__setattr__(self, "_entries", {_runs(key): value for key, value in rows})
+        object.__setattr__(self, "_rows", None)
 
     @classmethod
     def _from_runs(cls, order: int, dim: int, entries: Mapping) -> "SymTensor":
@@ -208,23 +211,22 @@ class SymTensor:
         """Sum of all logical entries whose first index is ``i``."""
         if not 1 <= i <= self._dim:
             raise IndexOutOfRange(f"index {i} outside 1..{self._dim}")
-        total = Fraction(0)
-        for runs, value in self._entries.items():
-            for j, m in runs:  # ascending: stop at the first index >= i
-                if j >= i:
-                    if j == i:
-                        total += _share(runs, value, self._order) * m
-                    break
-        return total
+        return self._row_vector()[i - 1]
 
     def row_sums(self) -> list[Fraction]:
-        """All row sums in one pass over the entries; item i-1 is row_sum(i)."""
-        sums = [0] * self._dim
-        for runs, value in self._entries.items():
-            share = _share(runs, value, self._order)
-            for i, m in runs:
-                sums[i - 1] += share * m
-        return [Fraction(s) for s in sums]
+        """All row sums; item i-1 is row_sum(i)."""
+        return list(self._row_vector())
+
+    def _row_vector(self) -> tuple[Fraction, ...]:
+        """The row sums, made in one pass over the entries on first use."""
+        if self._rows is None:
+            sums = [0] * self._dim
+            for runs, value in self._entries.items():
+                share = _share(runs, value, self._order)
+                for i, m in runs:
+                    sums[i - 1] += share * m
+            object.__setattr__(self, "_rows", tuple(map(Fraction, sums)))
+        return self._rows
 
     def _contraction_plan(self) -> Iterator[tuple[int, Fraction, int, list]]:
         """Lazily, per entry and per index i of its runs, the term of (A x^{r-1})_i
@@ -406,8 +408,13 @@ def hypergraph_tensor(hg: HbGraph) -> tuple[SymTensor, UniformisationTrace]:
 
 def _check_trace(t: SymTensor, trace: UniformisationTrace) -> int:
     """Validate tensor/trace consistency; return the original vertex count."""
+    if trace.approach not in APPROACHES:
+        raise TraceMismatch(f"unknown approach {trace.approach!r}")
     if trace.r_h != t.order:
         raise TraceMismatch(f"trace r_H {trace.r_h} != tensor order {t.order}")
+    null_count = 1 if trace.approach == STRAIGHTFORWARD else trace.r_h - 1
+    if trace.n_a != null_count:
+        raise TraceMismatch(f"{trace.approach} needs {null_count} null vertices")
     n = t.dim - trace.n_a
     if n < 0:
         raise TraceMismatch("more null vertices than tensor dimensions")
@@ -415,6 +422,16 @@ def _check_trace(t: SymTensor, trace: UniformisationTrace) -> int:
     if set(trace.null_vertices.values()) != expected:
         raise TraceMismatch("null-vertex indices do not fill n+1..dim")
     return n
+
+
+def _level_weights(t: SymTensor, trace: UniformisationTrace) -> list[Rational]:
+    """Item j (0..r_H): the summed shares of the entries at level j (module
+    docstring), the summed weight of the m-cardinality-j hb-edges."""
+    n = _check_trace(t, trace)
+    levels = [0] * (trace.r_h + 1)
+    for runs, value in t.entries_rle():
+        levels[sum(m for i, m in runs if i <= n)] += _share(runs, value, trace.r_h)
+    return levels
 
 
 def edge_distribution(
@@ -425,37 +442,16 @@ def edge_distribution(
     Uses only tensor entries, the trace, and the total edge count (needed for
     the top level).  Returns a count for every level 1..r_H, zeros included.
     """
-    n = _check_trace(t, trace)
+    levels = _level_weights(t, trace)
     r_h = trace.r_h
-    counts: dict[int, int] = {}
-    if trace.approach == STRAIGHTFORWARD:
-        # level j counts the shares of the entries of null multiplicity r_H - j
-        null = n + 1
-        acc = [0] * r_h
-        for runs, value in t.entries_rle():
-            m = dict(runs).get(null, 0)
-            if 0 < m < r_h:
-                acc[r_h - m] += _share(runs, value, r_h)
-        for j in range(1, r_h):
-            counts[j] = _as_count(acc[j])
-    elif trace.approach in (SILO, LAYERED):
-        null_rows = [0] + t.row_sums()[n:]  # null_rows[j]: row of index n + j
-        if len(null_rows) < r_h:
-            raise TraceMismatch(f"{trace.approach} needs {r_h - 1} null vertices")
-        for j in range(1, r_h):
-            if trace.approach == SILO:
-                counts[j] = _as_count(null_rows[j] / (r_h - j))
-            else:
-                counts[j] = _as_count(null_rows[j] - null_rows[j - 1])
-    else:
-        raise TraceMismatch(f"unknown approach {trace.approach!r}")
+    counts = {j: _as_count(levels[j]) for j in range(1, r_h)}
     counts[r_h] = total_edges - sum(counts.values())
     if counts[r_h] < 0:
         raise TraceMismatch("recovered counts exceed the total edge count")
     return counts
 
 
-def _as_count(value: Fraction) -> int:
+def _as_count(value: Rational) -> int:
     if value.denominator != 1 or value < 0:
         raise TraceMismatch(f"recovered edge count {value} is not a natural number")
     return int(value)

@@ -142,6 +142,35 @@ def test_verify_corrupted_tensor(demo_file, tmp_path, capsys):
     assert report["passed"] is False
 
 
+def test_verify_weighted(tmp_path, capsys):
+    path = tmp_path / "weighted.json"
+    graph = {
+        "vertices": ["a", "b", "c"],
+        "edges": [{"mult": {"a": 2, "b": 1}, "weight": 3}, {"mult": {"c": 1}, "weight": 1}],
+    }
+    path.write_text(dumps(graph), encoding="utf-8")
+    for approach in ("str", "sil", "lay"):
+        assert main(["verify", str(path), "--approach", approach]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["passed"] is True
+        assert all(report["checks"].values())
+
+
+def test_verify_trace_with_wrong_null_count(demo_file, tmp_path, capsys):
+    out = tmp_path / "t.coo"
+    main(["tensor", demo_file, "--approach", "sil", "--out", str(out)])
+    trace = json.loads((tmp_path / "t.coo.trace.json").read_text(encoding="utf-8"))
+    # three null vertices that still fill the top dimensions 9..11, where r_H = 5
+    # needs four
+    del trace["null_vertices"]["__N1"]
+    trace["n_a"] = 3
+    short = tmp_path / "short.trace.json"
+    short.write_text(dumps(trace), encoding="utf-8")
+    code = main(["verify", demo_file, "--from-tensor", str(out), "--trace", str(short)])
+    assert code == 3
+    assert capsys.readouterr().err == "error: silo needs 4 null vertices\n"
+
+
 def test_verify_order_one_input(tmp_path, capsys):
     path = tmp_path / "singletons.json"
     path.write_text(

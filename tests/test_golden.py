@@ -3,10 +3,9 @@
 Every verb below runs in-process on two inputs: the demo graph of
 ``test_cli.py`` and a small graph with ``Fraction`` edge weights.  For each
 case the exit code, stdout, stderr and every file the verb writes must equal
-the copies under ``tests/golden/<input>/``.  ``verify`` runs on the demo graph
-only, and only its exact fields are pinned (checks, passed, and the bound's
-approach, r_H, Delta, Delta* and bound); the floating-point estimator fields
-are left out.
+the copies under ``tests/golden/<input>/``.  For ``verify`` only the exact
+fields are pinned (checks, passed, and the bound's approach, r_H, Delta,
+Delta* and bound); the floating-point estimator fields are left out.
 
 The goldens record the output of the code at the time they were written.
 After an intended output change, regenerate them by hand from the repository
@@ -102,7 +101,7 @@ def run_case(graph: dict, args: list[str]) -> dict[str, str]:
 
 
 def cases_for(input_name: str) -> dict[str, list[str]]:
-    return {**CASES, **VERIFY_CASES} if input_name == "demo" else CASES
+    return {**CASES, **VERIFY_CASES}
 
 
 def golden_files(input_name: str, case: str) -> dict[str, str]:

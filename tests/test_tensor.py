@@ -35,8 +35,8 @@ from hbtensor.errors import (
     IndexOutOfRange,
     TraceMismatch,
 )
-from hbtensor.tensor import _perms_first
-from hbtensor.transform import STRAIGHTFORWARD, UniformisationTrace
+from hbtensor.tensor import _level_weights, _perms_first
+from hbtensor.transform import LAYERED, SILO, STRAIGHTFORWARD, UniformisationTrace
 from randgen import random_hbgraph, random_hypergraph
 
 DEMO_COUNTS = {1: 1, 2: 0, 3: 1, 4: 1, 5: 1}
@@ -187,6 +187,12 @@ def test_row_sums_demo(demo):
     assert sum(t.row_sum(i) for i in range(1, t.dim + 1)) == 20
     with pytest.raises(IndexOutOfRange):
         t.row_sum(12)
+    # row_sums() hands out a fresh list: changing it leaves the tensor's rows alone
+    rows = t.row_sums()
+    expected = list(rows)
+    rows[4] += 1
+    rows.append(Fraction(7))
+    assert t.row_sums() == expected and t.row_sum(5) == 3
 
 
 def test_degree_retrieval_random():
@@ -530,23 +536,39 @@ def perms_first_row_sums(t: SymTensor) -> list[Fraction]:
     return sums
 
 
-def perms_first_levels(t: SymTensor, trace: UniformisationTrace, total_edges: int):
-    """Reference for the straightforward branch of edge_distribution: the null
-    row split by null multiplicity r_H - j, level j read as acc[j] / (r_H - j)."""
+def perms_first_level_weights(t: SymTensor, trace: UniformisationTrace) -> list:
+    """Reference for the straightforward level weights 1..r_H - 1: the null row
+    split by null multiplicity r_H - j, level j read as acc[j] / (r_H - j)."""
     r_h, null = trace.r_h, t.dim - trace.n_a + 1
     acc = [Fraction(0)] * r_h
     for runs, value in t.entries_rle():
         mult = dict(runs)
         if 0 < mult.get(null, 0) < r_h:
             acc[r_h - mult[null]] += value * _perms_first(mult)[null]
+    return [acc[j] / (r_h - j) for j in range(1, r_h)]
+
+
+def null_row_level_weights(t: SymTensor, trace: UniformisationTrace) -> list:
+    """Reference for the silo and layered level weights 1..r_H - 1, read off the
+    null rows: silo level j = row(n + j) / (r_H - j), layered level j =
+    row(n + j) - row(n + j - 1), with row(n) read as 0."""
+    r_h, n = trace.r_h, t.dim - trace.n_a
+    rows = [Fraction(0)] + perms_first_row_sums(t)[n:]  # rows[j]: row n + j
+    if trace.approach == SILO:
+        return [rows[j] / (r_h - j) for j in range(1, r_h)]
+    assert trace.approach == LAYERED
+    return [rows[j] - rows[j - 1] for j in range(1, r_h)]
+
+
+def perms_first_levels(t: SymTensor, trace: UniformisationTrace, total_edges: int):
+    """Reference for edge_distribution on a straightforward trace."""
     counts = {}
-    for j in range(1, r_h):
-        level = acc[j] / (r_h - j)
+    for j, level in enumerate(perms_first_level_weights(t, trace), 1):
         if level.denominator != 1 or level < 0:
             raise TraceMismatch(f"recovered edge count {level} is not a natural number")
         counts[j] = int(level)
-    counts[r_h] = total_edges - sum(counts.values())
-    if counts[r_h] < 0:
+    counts[trace.r_h] = total_edges - sum(counts.values())
+    if counts[trace.r_h] < 0:
         raise TraceMismatch("recovered counts exceed the total edge count")
     return counts
 
@@ -608,8 +630,19 @@ def test_shares_match_perms_first_on_e_adjacency_tensors():
         h = random_hbgraph(rng, n_max=6, p_max=5, mult_max=5)
         if k % 3:
             h = HbGraph(h.vertices, h.edges, weights=[weights[k % 3 - 1]() for _ in h.edges])
+        degrees = [sum(h.weight(i) * e.multiplicity(v) for i, e in enumerate(h.edges))
+                   for v in h.vertices]
+        by_level = [0] * (h.m_range() + 1)
+        for i, e in enumerate(h.edges):
+            by_level[e.m_cardinality()] += h.weight(i)
         for approach in APPROACHES:
             t, trace = e_adjacency_tensor(h, approach)
             check_shares(t, trace if approach == STRAIGHTFORWARD else None, h.p)
-            if h.weights is None:
-                assert t.row_sums()[: h.n] == [h.m_degree(v) for v in h.vertices]
+            assert t.row_sums()[: h.n] == degrees
+            # one level rule for every approach, against the paper's per-approach rules
+            levels = _level_weights(t, trace)
+            assert levels == by_level
+            if approach == STRAIGHTFORWARD:
+                assert levels[1:-1] == perms_first_level_weights(t, trace)
+            else:
+                assert levels[1:-1] == null_row_level_weights(t, trace)
