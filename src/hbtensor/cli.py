@@ -104,13 +104,11 @@ def cmd_uniformize(args) -> int:
 
     h = io.load_hbgraph(args.input)
     uniform, trace = uniformize(h, args.approach)
-    graph_obj = io.hbgraph_to_obj(uniform)
-    trace_obj = io.trace_to_obj(trace)
     if args.out:
-        Path(args.out).write_text(io.dumps(graph_obj), encoding="utf-8")
-        trace_path = args.trace or args.out + ".trace.json"
-        Path(trace_path).write_text(io.dumps(trace_obj), encoding="utf-8")
+        io.dump_hbgraph(uniform, args.out)
+        io.dump_trace(trace, args.trace or args.out + ".trace.json")
     else:
+        graph_obj, trace_obj = io.hbgraph_to_obj(uniform), io.trace_to_obj(trace)
         sys.stdout.write(io.dumps({"hbgraph": graph_obj, "trace": trace_obj}))
     return 0
 
@@ -123,8 +121,7 @@ def cmd_tensor(args) -> int:
     else:
         body = io.tensor_to_coo(tensor)
     Path(args.out).write_text(body, encoding="utf-8")
-    trace_path = args.trace or args.out + ".trace.json"
-    Path(trace_path).write_text(io.dumps(io.trace_to_obj(trace)), encoding="utf-8")
+    io.dump_trace(trace, args.trace or args.out + ".trace.json")
     return 0
 
 

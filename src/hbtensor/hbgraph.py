@@ -175,9 +175,7 @@ class HbGraph:
         return f"HbGraph(n={self.n}, p={self.p}, weighted={self._weights is not None})"
 
     def is_natural(self) -> bool:
-        return all(
-            isinstance(v, int) for e in self._edges for v in e.mult.values()
-        )
+        return all(e.natural for e in self._edges)
 
     def no_repeated_edges(self) -> bool:
         return len(set(self._edges)) == len(self._edges)

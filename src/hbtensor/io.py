@@ -3,7 +3,9 @@ incidence CSV.
 
 All rationals are exact: integers are emitted as JSON numbers, non-integral
 values as "p/q" strings.  Output is byte-stable for a fixed input (vertex
-order, edge order and canonical tuple order are all deterministic).
+order, edge order and canonical tuple order are all deterministic).  Every
+reader reads numbers by one rule and raises ``ParseError`` for any input it
+cannot read, a violated precondition of the core (``DomainError``) included.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
-from .errors import ParseError
+from .errors import DomainError, ParseError
 from .hbgraph import HbGraph, IncidenceMatrix
-from .mset import Multiset, Rational
+from .mset import Multiset, Rational, as_rational
 from .tensor import DEFAULT_MAX_FULL_RECORDS, SymTensor
 from .transform import APPROACHES, UniformisationTrace
 
@@ -32,19 +34,24 @@ def format_rational(x: Rational) -> str:
 
 
 def json_to_rational(obj, where: str) -> Rational:
-    if isinstance(obj, bool):
-        raise ParseError(f"{where}: expected a number, got a boolean")
-    if isinstance(obj, int):
+    """The one number rule: a JSON number or "p/q" string as ``as_rational``
+    reads it.  Bools, lists, objects, null and NaN/Infinity are rejected."""
+    if type(obj) is int:  # fast path: every multiplicity of every load
         return obj
-    if isinstance(obj, Fraction):  # produced by parse_float below
-        return int(obj) if obj.denominator == 1 else obj
-    if isinstance(obj, str):
+    if isinstance(obj, (Fraction, str)):  # Fraction: parse_float below
         try:
-            frac = Fraction(obj)
+            return as_rational(obj)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"{where}: bad rational literal {obj!r}") from exc
-        return int(frac) if frac.denominator == 1 else frac
     raise ParseError(f"{where}: expected a number or 'p/q' string, got {type(obj).__name__}")
+
+
+def _integer(obj, where: str) -> int:
+    """An integer field: 3, 3.0 and "3" read as 3; 2.5 and true are rejected."""
+    value = json_to_rational(obj, where)
+    if type(value) is not int:
+        raise ParseError(f"{where}: expected an integer")
+    return value
 
 
 def _loads(text: str, source: str) -> Any:
@@ -52,6 +59,24 @@ def _loads(text: str, source: str) -> Any:
         return json.loads(text, parse_float=Fraction)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{source}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:  # deep nesting, over-long int literal
+        raise ParseError(f"{source}: {exc}") from exc
+
+
+def _json(obj, kind: type, where: str, *names: str):
+    """``obj`` as a JSON ``kind`` (dict or list) that has every field in ``names``."""
+    if not isinstance(obj, kind):
+        raise ParseError(f"{where}: expected {'an object' if kind is dict else 'a list'}")
+    for name in names:
+        if name not in obj:
+            raise ParseError(f"{where}: missing '{name}'")
+    return obj
+
+
+def _mult(raw, where: str) -> dict[str, Rational]:
+    """The one mult parser: a JSON object of element -> multiplicity."""
+    raw = _json(raw, dict, f"{where}: mult")
+    return {x: json_to_rational(v, f"{where}: mult[{x!r}]") for x, v in raw.items()}
 
 
 def _read(path) -> tuple[str, str]:
@@ -73,20 +98,13 @@ def mset_to_obj(a: Multiset) -> dict:
 
 
 def mset_from_obj(obj, source: str = "multiset") -> Multiset:
-    if not isinstance(obj, dict):
-        raise ParseError(f"{source}: expected an object")
-    universe = obj.get("universe")
+    universe = _json(obj, dict, source).get("universe")
     if not isinstance(universe, list) or not all(isinstance(x, str) for x in universe):
         raise ParseError(f"{source}: 'universe' must be a list of strings")
-    raw = obj.get("mult", {})
-    if not isinstance(raw, dict):
-        raise ParseError(f"{source}: 'mult' must be an object")
-    mult = {
-        x: json_to_rational(v, f"{source}: mult[{x!r}]") for x, v in raw.items()
-    }
+    mult = _mult(obj.get("mult", {}), source)
     try:
         return Multiset(universe, mult)
-    except Exception as exc:
+    except DomainError as exc:
         raise ParseError(f"{source}: {exc}") from exc
 
 
@@ -104,37 +122,18 @@ def hbgraph_to_obj(h: HbGraph) -> dict:
 
 
 def hbgraph_from_obj(obj, source: str = "hb-graph") -> HbGraph:
-    if not isinstance(obj, dict):
-        raise ParseError(f"{source}: expected an object")
-    vertices = obj.get("vertices")
+    vertices = _json(obj, dict, source).get("vertices")
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise ParseError(f"{source}: 'vertices' must be a list of strings")
-    raw_edges = obj.get("edges", [])
-    if not isinstance(raw_edges, list):
-        raise ParseError(f"{source}: 'edges' must be a list")
-    mults = []
-    weights = []
-    any_weight = False
-    for k, record in enumerate(raw_edges):
+    mults, weights, weighted = [], [], False
+    for k, record in enumerate(_json(obj.get("edges", []), list, f"{source}: edges")):
         where = f"{source}: edges[{k}]"
-        if not isinstance(record, dict) or "mult" not in record:
-            raise ParseError(f"{where}: expected an object with a 'mult' field")
-        raw_mult = record["mult"]
-        if not isinstance(raw_mult, dict):
-            raise ParseError(f"{where}: 'mult' must be an object")
-        mults.append(
-            {x: json_to_rational(v, f"{where}: mult[{x!r}]") for x, v in raw_mult.items()}
-        )
-        if "weight" in record:
-            any_weight = True
-            weights.append(json_to_rational(record["weight"], f"{where}: weight"))
-        else:
-            weights.append(1)
+        mults.append(_mult(_json(record, dict, where, "mult")["mult"], where))
+        weights.append(json_to_rational(record.get("weight", 1), f"{where}: weight"))
+        weighted = weighted or "weight" in record
     try:
-        return HbGraph.from_dicts(vertices, mults, weights if any_weight else None)
-    except ParseError:
-        raise
-    except Exception as exc:
+        return HbGraph.from_dicts(vertices, mults, weights if weighted else None)
+    except DomainError as exc:
         raise ParseError(f"{source}: {exc}") from exc
 
 
@@ -197,28 +196,26 @@ def tensor_from_coo(text: str, source: str = "tensor") -> SymTensor:
     for required in ("order", "dim", "entries"):
         if required not in header:
             raise ParseError(f"{source}: header lacks {required}=")
-    order, dim = header["order"], header["dim"]
+    order = header["order"]
     if len(lines) - 1 != header["entries"]:
         raise ParseError(
             f"{source}: header announces {header['entries']} records, found {len(lines) - 1}"
         )
-    entries: dict[tuple[int, ...], Fraction] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        tokens = line.split()
-        if len(tokens) != order + 1:
-            raise ParseError(f"{source}: line {lineno}: expected {order} indices and a value")
-        try:
-            idx = tuple(sorted(int(tok) for tok in tokens[:-1]))
-            value = Fraction(tokens[-1])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"{source}: line {lineno}: {exc}") from exc
-        if idx in entries and entries[idx] != value:
-            raise ParseError(f"{source}: line {lineno}: conflicting values for {idx}")
-        entries[idx] = value
-    try:
-        return SymTensor(order=order, dim=dim, entries=entries)
-    except Exception as exc:
-        raise ParseError(f"{source}: {exc}") from exc
+
+    def records():
+        for lineno, line in enumerate(lines[1:], start=2):
+            where = f"{source}: line {lineno}"
+            tokens = line.split()
+            if len(tokens) != order + 1:
+                raise ParseError(f"{where}: expected {order} indices and a value")
+            try:
+                idx = [int(tok) for tok in tokens[:-1]]
+                value = Fraction(tokens[-1])
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ParseError(f"{where}: {exc}") from exc
+            yield where, idx, value
+
+    return _tensor(order, header["dim"], records(), source)
 
 
 def load_tensor_coo(path) -> SymTensor:
@@ -238,27 +235,31 @@ def tensor_to_obj(t: SymTensor) -> dict:
 
 
 def tensor_from_obj(obj, source: str = "tensor") -> SymTensor:
-    if not isinstance(obj, dict):
-        raise ParseError(f"{source}: expected an object")
-    for field in ("order", "dim", "entries"):
-        if field not in obj:
-            raise ParseError(f"{source}: missing '{field}'")
-    if not isinstance(obj["entries"], list):
-        raise ParseError(f"{source}: 'entries' must be a list")
-    entries: dict[tuple[int, ...], Fraction] = {}
-    for k, record in enumerate(obj["entries"]):
-        where = f"{source}: entries[{k}]"
-        if not isinstance(record, dict) or "idx" not in record or "val" not in record:
-            raise ParseError(f"{where}: expected an object with 'idx' and 'val'")
-        idx = record["idx"]
-        if not isinstance(idx, list) or not all(isinstance(i, int) for i in idx):
-            raise ParseError(f"{where}: 'idx' must be a list of integers")
-        entries[tuple(sorted(idx))] = Fraction(json_to_rational(record["val"], where))
+    _json(obj, dict, source, "order", "dim", "entries")
+
+    def records():
+        for k, record in enumerate(_json(obj["entries"], list, f"{source}: entries")):
+            where = f"{source}: entries[{k}]"
+            _json(record, dict, where, "idx", "val")
+            raw_idx = _json(record["idx"], list, f"{where}: idx")
+            idx = [_integer(i, f"{where}: idx") for i in raw_idx]
+            yield where, idx, json_to_rational(record["val"], f"{where}: val")
+
+    order = _integer(obj["order"], f"{source}: order")
+    return _tensor(order, _integer(obj["dim"], f"{source}: dim"), records(), source)
+
+
+def _tensor(order: int, dim: int, records, source: str) -> SymTensor:
+    """The one record path of the tensor readers: each (where, indices, value)
+    record names one entry in any index order; a repeat must agree."""
+    entries: dict[tuple[int, ...], Rational] = {}
+    for where, idx, value in records:
+        key = tuple(sorted(idx))
+        if entries.setdefault(key, value) != value:
+            raise ParseError(f"{where}: conflicting values for {key}")
     try:
-        return SymTensor(order=int(obj["order"]), dim=int(obj["dim"]), entries=entries)
-    except ParseError:
-        raise
-    except Exception as exc:
+        return SymTensor(order=order, dim=dim, entries=entries)
+    except DomainError as exc:
         raise ParseError(f"{source}: {exc}") from exc
 
 
@@ -279,31 +280,28 @@ def trace_to_obj(trace: UniformisationTrace) -> dict:
 
 
 def trace_from_obj(obj, source: str = "trace") -> UniformisationTrace:
-    if not isinstance(obj, dict):
-        raise ParseError(f"{source}: expected an object")
-    approach = obj.get("approach")
-    if approach not in APPROACHES:
-        raise ParseError(f"{source}: unknown approach {approach!r}")
-    try:
-        r_h = int(obj["r_h"])
-        n_a = int(obj["n_a"])
-        null_vertices = {str(k): int(v) for k, v in obj["null_vertices"].items()}
-        layer_coeffs = {
-            int(r): Fraction(json_to_rational(c, f"{source}: layer_coeffs[{r}]"))
-            for r, c in obj["layer_coeffs"].items()
-        }
-        provenance = tuple(int(i) - 1 for i in obj["edge_provenance"])
-    except ParseError:
-        raise
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise ParseError(f"{source}: malformed trace: {exc}") from exc
+    _json(obj, dict, source, "r_h", "n_a", "null_vertices", "layer_coeffs", "edge_provenance")
+    if obj.get("approach") not in APPROACHES:  # no repr: a decoded value may nest deep
+        raise ParseError(f"{source}: 'approach' must be one of {', '.join(APPROACHES)}")
+    nulls = _json(obj["null_vertices"], dict, f"{source}: null_vertices")
+    coeffs = _json(obj["layer_coeffs"], dict, f"{source}: layer_coeffs")
     return UniformisationTrace(
-        approach=approach,
-        r_h=r_h,
-        null_vertices=null_vertices,
-        n_a=n_a,
-        layer_coeffs=layer_coeffs,
-        edge_provenance=provenance,
+        approach=obj["approach"],
+        r_h=_integer(obj["r_h"], f"{source}: r_h"),
+        null_vertices={
+            k: _integer(v, f"{source}: null_vertices[{k!r}]") for k, v in nulls.items()
+        },
+        n_a=_integer(obj["n_a"], f"{source}: n_a"),
+        layer_coeffs={
+            _integer(r, f"{source}: layer_coeffs level {r!r}"): Fraction(
+                json_to_rational(c, f"{source}: layer_coeffs[{r!r}]")
+            )
+            for r, c in coeffs.items()
+        },
+        edge_provenance=tuple(
+            _integer(i, f"{source}: edge_provenance") - 1
+            for i in _json(obj["edge_provenance"], list, f"{source}: edge_provenance")
+        ),
     )
 
 

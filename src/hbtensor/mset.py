@@ -191,7 +191,7 @@ class Multiset:
             x: op(self._mult.get(x, 0), other._mult.get(x, 0))
             for x in self._mult.keys() | other._mult.keys()
         }
-        return Multiset(self._universe, merged, natural=self._natural and other._natural)
+        return Multiset(self._universe, merged)
 
     def union(self, other: "Multiset") -> "Multiset":
         """Pointwise maximum."""

@@ -55,6 +55,16 @@ def test_info_malformed(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_info_unreadable_json_exits_2(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    long_int = tmp_path / "long_int.json"
+    long_int.write_text('{"vertices": [], "edges": [], "n": ' + "9" * 5000 + "}")
+    for path in (deep, long_int):
+        assert main(["info", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
 def test_info_byte_stable(demo_file, capsys):
     main(["info", demo_file])
     first = capsys.readouterr().out
@@ -169,6 +179,20 @@ def test_verify_trace_with_wrong_null_count(demo_file, tmp_path, capsys):
     code = main(["verify", demo_file, "--from-tensor", str(out), "--trace", str(short)])
     assert code == 3
     assert capsys.readouterr().err == "error: silo needs 4 null vertices\n"
+
+
+def test_verify_trace_with_fractional_r_h(tmp_path, capsys):
+    path = tmp_path / "pair.json"
+    path.write_text(dumps({"vertices": ["a", "b"], "edges": [{"mult": {"a": 1, "b": 1}}]}))
+    out = tmp_path / "t.coo"
+    assert main(["tensor", str(path), "--approach", "str", "--out", str(out)]) == 0
+    trace = json.loads((tmp_path / "t.coo.trace.json").read_text(encoding="utf-8"))
+    assert trace["r_h"] == 2
+    bad = tmp_path / "bad.trace.json"
+    bad.write_text(dumps(trace).replace('"r_h": 2,', '"r_h": 2.5,'), encoding="utf-8")
+    code = main(["verify", str(path), "--from-tensor", str(out), "--trace", str(bad)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {bad}: r_h: expected an integer\n"
 
 
 def test_verify_order_one_input(tmp_path, capsys):

@@ -282,6 +282,7 @@ def assert_metrics_match_pairwise_recomputation(h: HbGraph) -> None:
         max(row, default=0) for row in rows
     )
     assert typed([h.order()]) == typed([sum(max(row, default=0) for row in rows)])
+    assert h.is_natural() == all(type(m) is int for row in rows for m in row)
     assert h.isolated_vertices() == tuple(
         v for v, row in zip(h.vertices, rows) if not any(row)
     )

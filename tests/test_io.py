@@ -108,6 +108,40 @@ def test_tensor_json_round_trip(demo):
     assert tensor_from_obj(tensor_to_obj(t)) == t
 
 
+def test_tensor_json_one_record_rule():
+    def tensor(order=2, dim=3, *entries):
+        return tensor_from_obj({"order": order, "dim": dim, "entries": list(entries)})
+
+    same = tensor(Fraction(2), "3", {"idx": [1, 2], "val": 1}, {"idx": [2, 1], "val": "1"})
+    assert same.canonical_items() == [((1, 2), 1)]
+    for bad in (
+        lambda: tensor(2, 3, {"idx": [1, 2], "val": 1}, {"idx": [2, 1], "val": 2}),
+        lambda: tensor(Fraction(5, 2)),
+        lambda: tensor(2.5),
+        lambda: tensor(2, True),
+        lambda: tensor(2, 3, {"idx": [True, 2], "val": 1}),
+        lambda: tensor(2, 3, {"idx": [1, Fraction(3, 2)], "val": 1}),
+        lambda: tensor(2, 3, {"idx": [1, 2, 3], "val": 1}),
+        lambda: tensor(2, 3, {"idx": [1, 4], "val": 1}),
+        lambda: tensor(2, 3, {"idx": [1, 2]}),
+    ):
+        with pytest.raises(ParseError):
+            bad()
+
+
+def test_trace_integer_fields(demo):
+    _, trace = uniformize(demo, "silo")
+    for field, value in (("r_h", "5"), ("r_h", Fraction(5)), ("n_a", 4)):
+        assert trace_from_obj({**trace_to_obj(trace), field: value}) == trace
+    for field, value in (
+        ("r_h", True), ("n_a", True), ("r_h", Fraction(5, 2)), ("n_a", None),
+        ("null_vertices", {"__N1": True}), ("edge_provenance", [Fraction(3, 2)]),
+        ("layer_coeffs", {"x": 1}), ("approach", [["silo"]]),
+    ):
+        with pytest.raises(ParseError):
+            trace_from_obj({**trace_to_obj(trace), field: value})
+
+
 def test_trace_round_trip(demo, tmp_path):
     for approach in ("straightforward", "silo", "layered"):
         _, trace = uniformize(demo, approach)

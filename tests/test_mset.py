@@ -65,6 +65,10 @@ def test_naturality_tracking():
     y = Multiset(U, {"a": Fraction(1, 2)})
     assert x.natural and not y.natural
     assert not x.msum(y).natural
+    # the flag follows the values of a result, not those of its operands
+    z = Multiset(U, {"a": Fraction(1, 2), "b": 1})
+    assert (z & Multiset(U, {"b": 1})).natural
+    assert (y + y).natural and (y + y) == x.intersection(Multiset(U, {"a": 1}))
     with pytest.raises(NotNatural):
         Multiset(U, {"a": Fraction(1, 2)}, natural=True)
 
