@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import compress
 from pathlib import Path
 from typing import Any
 
@@ -154,10 +155,14 @@ def dumps(obj) -> str:
 
 
 def incidence_csv(matrix: IncidenceMatrix) -> str:
-    header = "vertex," + ",".join(f"e{j + 1}" for j in range(matrix.p))
+    p = matrix.p
+    header = "vertex," + ",".join(f"e{j + 1}" for j in range(p))
     lines = [header]
     for v, row in zip(matrix.vertices, matrix.entries):
-        lines.append(v + "," + ",".join(format_rational(x) for x in row))
+        cells = ["0"] * p
+        for j in compress(range(p), row):  # format only the nonzero cells
+            cells[j] = format_rational(row[j])
+        lines.append(v + "," + ",".join(cells))
     return "\n".join(lines) + "\n"
 
 

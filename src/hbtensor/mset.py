@@ -72,7 +72,6 @@ class Multiset:
         self,
         universe: Iterable[str],
         mult: Mapping[str, Rational] | None = None,
-        natural: bool | None = None,
     ):
         uni = universe if isinstance(universe, Universe) else Universe(universe)
         position = uni.position
@@ -87,14 +86,9 @@ class Multiset:
                 normalized[x] = value
         # canonical key order = universe order
         ordered = {x: normalized[x] for x in sorted(normalized, key=position.__getitem__)}
-        all_integer = all(isinstance(v, int) for v in ordered.values())
-        if natural is None:
-            natural = all_integer
-        elif natural and not all_integer:
-            raise NotNatural("natural multiset with non-integer multiplicity")
         object.__setattr__(self, "_universe", uni)
         object.__setattr__(self, "_mult", ordered)
-        object.__setattr__(self, "_natural", bool(natural))
+        object.__setattr__(self, "_natural", all(isinstance(v, int) for v in ordered.values()))
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):

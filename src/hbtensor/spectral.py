@@ -6,8 +6,9 @@ Every eigenvalue of an e-adjacency tensor satisfies
 
 where Delta and Delta* are the maximal m-degrees over original and null
 vertices (both readable off the tensor as row sums).  The power iteration
-below, run on the tensor's own contraction plan, gives a lower estimate of
-the largest H-eigenvalue, so the bound can be checked empirically.
+below, run on the tensor's own contraction plan over the nonzero rows only,
+gives a lower estimate of the largest H-eigenvalue, so the bound can be
+checked empirically.
 """
 
 from __future__ import annotations
@@ -82,17 +83,34 @@ def estimate_max_eigenvalue(
     H-eigenvalue, so the reported value always respects the spectral bound.
     Convergence is not guaranteed; the flag reports whether the iterate
     stabilized within ``tol``.
+
+    The iteration runs on the support only: the indices that occur in some
+    canonical entry, which (entries being nonzero and nonnegative) are
+    exactly the nonzero rows, renumbered in order.  A zero row i, such as an
+    isolated vertex, adds nothing to A x^{r-1} and is 0 in every eigenvector
+    with lambda != 0, since lambda x_i^{r-1} = (A x^{r-1})_i = 0.  Iterated,
+    it would only decay by a factor (lambda + 1)^{-1/(r-1)} per step from a
+    start near 1, and hold the convergence test open for about
+    23 (r - 1) / ln(lambda + 1) steps at tol = 1e-10.  The seeded start is
+    drawn for the support coordinates alone, in index order, so on a tensor
+    whose every index occurs the iteration is the full-dimension one.
     """
     if t.order < 2:
         raise DomainError("power iteration needs tensor order >= 2")
-    if any(v < 0 for _, v in t.entries_rle()):
+    entries = t.entries_rle()
+    if any(v < 0 for _, v in entries):
         raise DomainError("power iteration needs nonnegative entries")
-    d = t.dim
-    if d == 0 or not t.canonical_count():
+    if not entries:
         return PowerIterationResult(value=0.0, converged=True, iterations=0)
     r = t.order
+    # the support, renumbered in order: plan index i - 1 -> coordinate k
+    at = {i - 1: k for k, i in enumerate(sorted({i for runs, _ in entries for i, _ in runs}))}
+    d = len(at)
     # the lazy plan fails on the first coefficient too large for a float
-    plan = [(i0, float(v) * perms, pw) for i0, v, perms, pw in t._contraction_plan()]
+    plan = [
+        (at[i0], float(v) * perms, [(at[j0], m) for j0, m in pw])
+        for i0, v, perms, pw in t._contraction_plan()
+    ]
 
     def contract(x: list[float]) -> list[float]:
         y = [0.0] * d
@@ -112,9 +130,8 @@ def estimate_max_eigenvalue(
     for used in range(1, iterations + 1):
         y = contract(x)
         nxt = [(yi + xi ** (r - 1)) ** (1.0 / (r - 1)) for xi, yi in zip(x, y)]
+        # the largest coordinate of x is 1.0, so top >= 1
         top = max(nxt)
-        if top == 0.0:
-            return PowerIterationResult(value=0.0, converged=True, iterations=used)
         nxt = [v / top for v in nxt]
         converged = max(abs(a - b) for a, b in zip(nxt, x)) < tol
         x = nxt

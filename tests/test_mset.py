@@ -69,8 +69,6 @@ def test_naturality_tracking():
     z = Multiset(U, {"a": Fraction(1, 2), "b": 1})
     assert (z & Multiset(U, {"b": 1})).natural
     assert (y + y).natural and (y + y) == x.intersection(Multiset(U, {"a": 1}))
-    with pytest.raises(NotNatural):
-        Multiset(U, {"a": Fraction(1, 2)}, natural=True)
 
 
 def test_negative_multiplicity_rejected():

@@ -119,11 +119,17 @@ def test_trace_mismatch(demo):
 # -- the estimator against the iteration it replaced -------------------------
 
 
-def reference_estimate(t: SymTensor, iterations: int, tol: float = 1e-10, seed=None):
+def reference_estimate(
+    t: SymTensor, iterations: int, tol: float = 1e-10, seed=None, full: bool = False
+):
     """The dense-key power iteration with its own contraction plan, changed only
-    to take the quotient from the last iterate."""
+    to take the quotient from the last iterate and, unless ``full``, to run on
+    the indices that occur in some entry, renumbered in order."""
     entries = [(key, float(v)) for key, v in t.canonical_items()]
-    d, r = t.dim, t.order
+    r = t.order
+    indices = range(1, t.dim + 1) if full else sorted({i for key, _ in entries for i in key})
+    at = {i: k for k, i in enumerate(indices)}
+    d = len(at)
     if d == 0 or not entries:
         return 0.0, True, 0
     plans = []
@@ -134,8 +140,8 @@ def reference_estimate(t: SymTensor, iterations: int, tol: float = 1e-10, seed=N
             perms = math.factorial(r - 1) // math.prod(
                 math.factorial(m - (j == i)) for j, m in counts.items()
             )
-            powers = [(j - 1, m - (1 if j == i else 0)) for j, m in counts.items()]
-            per_index.append((i - 1, v * perms, [(j, m) for j, m in powers if m]))
+            powers = [(at[j], m - (1 if j == i else 0)) for j, m in counts.items()]
+            per_index.append((at[i], v * perms, [(j, m) for j, m in powers if m]))
         plans.append(per_index)
 
     def contract(x):
@@ -189,6 +195,50 @@ def test_estimate_matches_reference_iteration(demo):
                 assert (result.value, result.converged, result.iterations) == expected
                 cut_short += iterations < 4 and not result.converged
     assert cut_short >= 20  # runs stopped before converging were compared
+
+
+def test_estimate_agrees_with_full_dimension_iteration(demo):
+    # the iteration over every index, zero rows included, reaches the same value
+    rng = random.Random(89)
+    graphs = [demo] + [random_hbgraph(rng, n_max=8, p_max=5, mult_max=3) for _ in range(15)]
+    compared = 0
+    for h in graphs:
+        for approach in APPROACHES:
+            t, _ = e_adjacency_tensor(h, approach)
+            if t.order < 2:
+                continue
+            result = estimate_max_eigenvalue(t, seed=3)
+            value, converged, _ = reference_estimate(t, 10_000, seed=3, full=True)
+            if result.converged and converged:
+                assert math.isclose(result.value, value, rel_tol=1e-9)
+                compared += 1
+    assert compared >= 40
+
+
+def with_isolated_vertices(h: HbGraph, rng: random.Random) -> HbGraph:
+    """``h`` with isolated vertices inserted at random places in its vertex order."""
+    vertices = list(h.vertices)
+    for k in range(rng.randint(1, 4)):
+        vertices.insert(rng.randint(0, len(vertices)), f"isolated{k}")
+    return HbGraph.from_dicts(vertices, [e.mult for e in h.edges], h.weights)
+
+
+def test_estimate_ignores_isolated_vertices(demo):
+    rng = random.Random(97)
+    graphs = [demo] + [random_hbgraph(rng, n_max=6, p_max=5, mult_max=3) for _ in range(12)]
+    for k, h in enumerate(graphs):
+        if k % 3 == 0:
+            h = HbGraph(h.vertices, h.edges, weights=[rng.randint(1, 4) for _ in h.edges])
+        padded = with_isolated_vertices(h, rng)
+        for approach in APPROACHES:
+            t, _ = e_adjacency_tensor(h, approach)
+            t_padded, _ = e_adjacency_tensor(padded, approach)
+            if t.order < 2:
+                continue
+            assert t_padded.dim > t.dim
+            for seed in (0, 1):
+                expected = estimate_max_eigenvalue(t, seed=seed)
+                assert estimate_max_eigenvalue(t_padded, seed=seed) == expected
 
 
 def test_estimate_overflow_is_lazy(monkeypatch):
