@@ -34,16 +34,26 @@ def format_rational(x: Rational) -> str:
     return str(rational_to_json(x))
 
 
+# the most decimal digits ``str`` prints of an int by default; 10**4300 has one more
+_MAX_DIGITS = 4300
+_TOO_LONG = 10**_MAX_DIGITS
+
+
 def json_to_rational(obj, where: str) -> Rational:
     """The one number rule: a JSON number or "p/q" string as ``as_rational``
-    reads it.  Bools, lists, objects, null and NaN/Infinity are rejected."""
+    reads it.  Bools, lists, objects, null and NaN/Infinity are rejected, and
+    so is a numerator or denominator of more than ``_MAX_DIGITS`` digits, which
+    could not be printed (an int literal that long already fails ``_loads``)."""
     if type(obj) is int:  # fast path: every multiplicity of every load
         return obj
     if isinstance(obj, (Fraction, str)):  # Fraction: parse_float below
         try:
-            return as_rational(obj)
+            value = as_rational(obj)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"{where}: bad rational literal {obj!r}") from exc
+        if abs(value.numerator) >= _TOO_LONG or value.denominator >= _TOO_LONG:
+            raise ParseError(f"{where}: number has more than {_MAX_DIGITS} digits")
+        return value
     raise ParseError(f"{where}: expected a number or 'p/q' string, got {type(obj).__name__}")
 
 
@@ -215,10 +225,9 @@ def tensor_from_coo(text: str, source: str = "tensor") -> SymTensor:
                 raise ParseError(f"{where}: expected {order} indices and a value")
             try:
                 idx = [int(tok) for tok in tokens[:-1]]
-                value = Fraction(tokens[-1])
-            except (ValueError, ZeroDivisionError) as exc:
+            except ValueError as exc:
                 raise ParseError(f"{where}: {exc}") from exc
-            yield where, idx, value
+            yield where, idx, json_to_rational(tokens[-1], where)
 
     return _tensor(order, header["dim"], records(), source)
 

@@ -97,14 +97,14 @@ def estimate_max_eigenvalue(
     """
     if t.order < 2:
         raise DomainError("power iteration needs tensor order >= 2")
-    entries = t.entries_rle()
-    if any(v < 0 for _, v in entries):
+    shares = t._entries  # run-length key -> share, of the sign of its value
+    if any(s < 0 for s in shares.values()):
         raise DomainError("power iteration needs nonnegative entries")
-    if not entries:
+    if not shares:
         return PowerIterationResult(value=0.0, converged=True, iterations=0)
     r = t.order
     # the support, renumbered in order: plan index i - 1 -> coordinate k
-    at = {i - 1: k for k, i in enumerate(sorted({i for runs, _ in entries for i, _ in runs}))}
+    at = {i - 1: k for k, i in enumerate(sorted({i for runs in shares for i, _ in runs}))}
     d = len(at)
     # the lazy plan fails on the first coefficient too large for a float
     plan = [

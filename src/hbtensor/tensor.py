@@ -4,26 +4,27 @@ A symmetric tensor of order r and dimension d stores one canonical entry per
 index multiset, run-length encoded as ((index, multiplicity), ...) in
 ascending index order and kept in canonical order (that of the dense
 nondecreasing index tuples, which appear only at the API boundary); every
-permutation of its indices denotes the same logical entry.  All values are
-exact rationals.  One lazy contraction plan drives both the exact ``apply``
-and the power iteration of ``spectral``.
+permutation of its indices denotes the same logical entry.  Each entry is
+stored as its exact share, a * multinomial(m) / r for value a and
+multiplicities m (an int when integral): multinomial(m) * m_i / r of its
+permutations start with i, so it adds share * m_i to row i and r * share to
+the total.  The value a is computed only where it leaves the tensor: in
+``get``, ``entries_rle``, ``canonical_items`` and the lazy contraction plan
+behind both the exact ``apply`` and the power iteration of ``spectral``.
 
 The e-adjacency tensor of an hb-graph contributes one canonical entry per
 hb-edge: the indices of its vertices with their multiplicities plus its
 closed-form null-vertex padding (``transform.padding``; no uniform hb-graph
-is built), with value
+is built), with the paper's value
 
-    (product of the multiplicities' factorials) / (r_H - 1)!
+    w * (product of the multiplicities' factorials) / (r_H - 1)!
 
-scaled by the user edge weight w when present; diagonal entries equal r_H
-precisely for full-multiplicity singleton edges.  Every row and level sum
-reads one share per entry, share = a * multinomial(m) / r for an entry of
-value a and multiplicities m: multinomial(m) * m_i / r of its permutations
-start with i, so it adds share * m_i to row i.  On an e-adjacency tensor the
-share is exactly w: row i is sum_e w_e m_e(v_i) and the total r_H sum_e w_e
-(Cooper and Dutle's degree normalisation for k-uniform hypergraphs), and under
-every approach an entry's level, the summed multiplicity of its original-vertex
-indices, is its hb-edge's m-cardinality.
+for edge weight w (1 when unweighted), whose share is exactly w; diagonal
+entries equal r_H precisely for full-multiplicity singleton edges.  Row i is
+then sum_e w_e m_e(v_i) and the total r_H sum_e w_e (Cooper and Dutle's
+degree normalisation for k-uniform hypergraphs), and under every approach an
+entry's level, the summed multiplicity of its original-vertex indices, is its
+hb-edge's m-cardinality.
 """
 
 from __future__ import annotations
@@ -80,8 +81,13 @@ def _perms_first(counts: Mapping[int, int]) -> dict[int, int]:
 
 
 def _share(runs: Iterable[tuple[int, int]], value: Fraction, r: int) -> Rational:
-    """The entry's share (module docstring): value * multinomial / r, int if integral."""
+    """The stored share of an entry of value ``value`` (module docstring)."""
     return as_rational(value * _multinomial(m for _, m in runs) / r)
+
+
+def _value(runs: Iterable[tuple[int, int]], share: Rational, r: int) -> Fraction:
+    """The value of an entry stored as ``share``: share * r / multinomial."""
+    return Fraction(share * r, _multinomial(m for _, m in runs))
 
 
 def _runs(key: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
@@ -121,7 +127,7 @@ class SymTensor:
             raise DomainError("tensor order must be >= 1")
         if dim < 0:
             raise DomainError("tensor dimension must be >= 0")
-        rows: list[tuple[tuple[int, ...], Fraction]] = []
+        shares = []
         for key, raw in entries.items():
             key = tuple(key)
             if len(key) != order:
@@ -133,21 +139,23 @@ class SymTensor:
                 raise DomainError(f"index tuple {key} is not sorted")
             value = Fraction(raw)
             if value != 0:
-                rows.append((key, value))
-        rows.sort()
-        object.__setattr__(self, "_order", order)
-        object.__setattr__(self, "_dim", dim)
-        object.__setattr__(self, "_entries", {_runs(key): value for key, value in rows})
-        object.__setattr__(self, "_rows", None)
+                runs = _runs(key)
+                shares.append((runs, _share(runs, value, order)))
+        self._build(order, dim, shares)
 
     @classmethod
-    def _from_runs(cls, order: int, dim: int, entries: Mapping) -> "SymTensor":
-        """Tensor of the nonzero run-length entries built in this module, put in
-        canonical order: runs as (index, -multiplicity) sort as dense keys do."""
-        t = cls(order, dim, {})
-        canonical = sorted(entries.items(), key=lambda e: [(i, -m) for i, m in e[0]])
-        object.__setattr__(t, "_entries", dict(canonical))
+    def _from_shares(cls, order: int, dim: int, shares: Iterable) -> "SymTensor":
+        """Tensor of the nonzero (run-length key, share) pairs built in this module."""
+        t = object.__new__(cls)
+        t._build(order, dim, shares)
         return t
+
+    def _build(self, order: int, dim: int, shares: Iterable) -> None:
+        """The one builder: store the (run-length key, share) pairs in canonical
+        order, in which runs as (index, -multiplicity) sort as dense keys do."""
+        canonical = dict(sorted(shares, key=lambda e: [(i, -m) for i, m in e[0]]))
+        for name, value in zip(self.__slots__, (order, dim, canonical, None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("SymTensor is immutable")
@@ -183,11 +191,12 @@ class SymTensor:
         return len(self._entries)
 
     def canonical_items(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        return [(_dense(runs), value) for runs, value in self._entries.items()]
+        return [(_dense(runs), value) for runs, value in self.entries_rle()]
 
     def entries_rle(self) -> list[tuple[tuple[tuple[int, int], ...], Fraction]]:
-        """((index, multiplicity), ...) per canonical entry, in canonical order."""
-        return list(self._entries.items())
+        """((index, multiplicity), ...) and value per canonical entry, in
+        canonical order."""
+        return [(runs, _value(runs, s, self._order)) for runs, s in self._entries.items()]
 
     def get(self, idx: Sequence[int]) -> Fraction:
         """Logical entry for any index permutation; zero when absent."""
@@ -196,16 +205,17 @@ class SymTensor:
             raise DimensionMismatch(f"expected {self._order} indices, got {len(key)}")
         if key[0] < 1 or key[-1] > self._dim:
             raise IndexOutOfRange(f"index tuple {key} outside 1..{self._dim}")
-        return self._entries.get(_runs(key), Fraction(0))
+        runs = _runs(key)
+        share = self._entries.get(runs)
+        return Fraction(0) if share is None else _value(runs, share, self._order)
 
     def logical_nonzero_count(self) -> int:
         """Number of nonzero positions in the full symmetric expansion."""
         return sum(_multinomial(m for _, m in runs) for runs in self._entries)
 
     def total_sum(self) -> Fraction:
-        """Sum over all logical entries."""
-        terms = (v * _multinomial(m for _, m in runs) for runs, v in self._entries.items())
-        return sum(terms, Fraction(0))
+        """Sum over all logical entries: r times the summed shares."""
+        return Fraction(self._order * sum(self._entries.values()))
 
     def row_sum(self, i: int) -> Fraction:
         """Sum of all logical entries whose first index is ``i``."""
@@ -221,8 +231,7 @@ class SymTensor:
         """The row sums, made in one pass over the entries on first use."""
         if self._rows is None:
             sums = [0] * self._dim
-            for runs, value in self._entries.items():
-                share = _share(runs, value, self._order)
+            for runs, share in self._entries.items():
                 for i, m in runs:
                     sums[i - 1] += share * m
             object.__setattr__(self, "_rows", tuple(map(Fraction, sums)))
@@ -231,7 +240,8 @@ class SymTensor:
     def _contraction_plan(self) -> Iterator[tuple[int, Fraction, int, list]]:
         """Lazily, per entry and per index i of its runs, the term of (A x^{r-1})_i
         as (i - 1, value, perms_first(i), [(j - 1, nonzero power of x_j), ...])."""
-        for runs, value in self._entries.items():
+        for runs, share in self._entries.items():
+            value = _value(runs, share, self._order)
             for i, perms in _perms_first(dict(runs)).items():
                 powers = [(j - 1, m - (j == i)) for j, m in runs]
                 yield i - 1, value, perms, [(j0, m) for j0, m in powers if m]
@@ -250,12 +260,12 @@ class SymTensor:
 
     def polynomial(self) -> "HbPolynomial":
         """Homogeneous polynomial P(z) = sum a_{i_1..i_r} z_{i_1}..z_{i_r}."""
+        # one monomial per entry, whose multinomial(m) logical entries sum to r * share
         monomials: dict[tuple[int, ...], Fraction] = {}
-        for runs, value in self._entries.items():
+        for runs, share in self._entries.items():
             counts = dict(runs)
             exponents = tuple(counts.get(i, 0) for i in range(1, self._dim + 1))
-            coeff = value * _multinomial(counts.values())
-            monomials[exponents] = monomials.get(exponents, Fraction(0)) + coeff
+            monomials[exponents] = Fraction(self._order * share)
         return HbPolynomial(degree=self._order, dim=self._dim, monomials=monomials)
 
     def export_coo(
@@ -318,31 +328,20 @@ def _indexed(a: Multiset) -> dict[int, int]:
     return counts
 
 
-def _entry(counts: Mapping[int, int], r: int) -> tuple[tuple, Fraction]:
-    """Run-length key of index -> multiplicity counts and its normalized value."""
-    key = tuple(sorted(counts.items()))
-    value = Fraction(
-        math.prod(math.factorial(m) for m in counts.values()), math.factorial(r - 1)
-    )
-    return key, value
-
-
 def mset_hypermatrix(a: Multiset, normalized: bool) -> SymTensor:
     """Hypermatrix representation of a natural multiset.
 
     Unnormalized: value 1 on every permutation of the support indices taken
-    with their multiplicities.  Normalized: value (prod of multiplicity
-    factorials) / (r-1)! on the same tuples, which makes the logical total
-    equal the m-cardinality r.
+    with their multiplicities (share multinomial / r).  Normalized: value
+    (prod of multiplicity factorials) / (r-1)! on the same tuples (share 1),
+    which makes the logical total equal the m-cardinality r.
     """
     counts = _indexed(a)
     if not counts:
         raise EmptyMultiset("hypermatrix representation of an empty multiset")
     r = sum(counts.values())
-    key, value = _entry(counts, r)
-    return SymTensor._from_runs(
-        r, len(a.universe), {key: value if normalized else Fraction(1)}
-    )
+    share = 1 if normalized else as_rational(Fraction(_multinomial(counts.values()), r))
+    return SymTensor._from_shares(r, len(a.universe), [(tuple(sorted(counts.items())), share)])
 
 
 def elementary_tensor(h: HbGraph) -> SymTensor:
@@ -368,8 +367,8 @@ def uniform_tensor(h: HbGraph) -> SymTensor:
         raise NotUniform("hb-edges have differing m-cardinalities")
     if k == 0:
         raise EmptyEdge("uniform tensor forbids empty hb-edges")
-    entries = dict(_entry(_indexed(e), k) for e in h.edges)
-    return SymTensor._from_runs(k, h.n, entries)
+    shares = [(tuple(sorted(_indexed(e).items())), 1) for e in h.edges]
+    return SymTensor._from_shares(k, h.n, shares)
 
 
 def e_adjacency_tensor(
@@ -378,16 +377,16 @@ def e_adjacency_tensor(
     """e-adjacency tensor of a natural hb-graph, one canonical entry per edge.
 
     Order r_H; dimension n+1 (straightforward) or n+r_H-1 (silo, layered;
-    n when r_H = 1).  User edge weights scale the entries linearly.
+    n when r_H = 1).  Each entry's share is its hb-edge's weight, so user edge
+    weights scale the entries linearly.
     """
     trace = _uniformisation_trace(h, approach)
-    entries: dict[tuple[tuple[int, int], ...], Fraction] = {}
-    for i in trace.edge_provenance:
-        counts = _indexed(h.edges[i])
+    shares = []
+    for i, e in enumerate(h.edges):
+        counts = _indexed(e)
         counts.update(padding(approach, h.n, trace.r_h, sum(counts.values())))
-        key, value = _entry(counts, trace.r_h)
-        entries[key] = value * h.weight(i)
-    return SymTensor._from_runs(trace.r_h, h.n + trace.n_a, entries), trace
+        shares.append((tuple(sorted(counts.items())), h.weight(i)))
+    return SymTensor._from_shares(trace.r_h, h.n + trace.n_a, shares), trace
 
 
 def hypergraph_tensor(hg: HbGraph) -> tuple[SymTensor, UniformisationTrace]:
@@ -429,8 +428,8 @@ def _level_weights(t: SymTensor, trace: UniformisationTrace) -> list[Rational]:
     docstring), the summed weight of the m-cardinality-j hb-edges."""
     n = _check_trace(t, trace)
     levels = [0] * (trace.r_h + 1)
-    for runs, value in t.entries_rle():
-        levels[sum(m for i, m in runs if i <= n)] += _share(runs, value, trace.r_h)
+    for runs, share in t._entries.items():
+        levels[sum(m for i, m in runs if i <= n)] += share
     return levels
 
 
@@ -468,7 +467,7 @@ def reconstruct_edges(
     """
     n = _check_trace(t, trace)
     family = []
-    for runs, _ in t.entries_rle():
+    for runs in t._entries:
         edge = {i: m for i, m in runs if i <= n}
         if not edge:
             raise TraceMismatch(f"entry {_dense(runs)} has no original-vertex index")

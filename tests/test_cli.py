@@ -65,6 +65,33 @@ def test_info_unreadable_json_exits_2(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
+def test_number_too_long_to_print_exits_2(demo_file, tmp_path, capsys):
+    def graph(text):
+        path = tmp_path / "g.json"
+        path.write_text('{"vertices": ["a"], "edges": [{"mult": {"a": %s}}]}' % text)
+        return str(path)
+
+    for mult in ('"1e5000"', "1e5000"):
+        assert main(["info", graph(mult)]) == 2
+        assert "mult['a']: number has more than 4300 digits" in capsys.readouterr().err
+    longest = "9" * 4300
+    assert main(["info", graph(longest)]) == 0
+    assert f"m-range: {longest}\n" in capsys.readouterr().out
+    weighted = tmp_path / "weighted.json"
+    weighted.write_text(dumps({**DEMO_OBJ, "edges": [{"mult": {"v1": 1}, "weight": "1e5000"}]}))
+    assert main(["verify", str(weighted), "--approach", "str"]) == 2
+    assert "edges[0]: weight: number has more" in capsys.readouterr().err
+    out = tmp_path / "t.coo"
+    assert main(["tensor", demo_file, "--approach", "str", "--out", str(out)]) == 0
+    huge = tmp_path / "huge.coo"
+    lines = out.read_text(encoding="utf-8").splitlines()
+    lines[1] = lines[1].rsplit(" ", 1)[0] + " 1e5000"
+    huge.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    args = ["verify", demo_file, "--from-tensor", str(huge), "--trace", f"{out}.trace.json"]
+    assert main(args) == 2
+    assert "line 2: number has more" in capsys.readouterr().err
+
+
 def test_info_byte_stable(demo_file, capsys):
     main(["info", demo_file])
     first = capsys.readouterr().out

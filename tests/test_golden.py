@@ -5,7 +5,10 @@ Every verb below runs in-process on two inputs: the demo graph of
 case the exit code, stdout, stderr and every file the verb writes must equal
 the copies under ``tests/golden/<input>/``.  For ``verify`` only the exact
 fields are pinned (checks, passed, and the bound's approach, r_H, Delta,
-Delta* and bound); the floating-point estimator fields are left out.
+Delta* and bound); the floating-point estimator fields are left out.  The
+``verify_from_tensor`` cases read back the golden COO tensor and trace that
+the ``tensor`` cases wrote, so the tensor reader is pinned as well as the
+writer.
 
 The goldens record the output of the code at the time they were written.
 After an intended output change, regenerate them by hand from the repository
@@ -74,6 +77,17 @@ VERIFY_CASES = {
     f"verify_{a}": ["verify", "--approach", a, "--seed", "7"] for a in APPROACHES
 }
 
+# verify on the committed output of the matching tensor case; the names are
+# resolved in the input's golden folder (``cases_for``), which ``regenerate``
+# fills in CASES order, so the tensor files exist before these cases run
+FROM_TENSOR_CASES = {
+    f"verify_from_tensor_{a}": [
+        "verify", "--from-tensor", f"tensor_{a}.file.t.coo",
+        "--trace", f"tensor_{a}.file.t.coo.trace.json", "--seed", "7",
+    ]
+    for a in APPROACHES
+}
+
 EXACT_BOUND_FIELDS = ("approach", "r_h", "delta", "delta_star", "bound")
 
 
@@ -101,7 +115,12 @@ def run_case(graph: dict, args: list[str]) -> dict[str, str]:
 
 
 def cases_for(input_name: str) -> dict[str, list[str]]:
-    return {**CASES, **VERIFY_CASES}
+    folder = GOLDEN / input_name
+    from_tensor = {
+        case: [str(folder / a) if a.startswith("tensor_") else a for a in args]
+        for case, args in FROM_TENSOR_CASES.items()
+    }
+    return {**CASES, **VERIFY_CASES, **from_tensor}
 
 
 def golden_files(input_name: str, case: str) -> dict[str, str]:

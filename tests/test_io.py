@@ -15,6 +15,7 @@ from hbtensor.io import (
     hbgraph_from_obj,
     hbgraph_to_obj,
     incidence_csv,
+    json_to_rational,
     load_hbgraph,
     load_tensor_coo,
     load_trace,
@@ -75,6 +76,24 @@ def test_hbgraph_parse_errors(tmp_path):
     assert "edges[0]" in str(err.value)
     with pytest.raises(ParseError):
         hbgraph_from_obj({"vertices": ["a"], "edges": [{"mult": {"b": 1}}]})
+
+
+def test_number_rule_rejects_what_cannot_be_printed():
+    longest = "9" * 4300  # str prints up to 4300 digits
+    for ok in (longest, "-" + longest, "1/" + longest, Fraction(int(longest))):
+        assert format_rational(json_to_rational(ok, "x")) == format_rational(Fraction(ok))
+    for bad in ("1e4300", "1e5000", "-1e5000", "1e-5000", Fraction(1, 10**4300)):
+        with pytest.raises(ParseError, match="^edges.0.: weight: number has more than 4300"):
+            json_to_rational(bad, "edges[0]: weight")
+    for bad in ("9" * 4301, "1/" + "9" * 4301):  # a literal too long for int()
+        with pytest.raises(ParseError, match="^edges.0.: weight: bad rational literal"):
+            json_to_rational(bad, "edges[0]: weight")
+    with pytest.raises(ParseError, match=r"mult\['a'\]: number has more"):
+        hbgraph_from_obj({"vertices": ["a"], "edges": [{"mult": {"a": "1e5000"}}]})
+    with pytest.raises(ParseError, match="dim: number has more"):
+        tensor_from_obj({"order": 2, "dim": "1e5000", "entries": []})
+    with pytest.raises(ParseError, match="line 2: number has more"):
+        tensor_from_coo("# order=1 dim=1 entries=1\n1 1e5000\n")
 
 
 def test_tensor_coo_round_trip(demo, tmp_path):

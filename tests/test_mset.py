@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -86,6 +88,18 @@ def test_vector_repr():
     assert e2.vector_repr() == [0, 3, 1, 0, 0, 0, 0]
     assert Multiset(U, {}).vector_repr() == [0, 0, 0]
     assert sum(e1.vector_repr()) == e1.m_cardinality()
+
+
+def test_from_elements_reads_a_list_with_repetition():
+    universe = ("a", "b", "c", "d")
+    elements = ["c", "a", "c", "c", "b", "a"]
+    random.Random(3).shuffle(elements)
+    m = Multiset.from_elements(universe, elements)
+    assert m == Multiset(universe, Counter(elements))
+    assert m.vector_repr() == [2, 1, 3, 0] and m.natural
+    assert Multiset.from_elements(universe, []) == Multiset(universe)
+    with pytest.raises(UniverseMismatch):
+        Multiset.from_elements(universe, ["a", "e"])
 
 
 def test_numbered_copies():

@@ -448,6 +448,14 @@ class DenseTensor:
             out[perm[0] - 1] += v * math.prod(x[j - 1] for j in perm[1:])
         return out
 
+    def polynomial(self):
+        """Exponent vector -> summed logical entries of the full expansion."""
+        monomials = {}
+        for perm, v in self.full():
+            exponents = tuple(perm.count(i) for i in range(1, self.dim + 1))
+            monomials[exponents] = monomials.get(exponents, Fraction(0)) + v
+        return monomials
+
 
 def random_dense_entries(rng: random.Random, order: int, dim: int) -> dict:
     entries = {}
@@ -476,6 +484,8 @@ def check_against_dense(t: SymTensor, ref: DenseTensor, rng: random.Random) -> N
     x = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(t.dim)]
     assert t.apply(x) == ref.apply(x)
     assert t.export_coo("full") == ref.full()
+    poly = t.polynomial()
+    assert (poly.degree, poly.dim, poly.monomials) == (t.order, t.dim, ref.polynomial())
     # the same entries, given densely in reverse order, make an equal tensor
     twin = SymTensor(t.order, t.dim, dict(reversed(ref.canonical_items())))
     assert twin == t and hash(twin) == hash(t)
