@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -20,7 +19,6 @@ from .errors import DomainError, ParseError
 from .paths import connected_components, diameter, distance
 from .spectral import estimate_max_eigenvalue, spectral_bound
 from .tensor import (
-    DEFAULT_MAX_FULL_RECORDS,
     _check_trace,
     _indexed,
     _level_weights,
@@ -49,16 +47,6 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-
-
-def _max_full_records() -> int:
-    raw = os.environ.get("HBTENSOR_MAX_DENSE")
-    if raw is None:
-        return DEFAULT_MAX_FULL_RECORDS
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise DomainError(f"HBTENSOR_MAX_DENSE must be an integer, got {raw!r}") from exc
 
 
 def cmd_info(args) -> int:
@@ -210,7 +198,7 @@ def cmd_export(args) -> int:
             raise DomainError("--format coo requires --approach")
         tensor, _ = e_adjacency_tensor(h, args.approach)
         mode = "full" if args.full else "canonical"
-        _emit(io.tensor_to_coo(tensor, mode, _max_full_records()), args.out)
+        _emit(io.tensor_to_coo(tensor, mode), args.out)
     return 0
 
 

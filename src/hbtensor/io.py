@@ -19,24 +19,34 @@ from typing import Any
 from .errors import DomainError, ParseError
 from .hbgraph import HbGraph, IncidenceMatrix
 from .mset import Multiset, Rational, as_rational
-from .tensor import DEFAULT_MAX_FULL_RECORDS, SymTensor
+from .tensor import SymTensor
 from .transform import APPROACHES, UniformisationTrace
+
+# the most decimal digits ``str`` prints of an int by default; 10**4300 has one more
+_MAX_DIGITS = 4300
+_TOO_LONG = 10**_MAX_DIGITS
+# the most characters of a bad literal that an error message repeats
+_EXCERPT = 40
+
+
+def _too_long(x: Rational) -> bool:
+    return abs(x.numerator) >= _TOO_LONG or x.denominator >= _TOO_LONG
 
 
 def rational_to_json(x: Rational):
-    if type(x) is int:  # exactly int: bools still go through Fraction
+    """The one printer: an int as a JSON number, a non-integral value as a
+    "p/q" string.  A numerator or denominator of more than ``_MAX_DIGITS``
+    digits cannot be printed and raises ``DomainError``."""
+    if type(x) is int and -_TOO_LONG < x < _TOO_LONG:  # bools go through Fraction
         return x
     x = Fraction(x)
+    if _too_long(x):
+        raise DomainError(f"cannot print a number of more than {_MAX_DIGITS} digits")
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def format_rational(x: Rational) -> str:
     return str(rational_to_json(x))
-
-
-# the most decimal digits ``str`` prints of an int by default; 10**4300 has one more
-_MAX_DIGITS = 4300
-_TOO_LONG = 10**_MAX_DIGITS
 
 
 def json_to_rational(obj, where: str) -> Rational:
@@ -49,9 +59,12 @@ def json_to_rational(obj, where: str) -> Rational:
     if isinstance(obj, (Fraction, str)):  # Fraction: parse_float below
         try:
             value = as_rational(obj)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"{where}: bad rational literal {obj!r}") from exc
-        if abs(value.numerator) >= _TOO_LONG or value.denominator >= _TOO_LONG:
+        except (ValueError, ZeroDivisionError) as exc:  # only a str gets here
+            shown = repr(obj[:_EXCERPT])
+            if len(obj) > _EXCERPT:
+                shown += f"... ({len(obj)} characters)"
+            raise ParseError(f"{where}: bad rational literal {shown}") from exc
+        if _too_long(value):
             raise ParseError(f"{where}: number has more than {_MAX_DIGITS} digits")
         return value
     raise ParseError(f"{where}: expected a number or 'p/q' string, got {type(obj).__name__}")
@@ -179,20 +192,16 @@ def incidence_csv(matrix: IncidenceMatrix) -> str:
 # -- tensor ------------------------------------------------------------------
 
 
-def tensor_to_coo(
-    t: SymTensor, mode: str = "canonical", max_records: int = DEFAULT_MAX_FULL_RECORDS
-) -> str:
-    records = t.export_coo(mode, max_records)
+def tensor_to_coo(t: SymTensor, mode: str = "canonical") -> str:
+    records = t.export_coo(mode)
     lines = [f"# order={t.order} dim={t.dim} entries={len(records)}"]
     for key, value in records:
         lines.append(" ".join(str(i) for i in key) + " " + format_rational(value))
     return "\n".join(lines) + "\n"
 
 
-def dump_tensor_coo(
-    t: SymTensor, path, mode: str = "canonical", max_records: int = DEFAULT_MAX_FULL_RECORDS
-) -> None:
-    Path(path).write_text(tensor_to_coo(t, mode, max_records), encoding="utf-8")
+def dump_tensor_coo(t: SymTensor, path, mode: str = "canonical") -> None:
+    Path(path).write_text(tensor_to_coo(t, mode), encoding="utf-8")
 
 
 def tensor_from_coo(text: str, source: str = "tensor") -> SymTensor:
@@ -284,34 +293,19 @@ def trace_to_obj(trace: UniformisationTrace) -> dict:
     return {
         "approach": trace.approach,
         "r_h": trace.r_h,
-        "n_a": trace.n_a,
-        "null_vertices": dict(trace.null_vertices),
-        "layer_coeffs": {
-            str(r): rational_to_json(c) for r, c in sorted(trace.layer_coeffs.items())
-        },
         "edge_provenance": [i + 1 for i in trace.edge_provenance],
     }
 
 
 def trace_from_obj(obj, source: str = "trace") -> UniformisationTrace:
-    _json(obj, dict, source, "r_h", "n_a", "null_vertices", "layer_coeffs", "edge_provenance")
-    if obj.get("approach") not in APPROACHES:  # no repr: a decoded value may nest deep
+    """Read the three stored fields.  Any other key is ignored, the derived
+    fields that older trace files also carry included."""
+    _json(obj, dict, source, "approach", "r_h", "edge_provenance")
+    if obj["approach"] not in APPROACHES:  # no repr: a decoded value may nest deep
         raise ParseError(f"{source}: 'approach' must be one of {', '.join(APPROACHES)}")
-    nulls = _json(obj["null_vertices"], dict, f"{source}: null_vertices")
-    coeffs = _json(obj["layer_coeffs"], dict, f"{source}: layer_coeffs")
     return UniformisationTrace(
         approach=obj["approach"],
         r_h=_integer(obj["r_h"], f"{source}: r_h"),
-        null_vertices={
-            k: _integer(v, f"{source}: null_vertices[{k!r}]") for k, v in nulls.items()
-        },
-        n_a=_integer(obj["n_a"], f"{source}: n_a"),
-        layer_coeffs={
-            _integer(r, f"{source}: layer_coeffs level {r!r}"): Fraction(
-                json_to_rational(c, f"{source}: layer_coeffs[{r!r}]")
-            )
-            for r, c in coeffs.items()
-        },
         edge_provenance=tuple(
             _integer(i, f"{source}: edge_provenance") - 1
             for i in _json(obj["edge_provenance"], list, f"{source}: edge_provenance")

@@ -54,18 +54,23 @@ from .mset import Multiset, Rational, Universe, as_rational
 from .transform import (
     APPROACHES,
     SILO,
-    STRAIGHTFORWARD,
     UniformisationTrace,
     _uniformisation_trace,
     padding,
 )
 
-DEFAULT_MAX_FULL_RECORDS = 10**7
+# the most records a full COO export expands to
+MAX_FULL_RECORDS = 10**7
 
 
 def _multinomial(counts: Iterable[int]) -> int:
-    counts = list(counts)
-    return math.factorial(sum(counts)) // math.prod(map(math.factorial, counts))
+    """(m_1 + ... + m_k)! / (m_1! ... m_k!) as the product of the binomials
+    C(m_1 + ... + m_j, m_j), whose cost follows the size of the result, not r!."""
+    total, result = 0, 1
+    for m in counts:
+        total += m
+        result *= math.comb(total, m)
+    return result
 
 
 def _perms_first(counts: Mapping[int, int]) -> dict[int, int]:
@@ -268,22 +273,20 @@ class SymTensor:
             monomials[exponents] = Fraction(self._order * share)
         return HbPolynomial(degree=self._order, dim=self._dim, monomials=monomials)
 
-    def export_coo(
-        self, mode: str = "canonical", max_records: int = DEFAULT_MAX_FULL_RECORDS
-    ) -> list[tuple[tuple[int, ...], Fraction]]:
+    def export_coo(self, mode: str = "canonical") -> list[tuple[tuple[int, ...], Fraction]]:
         """COO records, either one per canonical entry or fully expanded.
 
-        Full mode emits every distinct index permutation and refuses to
-        expand more than ``max_records`` records.
+        Full mode emits every distinct index permutation and refuses, before
+        expanding anything, to emit more than ``MAX_FULL_RECORDS`` records.
         """
         if mode == "canonical":
             return self.canonical_items()
         if mode != "full":
             raise DomainError(f"unknown export mode {mode!r}")
         total = self.logical_nonzero_count()
-        if total > max_records:
+        if total > MAX_FULL_RECORDS:
             raise DomainError(
-                f"full export would emit {total} records (limit {max_records})"
+                f"full export would emit {total} records (limit {MAX_FULL_RECORDS})"
             )
         return [
             (perm, value)
@@ -411,15 +414,9 @@ def _check_trace(t: SymTensor, trace: UniformisationTrace) -> int:
         raise TraceMismatch(f"unknown approach {trace.approach!r}")
     if trace.r_h != t.order:
         raise TraceMismatch(f"trace r_H {trace.r_h} != tensor order {t.order}")
-    null_count = 1 if trace.approach == STRAIGHTFORWARD else trace.r_h - 1
-    if trace.n_a != null_count:
-        raise TraceMismatch(f"{trace.approach} needs {null_count} null vertices")
     n = t.dim - trace.n_a
     if n < 0:
         raise TraceMismatch("more null vertices than tensor dimensions")
-    expected = set(range(n + 1, t.dim + 1))
-    if set(trace.null_vertices.values()) != expected:
-        raise TraceMismatch("null-vertex indices do not fill n+1..dim")
     return n
 
 

@@ -16,15 +16,16 @@ These are what the paper's compositions of ``decompose``, ``dilatation``,
 ``y_complement``, ``vertex_increase`` and ``merge`` produce; ``uniformize``
 and the tensor constructions apply the closed form directly.  Every output
 edge carries the dilatation weight c_r = r_H / r of its level.  The returned
-trace records the null-vertex index assignment and the output edge order,
-which is sorted by (m-cardinality, input index).
+trace stores only the approach, r_H and the output edge order, which is
+sorted by (m-cardinality, input index); the null vertices are a closed form
+in (approach, r_H), derived by ``UniformisationTrace.null_vertices``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import (
     DomainError,
@@ -52,10 +53,18 @@ class UniformisationTrace:
 
     approach: str
     r_h: int
-    null_vertices: Mapping[str, int]  # null-vertex id -> tensor index (1-based)
-    n_a: int
-    layer_coeffs: Mapping[int, Fraction]  # level r -> c_r = r_H / r
     edge_provenance: tuple[int, ...]  # output edge index -> input edge index
+
+    @property
+    def n_a(self) -> int:
+        """Number of null vertices: 1 for straightforward, r_H - 1 otherwise."""
+        return 1 if self.approach == STRAIGHTFORWARD else self.r_h - 1
+
+    @property
+    def null_vertices(self) -> tuple[str, ...]:
+        """Null-vertex ids in tensor-index order: item k-1 has index n+k."""
+        prefix = "__L" if self.approach == LAYERED else "__N"
+        return tuple(f"{prefix}{k}" for k in range(1, self.n_a + 1))
 
 
 def canonical_weighting(h: HbGraph) -> HbGraph:
@@ -142,20 +151,10 @@ def _uniformisation_trace(h: HbGraph, approach: str) -> UniformisationTrace:
     for v in h.vertices:
         if v.startswith(RESERVED_PREFIX):
             raise VertexCollision(f"vertex id {v!r} uses the reserved prefix '__'")
-    n = h.n
-    r_h = h.m_range()
-    if approach == STRAIGHTFORWARD:
-        null_vertices = {"__N1": n + 1}
-    else:
-        prefix = "__N" if approach == SILO else "__L"
-        null_vertices = {f"{prefix}{k}": n + k for k in range(1, r_h)}
     cardinalities = [e.m_cardinality() for e in h.edges]
     return UniformisationTrace(
         approach=approach,
-        r_h=r_h,
-        null_vertices=null_vertices,
-        n_a=len(null_vertices),
-        layer_coeffs={r: Fraction(r_h, r) for r in range(1, r_h + 1)},
+        r_h=h.m_range(),
         edge_provenance=tuple(sorted(range(h.p), key=lambda i: (cardinalities[i], i))),
     )
 
@@ -183,15 +182,15 @@ def uniformize(h: HbGraph, approach: str) -> tuple[HbGraph, UniformisationTrace]
     weights only enter at tensor-construction time.
     """
     trace = _uniformisation_trace(h, approach)
-    vertices = Universe(h.vertices + tuple(trace.null_vertices))
-    name = {i: v for v, i in trace.null_vertices.items()}
+    nulls = trace.null_vertices
+    vertices = Universe(h.vertices + nulls)
     edges = []
     weights = []
     for i in trace.edge_provenance:
         counts = dict(h.edges[i].mult)
         c = h.edges[i].m_cardinality()
         for j, m in padding(approach, h.n, trace.r_h, c).items():
-            counts[name[j]] = m
+            counts[nulls[j - h.n - 1]] = m
         edges.append(Multiset(vertices, counts))
         weights.append(Fraction(trace.r_h, c))
     return HbGraph(vertices, edges, weights), trace

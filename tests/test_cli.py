@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from hbtensor.cli import main
-from hbtensor.io import dumps
+from hbtensor.io import dumps, load_trace
+
+DATA = Path(__file__).parent / "data"
+GOLDEN_DEMO = Path(__file__).parent / "golden" / "demo"
 
 DEMO_OBJ = {
     "vertices": ["v1", "v2", "v3", "v4", "v5", "v6", "v7"],
@@ -90,6 +94,15 @@ def test_number_too_long_to_print_exits_2(demo_file, tmp_path, capsys):
     args = ["verify", demo_file, "--from-tensor", str(huge), "--trace", f"{out}.trace.json"]
     assert main(args) == 2
     assert "line 2: number has more" in capsys.readouterr().err
+
+
+def test_derived_number_too_long_to_print_exits_3(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    edges = [{"mult": {"a": int("9" * 4300)}}, {"mult": {"b": 1}}]
+    path.write_text(dumps({"vertices": ["a", "b"], "edges": edges}))
+    # each multiplicity prints, but the order 10**4300 has 4301 digits
+    assert main(["info", str(path)]) == 3
+    assert capsys.readouterr().err == "error: cannot print a number of more than 4300 digits\n"
 
 
 def test_info_byte_stable(demo_file, capsys):
@@ -193,19 +206,48 @@ def test_verify_weighted(tmp_path, capsys):
         assert all(report["checks"].values())
 
 
-def test_verify_trace_with_wrong_null_count(demo_file, tmp_path, capsys):
+def test_verify_trace_with_wrong_r_h(demo_file, tmp_path, capsys):
     out = tmp_path / "t.coo"
     main(["tensor", demo_file, "--approach", "sil", "--out", str(out)])
     trace = json.loads((tmp_path / "t.coo.trace.json").read_text(encoding="utf-8"))
-    # three null vertices that still fill the top dimensions 9..11, where r_H = 5
-    # needs four
-    del trace["null_vertices"]["__N1"]
-    trace["n_a"] = 3
-    short = tmp_path / "short.trace.json"
-    short.write_text(dumps(trace), encoding="utf-8")
-    code = main(["verify", demo_file, "--from-tensor", str(out), "--trace", str(short)])
+    trace["r_h"] = 4
+    bad = tmp_path / "bad.trace.json"
+    bad.write_text(dumps(trace), encoding="utf-8")
+    code = main(["verify", demo_file, "--from-tensor", str(out), "--trace", str(bad)])
     assert code == 3
-    assert capsys.readouterr().err == "error: silo needs 4 null vertices\n"
+    assert capsys.readouterr().err == "error: trace r_H 4 != tensor order 5\n"
+
+
+def test_verify_silo_trace_on_straightforward_tensor(tmp_path, capsys):
+    path = tmp_path / "single.json"
+    path.write_text(dumps({"vertices": ["a"], "edges": [{"mult": {"a": 5}}]}))
+    out = tmp_path / "t.coo"
+    assert main(["tensor", str(path), "--approach", "str", "--out", str(out)]) == 0
+    # silo needs r_H - 1 = 4 null vertices; the tensor has dimension n + 1 = 2
+    trace = json.loads((tmp_path / "t.coo.trace.json").read_text(encoding="utf-8"))
+    trace["approach"] = "silo"
+    bad = tmp_path / "silo.trace.json"
+    bad.write_text(dumps(trace), encoding="utf-8")
+    code = main(["verify", str(path), "--from-tensor", str(out), "--trace", str(bad)])
+    assert code == 3
+    assert capsys.readouterr().err == "error: more null vertices than tensor dimensions\n"
+
+
+def test_verify_reads_old_trace_format(demo_file, capsys):
+    """A trace written before the null vertices were derived, with its ``n_a``,
+    ``null_vertices`` and ``layer_coeffs``, reads as the current one does."""
+    old = DATA / "demo_sil_old_format.trace.json"
+    new = GOLDEN_DEMO / "tensor_sil.file.t.coo.trace.json"
+    assert {"n_a", "null_vertices", "layer_coeffs"} <= json.loads(old.read_text()).keys()
+    assert load_trace(old) == load_trace(new)
+    coo = GOLDEN_DEMO / "tensor_sil.file.t.coo"
+    reports = []
+    for trace in (old, new):
+        args = ["verify", demo_file, "--from-tensor", str(coo), "--trace", str(trace)]
+        assert main(args + ["--seed", "7"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["passed"] is True
 
 
 def test_verify_trace_with_fractional_r_h(tmp_path, capsys):
@@ -244,7 +286,7 @@ def test_paths_cli(demo_file, capsys):
     assert report["diameter"] == "inf"
 
 
-def test_export(demo_file, capsys, monkeypatch):
+def test_export(demo_file, tmp_path, capsys):
     assert main(["export", demo_file, "--format", "csv"]) == 0
     assert capsys.readouterr().out.startswith("vertex,e1,e2,e3,e4")
     assert main(["export", demo_file, "--format", "json"]) == 0
@@ -253,8 +295,12 @@ def test_export(demo_file, capsys, monkeypatch):
     assert "entries=4" in capsys.readouterr().out
     assert main(["export", demo_file, "--format", "coo", "--approach", "str", "--full"]) == 0
     assert "entries=85" in capsys.readouterr().out
-    monkeypatch.setenv("HBTENSOR_MAX_DENSE", "10")
-    assert main(["export", demo_file, "--format", "coo", "--approach", "str", "--full"]) == 3
+    # one edge of 11 distinct vertices: 11! records, over the 10**7 limit
+    wide = tmp_path / "wide.json"
+    names = list("abcdefghijk")
+    wide.write_text(dumps({"vertices": names, "edges": [{"mult": dict.fromkeys(names, 1)}]}))
+    assert main(["export", str(wide), "--format", "coo", "--approach", "str", "--full"]) == 3
+    assert "full export would emit 39916800 records" in capsys.readouterr().err
     assert main(["export", demo_file, "--format", "coo"]) == 3  # approach required
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hbtensor import HbGraph, Multiset, ParseError, e_adjacency_tensor, uniformize
+from hbtensor import DomainError, HbGraph, Multiset, ParseError, e_adjacency_tensor, uniformize
 from hbtensor.io import (
     dump_hbgraph,
     dump_tensor_coo,
@@ -21,6 +21,7 @@ from hbtensor.io import (
     load_trace,
     mset_from_obj,
     mset_to_obj,
+    rational_to_json,
     tensor_from_coo,
     tensor_from_obj,
     tensor_to_coo,
@@ -85,15 +86,30 @@ def test_number_rule_rejects_what_cannot_be_printed():
     for bad in ("1e4300", "1e5000", "-1e5000", "1e-5000", Fraction(1, 10**4300)):
         with pytest.raises(ParseError, match="^edges.0.: weight: number has more than 4300"):
             json_to_rational(bad, "edges[0]: weight")
-    for bad in ("9" * 4301, "1/" + "9" * 4301):  # a literal too long for int()
-        with pytest.raises(ParseError, match="^edges.0.: weight: bad rational literal"):
+    for bad in ("9" * 4301, "1/" + "9" * 4301, "9" * 5000):  # a literal too long for int()
+        with pytest.raises(ParseError, match="^edges.0.: weight: bad rational literal") as err:
             json_to_rational(bad, "edges[0]: weight")
+        # the message repeats a bounded prefix of the literal and its length
+        assert len(str(err.value)) < 200 and f"... ({len(bad)} characters)" in str(err.value)
+    with pytest.raises(ParseError, match="^x: bad rational literal 'x/y'$"):
+        json_to_rational("x/y", "x")
     with pytest.raises(ParseError, match=r"mult\['a'\]: number has more"):
         hbgraph_from_obj({"vertices": ["a"], "edges": [{"mult": {"a": "1e5000"}}]})
     with pytest.raises(ParseError, match="dim: number has more"):
         tensor_from_obj({"order": 2, "dim": "1e5000", "entries": []})
     with pytest.raises(ParseError, match="line 2: number has more"):
         tensor_from_coo("# order=1 dim=1 entries=1\n1 1e5000\n")
+
+
+def test_printer_refuses_what_cannot_be_printed():
+    longest = 10**4300 - 1
+    for ok in (longest, -longest, Fraction(1, longest), Fraction(longest, 7)):
+        assert rational_to_json(ok) in (ok, f"{ok.numerator}/{ok.denominator}")
+    for bad in (10**4300, -(10**4300), Fraction(1, 10**4300), Fraction(10**4300, 7)):
+        with pytest.raises(DomainError, match="more than 4300 digits"):
+            rational_to_json(bad)
+        with pytest.raises(DomainError):
+            format_rational(bad)
 
 
 def test_tensor_coo_round_trip(demo, tmp_path):
@@ -150,15 +166,32 @@ def test_tensor_json_one_record_rule():
 
 def test_trace_integer_fields(demo):
     _, trace = uniformize(demo, "silo")
-    for field, value in (("r_h", "5"), ("r_h", Fraction(5)), ("n_a", 4)):
+    assert list(trace_to_obj(trace)) == ["approach", "r_h", "edge_provenance"]
+    for field, value in (
+        ("r_h", "5"), ("r_h", Fraction(5)),
+        # the derived fields of older files are ignored, as any unknown key is
+        ("n_a", True), ("null_vertices", {"__N1": True}), ("layer_coeffs", {"x": 1}),
+    ):
         assert trace_from_obj({**trace_to_obj(trace), field: value}) == trace
     for field, value in (
-        ("r_h", True), ("n_a", True), ("r_h", Fraction(5, 2)), ("n_a", None),
-        ("null_vertices", {"__N1": True}), ("edge_provenance", [Fraction(3, 2)]),
-        ("layer_coeffs", {"x": 1}), ("approach", [["silo"]]),
+        ("r_h", True), ("r_h", Fraction(5, 2)), ("r_h", None),
+        ("edge_provenance", [Fraction(3, 2)]), ("approach", [["silo"]]),
     ):
         with pytest.raises(ParseError):
             trace_from_obj({**trace_to_obj(trace), field: value})
+    for field in ("approach", "r_h", "edge_provenance"):
+        obj = trace_to_obj(trace)
+        del obj[field]
+        with pytest.raises(ParseError, match=f"missing '{field}'"):
+            trace_from_obj(obj)
+
+
+def test_trace_size_does_not_grow_with_r_h():
+    h = HbGraph.from_dicts(("a",), [{"a": 10**5}])
+    for approach in ("straightforward", "silo", "layered"):
+        _, trace = e_adjacency_tensor(h, approach)
+        assert trace.n_a == (1 if approach == "straightforward" else 10**5 - 1)
+        assert len(dumps(trace_to_obj(trace)).encode()) < 200
 
 
 def test_trace_round_trip(demo, tmp_path):

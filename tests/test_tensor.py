@@ -35,7 +35,8 @@ from hbtensor.errors import (
     IndexOutOfRange,
     TraceMismatch,
 )
-from hbtensor.tensor import _level_weights, _perms_first
+from hbtensor import tensor as tensor_module
+from hbtensor.tensor import MAX_FULL_RECORDS, _level_weights, _multinomial, _perms_first
 from hbtensor.transform import LAYERED, SILO, STRAIGHTFORWARD, UniformisationTrace
 from randgen import random_hbgraph, random_hypergraph
 
@@ -264,7 +265,7 @@ def test_weights_scale_linearly(demo):
         assert scaled.total_sum() == sum(Fraction(trace.r_h) * w for w in weights)
 
 
-def test_export_coo(demo):
+def test_export_coo(demo, monkeypatch):
     t, _ = e_adjacency_tensor(demo, "silo")
     canonical = t.export_coo("canonical")
     assert len(canonical) == 4
@@ -275,8 +276,14 @@ def test_export_coo(demo):
     assert all(c == 1 for c in counted.values())
     empty = SymTensor(order=2, dim=3, entries={})
     assert empty.export_coo("full") == []
-    with pytest.raises(DomainError):
-        t.export_coo("full", max_records=10)
+    # one edge of 11 distinct vertices has 11! > MAX_FULL_RECORDS logical
+    # entries; the export is refused before any permutation is made
+    names = tuple("abcdefghijk")
+    wide, _ = e_adjacency_tensor(HbGraph.from_dicts(names, [dict.fromkeys(names, 1)]), "silo")
+    assert math.factorial(11) > MAX_FULL_RECORDS
+    monkeypatch.setattr(tensor_module, "_distinct_permutations", None)
+    with pytest.raises(DomainError, match=f"would emit 39916800 records .limit {MAX_FULL_RECORDS}"):
+        wide.export_coo("full")
 
 
 def test_export_full_is_sorted_distinct_permutations():
@@ -303,6 +310,13 @@ def test_perms_first_identity():
             assert perms_first[i] == expected
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 40), max_size=8))
+def test_multinomial_matches_factorial_formula(counts):
+    expected = math.factorial(sum(counts)) // math.prod(map(math.factorial, counts))
+    assert _multinomial(counts) == expected
+
+
 def test_distribution(demo):
     for approach in APPROACHES:
         t, trace = e_adjacency_tensor(demo, approach)
@@ -315,12 +329,14 @@ def test_distribution(demo):
         for approach in APPROACHES:
             t, trace = e_adjacency_tensor(h, approach)
             assert edge_distribution(t, trace, h.p) == expected
-    # a trace with fewer null vertices than r_H - 1 levels need
-    for approach in ("silo", "layered"):
-        t, trace = e_adjacency_tensor(demo, approach)
-        short = dataclasses.replace(trace, n_a=2, null_vertices={"__x": 10, "__y": 11})
-        with pytest.raises(DomainError):
-            edge_distribution(t, short, demo.p)
+    # the two mismatches a trace can still have: an r_H other than the tensor
+    # order, and more null vertices than the tensor has dimensions
+    t, trace = e_adjacency_tensor(demo, "silo")
+    with pytest.raises(TraceMismatch, match="trace r_H 4 != tensor order 5"):
+        edge_distribution(t, dataclasses.replace(trace, r_h=4), demo.p)
+    t, trace = e_adjacency_tensor(HbGraph.from_dicts(("a",), [{"a": 5}]), "straightforward")
+    with pytest.raises(TraceMismatch, match="more null vertices than tensor dimensions"):
+        edge_distribution(t, dataclasses.replace(trace, approach="silo"), 1)
 
 
 def test_reconstruction(demo):
@@ -591,7 +607,7 @@ def outcome(fn, *args):
 
 
 def straightforward_trace(order: int, dim: int) -> UniformisationTrace:
-    return UniformisationTrace(STRAIGHTFORWARD, order, {"N": dim}, 1, {}, ())
+    return UniformisationTrace(STRAIGHTFORWARD, order, ())
 
 
 def check_shares(t: SymTensor, trace: UniformisationTrace | None, total_edges: int):

@@ -141,14 +141,16 @@ def test_uniformize_demo_examples(demo):
 
 def test_uniformize_trace_indices(demo):
     n = demo.n
-    _, trace = uniformize(demo, "straightforward")
-    assert trace.null_vertices == {"__N1": n + 1} and trace.n_a == 1
-    _, trace = uniformize(demo, "silo")
-    assert trace.null_vertices == {f"__N{r}": n + r for r in (1, 2, 3, 4)}
-    assert trace.layer_coeffs == {r: Fraction(5, r) for r in range(1, 6)}
-    assert trace.edge_provenance == (3, 2, 1, 0)
-    _, trace = uniformize(demo, "layered")
-    assert trace.null_vertices == {f"__L{r}": n + r for r in (1, 2, 3, 4)}
+    for approach, nulls in (
+        ("straightforward", ("__N1",)),
+        ("silo", ("__N1", "__N2", "__N3", "__N4")),
+        ("layered", ("__L1", "__L2", "__L3", "__L4")),
+    ):
+        uni, trace = uniformize(demo, approach)
+        assert (trace.approach, trace.r_h, trace.edge_provenance) == (approach, 5, (3, 2, 1, 0))
+        assert trace.null_vertices == nulls and trace.n_a == len(nulls)
+        # item k - 1 of the null vertices has tensor index n + k
+        assert uni.vertices[n:] == nulls
 
 
 def test_uniformize_invariants():
@@ -213,7 +215,6 @@ def test_uniformize_preconditions(demo, trivial):
 def reference_uniformize(h: HbGraph, approach: str):
     """m-uniformisation as the paper composes it from the elementary operations."""
     base = HbGraph(h.vertices, h.edges)
-    n = base.n
     r_h = base.m_range()
     dilated = [
         dilatation(canonical_weighting(level), Fraction(r_h, r))
@@ -222,14 +223,12 @@ def reference_uniformize(h: HbGraph, approach: str):
 
     if approach == "straightforward":
         uniform = y_complement(merge(dilated), "__N1")
-        null_vertices = {"__N1": n + 1}
     elif approach == "silo":
         lifted = [
             vertex_increase(level, f"__N{r}", r_h - r) if r < r_h else level
             for r, level in enumerate(dilated, start=1)
         ]
         uniform = merge(lifted)
-        null_vertices = {f"__N{r}": n + r for r in range(1, r_h)}
     else:
         accumulated = dilated[0]
         for k in range(1, r_h):
@@ -237,19 +236,10 @@ def reference_uniformize(h: HbGraph, approach: str):
                 [vertex_increase(accumulated, f"__L{k}", 1), dilated[k]]
             )
         uniform = accumulated
-        null_vertices = {f"__L{k}": n + k for k in range(1, r_h)}
 
     cardinalities = [e.m_cardinality() for e in h.edges]
     provenance = tuple(sorted(range(h.p), key=lambda i: (cardinalities[i], i)))
-    trace = UniformisationTrace(
-        approach=approach,
-        r_h=r_h,
-        null_vertices=null_vertices,
-        n_a=len(null_vertices),
-        layer_coeffs={r: Fraction(r_h, r) for r in range(1, r_h + 1)},
-        edge_provenance=provenance,
-    )
-    return uniform, trace
+    return uniform, UniformisationTrace(approach, r_h, provenance)
 
 
 def tensor_from_uniform(uniform: HbGraph, trace, h: HbGraph) -> dict:
@@ -273,6 +263,8 @@ def assert_matches_reference(h: HbGraph) -> None:
         assert uni == expected
         assert uni.vertices == expected.vertices
         assert trace == expected_trace
+        # the derived null-vertex ids are those the composition appends
+        assert expected.vertices[h.n :] == trace.null_vertices
         t, t_trace = e_adjacency_tensor(h, approach)
         assert t_trace == expected_trace
         assert (t.order, t.dim) == (expected_trace.r_h, expected.n)
