@@ -12,6 +12,7 @@ import argparse
 import math
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 from . import io
@@ -156,8 +157,11 @@ def cmd_verify(args) -> int:
         "bound": io.rational_to_json(report.bound),
         "empirical_lambda": round(estimate.value, 9) if estimate else None,
         "converged": estimate.converged if estimate else None,
+        # exact, with 1e-9 of the bound left for the float estimate's rounding
         "within_bound": (
-            estimate.value <= float(report.bound) + 1e-6 if estimate else True
+            Fraction(estimate.value) <= report.bound * (1 + Fraction(1, 10**9))
+            if estimate
+            else True
         ),
     }
     passed = all(checks.values())

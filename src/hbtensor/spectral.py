@@ -6,20 +6,22 @@ Every eigenvalue of an e-adjacency tensor satisfies
 
 where Delta and Delta* are the maximal m-degrees over original and null
 vertices (both readable off the tensor as row sums).  The power iteration
-below, run on the tensor's own contraction plan over the nonzero rows only,
-gives a lower estimate of the largest H-eigenvalue, so the bound can be
-checked empirically.
+below, run over the nonzero rows only through the tensor's contraction
+kernel (``tensor._contract``, O(trie nodes) per step, at most
+sum |supp e| + r_H on an e-adjacency tensor), gives a lower estimate of the
+largest H-eigenvalue, so the bound can be checked empirically.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from .errors import DomainError
-from .tensor import SymTensor, _check_trace
+from .tensor import SymTensor, _check_trace, _contract, _trie
 from .transform import LAYERED, SILO, STRAIGHTFORWARD, UniformisationTrace
 
 
@@ -94,6 +96,10 @@ def estimate_max_eigenvalue(
     23 (r - 1) / ln(lambda + 1) steps at tol = 1e-10.  The seeded start is
     drawn for the support coordinates alone, in index order, so on a tensor
     whose every index occurs the iteration is the full-dimension one.
+
+    The contraction reads the float shares only, so large multiplicities
+    cost no large multinomial; an entry share or a contraction that no float
+    can hold raises ``DomainError``.
     """
     if t.order < 2:
         raise DomainError("power iteration needs tensor order >= 2")
@@ -103,22 +109,19 @@ def estimate_max_eigenvalue(
     if not shares:
         return PowerIterationResult(value=0.0, converged=True, iterations=0)
     r = t.order
-    # the support, renumbered in order: plan index i - 1 -> coordinate k
-    at = {i - 1: k for k, i in enumerate(sorted({i for runs in shares for i, _ in runs}))}
+    # the support, renumbered in order: index i -> coordinate k
+    at = {i: k for k, i in enumerate(sorted({i for runs in shares for i, _ in runs}))}
     d = len(at)
-    # the lazy plan fails on the first coefficient too large for a float
-    plan = [
-        (at[i0], float(v) * perms, [(at[j0], m) for j0, m in pw])
-        for i0, v, perms, pw in t._contraction_plan()
-    ]
+    nodes, inner, exact = _trie(shares.items(), at)
+    try:
+        floats = [float(s) for s in exact]
+    except OverflowError:
+        raise DomainError("power iteration: an entry share is too large for a float") from None
 
     def contract(x: list[float]) -> list[float]:
-        y = [0.0] * d
-        for i0, coeff, powers in plan:
-            term = coeff
-            for j0, m in powers:
-                term *= x[j0] ** m
-            y[i0] += term
+        y = _contract(nodes, inner, floats, x, [0.0] * d)
+        if not math.isfinite(sum(y)):
+            raise DomainError("power iteration: the contraction exceeds the float range")
         return y
 
     rng = random.Random(seed)
@@ -127,13 +130,14 @@ def estimate_max_eigenvalue(
     x = [xi / top for xi in x]
 
     converged, used = False, 0
+    k, root = r - 1, 1.0 / (r - 1)
     for used in range(1, iterations + 1):
         y = contract(x)
-        nxt = [(yi + xi ** (r - 1)) ** (1.0 / (r - 1)) for xi, yi in zip(x, y)]
+        nxt = [(yi + xi**k) ** root for xi, yi in zip(x, y)]
         # the largest coordinate of x is 1.0, so top >= 1
         top = max(nxt)
         nxt = [v / top for v in nxt]
-        converged = max(abs(a - b) for a, b in zip(nxt, x)) < tol
+        converged = all(abs(a - b) < tol for a, b in zip(nxt, x))
         x = nxt
         if converged:
             break

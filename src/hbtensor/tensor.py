@@ -9,8 +9,19 @@ stored as its exact share, a * multinomial(m) / r for value a and
 multiplicities m (an int when integral): multinomial(m) * m_i / r of its
 permutations start with i, so it adds share * m_i to row i and r * share to
 the total.  The value a is computed only where it leaves the tensor: in
-``get``, ``entries_rle``, ``canonical_items`` and the lazy contraction plan
-behind both the exact ``apply`` and the power iteration of ``spectral``.
+``get``, ``entries_rle`` and ``canonical_items``.
+
+The contraction A x^{r-1} is (1/r) times the gradient of the tensor's
+polynomial P(x) = r * sum of share * prod x_j^{m_j}, so it reads the shares
+alone.  One kernel serves both the exact ``apply`` and the float power
+iteration of ``spectral``: the entries' runs, inserted in descending index
+order, form a trie that shares their common high-index suffixes, the
+null-vertex padding above all, and one forward pass (prefix products) and one
+backward pass (reverse-mode derivative) over its nodes give every row, in
+O(nodes) operations with no division and no multinomial.  On an e-adjacency
+tensor the trie has at most sum |supp e| + r_H nodes: straightforward and
+silo entries of level c share one padding node, and layered entries share
+one chain of null indices.
 
 The e-adjacency tensor of an hb-graph contributes one canonical entry per
 hb-edge: the indices of its vertices with their multiplicities plus its
@@ -34,7 +45,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -73,18 +84,6 @@ def _multinomial(counts: Iterable[int]) -> int:
     return result
 
 
-def _perms_first(counts: Mapping[int, int]) -> dict[int, int]:
-    """Index i -> number of distinct index permutations that start with i.
-
-    Exact in integers: perms_first(i) = multinomial(counts) * counts[i] / r.
-    """
-    r = sum(counts.values())
-    total = _multinomial(counts.values())
-    # one big-integer product per distinct multiplicity, not per index
-    by_mu = {mu: total * mu // r for mu in set(counts.values())}
-    return {i: by_mu[mu] for i, mu in counts.items()}
-
-
 def _share(runs: Iterable[tuple[int, int]], value: Fraction, r: int) -> Rational:
     """The stored share of an entry of value ``value`` (module docstring)."""
     return as_rational(value * _multinomial(m for _, m in runs) / r)
@@ -103,6 +102,67 @@ def _runs(key: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
 def _dense(runs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
     """Nondecreasing index tuple of a run-length key."""
     return tuple(chain.from_iterable([(i,) * m for i, m in runs]))
+
+
+def _trie(entries: Iterable, at: Mapping[int, int]) -> tuple[list, int, list]:
+    """The (run-length key, share) ``entries`` as a trie of their runs, read
+    in descending index order so that entries share their high-index suffixes.
+
+    Returns (nodes, inner, shares).  The root is node 0; node k >= 1 is
+    nodes[k - 1] = (k, parent, at[index], multiplicity).  The ``inner`` nodes,
+    those with children, come first, each after its parent, and the leaves
+    after them.  shares[k] is the share of the entry that ends at node k (0
+    where none does).
+    """
+    children: list[dict] = [{}]  # node -> {(index, multiplicity): child}
+    made = [(0, 0, 0)]  # node -> (parent, at[index], multiplicity), in creation order
+    ends = {}
+    for runs, share in entries:
+        k = 0
+        for run in reversed(runs):
+            child = children[k].get(run)
+            if child is None:
+                child = children[k][run] = len(made)
+                children.append({})
+                made.append((k, at[run[0]], run[1]))
+            k = child
+        ends[k] = share
+    # a stable sort keeps the creation order, parents first, in each group
+    order = sorted(range(1, len(made)), key=lambda k: not children[k])
+    number = [0] * len(made)
+    for pos, k in enumerate(order, 1):
+        number[k] = pos
+    nodes = [(number[k], number[made[k][0]], *made[k][1:]) for k in order]
+    shares = [0] * len(made)
+    for k, share in ends.items():
+        shares[number[k]] = share
+    return nodes, sum(map(bool, children[1:])), shares
+
+
+def _contract(nodes: Sequence, inner: int, shares: Sequence, x: Sequence, y: list) -> list:
+    """Add (A x^{r-1})_j to y[j] for the trie ``nodes, inner, shares`` of A,
+    over the coordinates of its ``at`` map; exact or float as x and the shares
+    are.
+
+    With v[k] the product of x_j^m from the root to node k, and g[k] the
+    share-weighted sum of the products below it over the entries through k,
+    node k = (k, parent, j, m) adds m g[k] v[parent] x_j^{m-1} to row j.  Only
+    the inner nodes need v.
+    """
+    v = [1] * (inner + 1)
+    for k, p, j, m in nodes[:inner]:
+        v[k] = v[p] * (x[j] if m == 1 else x[j] ** m)
+    g = list(shares)
+    for k, p, j, m in reversed(nodes):
+        gk = g[k]
+        if m == 1:  # most nodes: no power to take
+            y[j] += gk * v[p]
+            g[p] += gk * x[j]
+        else:
+            lower = gk * x[j] ** (m - 1)
+            y[j] += m * lower * v[p]
+            g[p] += lower * x[j]
+    return y
 
 
 def _distinct_permutations(key: tuple[int, ...]):
@@ -242,26 +302,12 @@ class SymTensor:
             object.__setattr__(self, "_rows", tuple(map(Fraction, sums)))
         return self._rows
 
-    def _contraction_plan(self) -> Iterator[tuple[int, Fraction, int, list]]:
-        """Lazily, per entry and per index i of its runs, the term of (A x^{r-1})_i
-        as (i - 1, value, perms_first(i), [(j - 1, nonzero power of x_j), ...])."""
-        for runs, share in self._entries.items():
-            value = _value(runs, share, self._order)
-            for i, perms in _perms_first(dict(runs)).items():
-                powers = [(j - 1, m - (j == i)) for j, m in runs]
-                yield i - 1, value, perms, [(j0, m) for j0, m in powers if m]
-
     def apply(self, x: Sequence) -> list:
-        """Left contraction (A x^{r-1})_i over all dimensions."""
+        """Left contraction (A x^{r-1})_i over all dimensions (module docstring)."""
         if len(x) != self._dim:
             raise DimensionMismatch(f"vector length {len(x)} != dim {self._dim}")
-        result = [Fraction(0)] * self._dim
-        for i0, value, perms, powers in self._contraction_plan():
-            term = value * perms
-            for j0, m in powers:
-                term *= x[j0] ** m
-            result[i0] += term
-        return result
+        at = {i: i - 1 for i in range(1, self._dim + 1)}
+        return _contract(*_trie(self._entries.items(), at), x, [Fraction(0)] * self._dim)
 
     def polynomial(self) -> "HbPolynomial":
         """Homogeneous polynomial P(z) = sum a_{i_1..i_r} z_{i_1}..z_{i_r}."""

@@ -105,6 +105,24 @@ def test_derived_number_too_long_to_print_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err == "error: cannot print a number of more than 4300 digits\n"
 
 
+def test_weight_too_large_for_a_float_exits_3(tmp_path, capsys):
+    def verify(digits):
+        path = tmp_path / f"w{digits}.json"
+        edges = [{"mult": {"a": 2}, "weight": "9" * digits}]
+        path.write_text(dumps({"vertices": ["a"], "edges": edges}))
+        return main(["verify", str(path), "--approach", "str", "--seed", "7"])
+
+    # the weight prints, but the power iteration's share needs a float
+    assert verify(4300) == 3
+    assert "entry share is too large for a float" in capsys.readouterr().err
+    assert verify(308) == 3  # the share fits a float, twice the share does not
+    assert "contraction exceeds the float range" in capsys.readouterr().err
+    assert verify(300) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is True and report["bound"]["within_bound"] is True
+    assert report["bound"]["empirical_lambda"] == 2e300
+
+
 def test_info_byte_stable(demo_file, capsys):
     main(["info", demo_file])
     first = capsys.readouterr().out

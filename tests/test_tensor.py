@@ -36,7 +36,7 @@ from hbtensor.errors import (
     TraceMismatch,
 )
 from hbtensor import tensor as tensor_module
-from hbtensor.tensor import MAX_FULL_RECORDS, _level_weights, _multinomial, _perms_first
+from hbtensor.tensor import MAX_FULL_RECORDS, _level_weights, _multinomial
 from hbtensor.transform import LAYERED, SILO, STRAIGHTFORWARD, UniformisationTrace
 from randgen import random_hbgraph, random_hypergraph
 
@@ -298,6 +298,14 @@ def test_export_full_at_large_order():
     assert t.export_coo("full") == [((1,) * 3000, Fraction(3000))]
 
 
+def _perms_first(counts: dict[int, int]) -> dict[int, int]:
+    """Reference: index i -> number of distinct index permutations that start
+    with i, multinomial(counts) * counts[i] / r, exact in integers."""
+    r = sum(counts.values())
+    total = _multinomial(counts.values())
+    return {i: total * mu // r for i, mu in counts.items()}
+
+
 def test_perms_first_identity():
     rng = random.Random(61)
     for _ in range(2000):
@@ -547,6 +555,48 @@ def dense_tensors(draw):
 def test_rle_storage_matches_dense_reference_hypothesis(spec, rng):
     order, dim, entries = spec
     check_dense_spec(order, dim, entries, rng)
+
+
+# -- the contraction kernel against the per-index contraction it replaced ----
+
+
+def perms_first_apply(t: SymTensor, x) -> list[Fraction]:
+    """Reference: value * perms_first(i) * prod_j x_j^(m_j - [j = i]) for every
+    entry and every index i of its runs."""
+    out = [Fraction(0)] * t.dim
+    for runs, value in t.entries_rle():
+        for i, perms in _perms_first(dict(runs)).items():
+            out[i - 1] += value * perms * math.prod(x[j - 1] ** (m - (j == i)) for j, m in runs)
+    return out
+
+
+@st.composite
+def weighted_hbgraphs(draw):
+    """Up to 5 distinct weighted hb-edges of 1-3 vertices with multiplicities
+    up to 13, so r_H reaches 39."""
+    vertices = [f"v{i}" for i in range(1, draw(st.integers(1, 5)) + 1)]
+    edge = st.dictionaries(st.sampled_from(vertices), st.integers(1, 13), min_size=1, max_size=3)
+    edges = draw(st.lists(edge, min_size=1, max_size=5, unique_by=lambda e: tuple(sorted(e.items()))))
+    weight = st.fractions(min_value=Fraction(1, 4), max_value=9, max_denominator=4)
+    weights = draw(st.lists(weight, min_size=len(edges), max_size=len(edges)))
+    return HbGraph.from_dicts(vertices, edges, weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_hbgraphs(), st.randoms(use_true_random=False))
+def test_trie_apply_and_size_on_e_adjacency_tensors_hypothesis(h, rng):
+    supports = sum(len(e.support()) for e in h.edges)
+    for approach in APPROACHES:
+        t, trace = e_adjacency_tensor(h, approach)
+        x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(t.dim)]
+        expected = perms_first_apply(t, x)
+        assert t.apply(x) == expected
+        if t.order <= 4:  # the reference against the dense expansion
+            assert expected == dense_apply(t, x)
+        # straightforward and silo entries of a level share their padding
+        # node, and layered entries one chain of null indices
+        nodes, _, _ = tensor_module._trie(t._entries.items(), {i: i for i in range(1, t.dim + 1)})
+        assert len(nodes) <= supports + trace.r_h
 
 
 # -- one share per entry against the per-index formulas it replaced ---------
