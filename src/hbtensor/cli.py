@@ -26,6 +26,7 @@ from .tensor import (
     e_adjacency_tensor,
     reconstruct_edges,
 )
+from .transform import uniformize
 
 APPROACH_ALIASES = {
     "str": "straightforward",
@@ -77,7 +78,7 @@ def cmd_info(args) -> int:
             f" {io.format_rational(h.max_multiplicity(v))}"
         )
     lines.append("incidence:")
-    text = "\n".join(lines) + "\n" + io.incidence_csv(h.incidence_matrix())
+    text = "\n".join(lines) + "\n" + io.incidence_csv(h)
     _emit(text, args.out)
     return 0
 
@@ -89,8 +90,6 @@ def cmd_dual(args) -> int:
 
 
 def cmd_uniformize(args) -> int:
-    from .transform import uniformize
-
     h = io.load_hbgraph(args.input)
     uniform, trace = uniformize(h, args.approach)
     if args.out:
@@ -137,11 +136,9 @@ def cmd_verify(args) -> int:
     levels = enumerate(_level_weights(tensor, trace))
     checks["edge_distribution"] = {j: w for j, w in levels if w} == by_level
     try:
-        recovered = reconstruct_edges(tensor, trace)
-        truth = [_indexed(e) for e in h.edges]
-        checks["reconstruction"] = Counter(
-            tuple(sorted(e.items())) for e in recovered
-        ) == Counter(tuple(sorted(e.items())) for e in truth)
+        # recovered edges keep their entries' ascending runs
+        recovered = Counter(tuple(e.items()) for e in reconstruct_edges(tensor, trace))
+        checks["reconstruction"] = recovered == Counter(map(_indexed, h.edges))
     except DomainError:
         checks["reconstruction"] = False
 
@@ -194,7 +191,7 @@ def cmd_paths(args) -> int:
 def cmd_export(args) -> int:
     h = io.load_hbgraph(args.input)
     if args.format == "csv":
-        _emit(io.incidence_csv(h.incidence_matrix()), args.out)
+        _emit(io.incidence_csv(h), args.out)
     elif args.format == "json":
         _emit(io.dumps(io.hbgraph_to_obj(h)), args.out)
     else:  # coo

@@ -1,5 +1,5 @@
 """File formats: hb-graph JSON, sparse tensor COO text / JSON, trace JSON,
-incidence CSV.
+incidence CSV (written row by row from the vertex hb-stars; no dense matrix).
 
 All rationals are exact: integers are emitted as JSON numbers, non-integral
 values as "p/q" strings.  Output is byte-stable for a fixed input (vertex
@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import compress
 from pathlib import Path
 from typing import Any
 
 from .errors import DomainError, ParseError
-from .hbgraph import HbGraph, IncidenceMatrix
+from .hbgraph import HbGraph
 from .mset import Multiset, Rational, as_rational
 from .tensor import SymTensor
 from .transform import APPROACHES, UniformisationTrace
@@ -177,14 +176,14 @@ def dumps(obj) -> str:
 # -- incidence CSV -----------------------------------------------------------
 
 
-def incidence_csv(matrix: IncidenceMatrix) -> str:
-    p = matrix.p
-    header = "vertex," + ",".join(f"e{j + 1}" for j in range(p))
-    lines = [header]
-    for v, row in zip(matrix.vertices, matrix.entries):
+def incidence_csv(h: HbGraph) -> str:
+    """The n x p incidence matrix, one row per vertex written from its hb-star."""
+    p = h.p
+    lines = ["vertex," + ",".join(f"e{j + 1}" for j in range(p))]
+    for v in h.vertices:
         cells = ["0"] * p
-        for j in compress(range(p), row):  # format only the nonzero cells
-            cells[j] = format_rational(row[j])
+        for j, m in h._star(v):
+            cells[j] = format_rational(m)
         lines.append(v + "," + ",".join(cells))
     return "\n".join(lines) + "\n"
 

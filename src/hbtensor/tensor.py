@@ -24,9 +24,10 @@ silo entries of level c share one padding node, and layered entries share
 one chain of null indices.
 
 The e-adjacency tensor of an hb-graph contributes one canonical entry per
-hb-edge: the indices of its vertices with their multiplicities plus its
-closed-form null-vertex padding (``transform.padding``; no uniform hb-graph
-is built), with the paper's value
+hb-edge.  Its key is the edge's runs, read in order from its support (kept in
+universe order), followed by the closed-form null-vertex padding runs of
+``transform.padding``, whose indices lie above every vertex: a concatenation,
+with no merge, no sort and no uniform hb-graph built.  The entry's value is the paper's
 
     w * (product of the multiplicities' factorials) / (r_H - 1)!
 
@@ -365,16 +366,15 @@ class HbPolynomial:
 # -- constructions ----------------------------------------------------------
 
 
-def _indexed(a: Multiset) -> dict[int, int]:
-    """Tensor index (1-based universe position) -> multiplicity of a natural
-    multiset."""
+def _indexed(a: Multiset) -> tuple[tuple[int, int], ...]:
+    """Run-length tensor key ((1-based universe position, multiplicity), ...)
+    of a natural multiset, ascending as its support is kept in universe order."""
+    mult = a.mult
+    if not a.natural:
+        x = next(x for x, v in mult.items() if not isinstance(v, int))
+        raise NotNatural(f"non-integer multiplicity for {x!r}")
     position = a.universe.position
-    counts = {}
-    for x, v in a.mult.items():
-        if not isinstance(v, int):
-            raise NotNatural(f"non-integer multiplicity for {x!r}")
-        counts[position[x] + 1] = v
-    return counts
+    return tuple([(position[x] + 1, v) for x, v in mult.items()])
 
 
 def mset_hypermatrix(a: Multiset, normalized: bool) -> SymTensor:
@@ -385,12 +385,12 @@ def mset_hypermatrix(a: Multiset, normalized: bool) -> SymTensor:
     (prod of multiplicity factorials) / (r-1)! on the same tuples (share 1),
     which makes the logical total equal the m-cardinality r.
     """
-    counts = _indexed(a)
-    if not counts:
+    runs = _indexed(a)
+    if not runs:
         raise EmptyMultiset("hypermatrix representation of an empty multiset")
-    r = sum(counts.values())
-    share = 1 if normalized else as_rational(Fraction(_multinomial(counts.values()), r))
-    return SymTensor._from_shares(r, len(a.universe), [(tuple(sorted(counts.items())), share)])
+    r = sum(m for _, m in runs)
+    share = 1 if normalized else as_rational(Fraction(_multinomial(m for _, m in runs), r))
+    return SymTensor._from_shares(r, len(a.universe), [(runs, share)])
 
 
 def elementary_tensor(h: HbGraph) -> SymTensor:
@@ -416,8 +416,7 @@ def uniform_tensor(h: HbGraph) -> SymTensor:
         raise NotUniform("hb-edges have differing m-cardinalities")
     if k == 0:
         raise EmptyEdge("uniform tensor forbids empty hb-edges")
-    shares = [(tuple(sorted(_indexed(e).items())), 1) for e in h.edges]
-    return SymTensor._from_shares(k, h.n, shares)
+    return SymTensor._from_shares(k, h.n, [(_indexed(e), 1) for e in h.edges])
 
 
 def e_adjacency_tensor(
@@ -430,11 +429,10 @@ def e_adjacency_tensor(
     weights scale the entries linearly.
     """
     trace = _uniformisation_trace(h, approach)
-    shares = []
-    for i, e in enumerate(h.edges):
-        counts = _indexed(e)
-        counts.update(padding(approach, h.n, trace.r_h, sum(counts.values())))
-        shares.append((tuple(sorted(counts.items())), h.weight(i)))
+    shares = [
+        (_indexed(e) + padding(approach, h.n, trace.r_h, e.m_cardinality()), h.weight(i))
+        for i, e in enumerate(h.edges)
+    ]
     return SymTensor._from_shares(trace.r_h, h.n + trace.n_a, shares), trace
 
 

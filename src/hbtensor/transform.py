@@ -3,7 +3,8 @@
 Uniformisation pads every hb-edge to the m-range r_H with null vertices so
 that all edges share the same m-cardinality.  For an edge of m-cardinality c
 over n original vertices, ``padding`` gives the closed form of each
-approach (null tensor indices follow the original ones):
+approach as ascending (index, multiplicity) runs; null tensor indices follow
+the original ones, so the runs extend the edge's own tensor key:
 
 * ``straightforward``: one shared null vertex ``__N1`` (index n+1) with
   multiplicity r_H - c.
@@ -154,24 +155,26 @@ def _uniformisation_trace(h: HbGraph, approach: str) -> UniformisationTrace:
     cardinalities = [e.m_cardinality() for e in h.edges]
     return UniformisationTrace(
         approach=approach,
-        r_h=h.m_range(),
+        r_h=max(cardinalities),
         edge_provenance=tuple(sorted(range(h.p), key=lambda i: (cardinalities[i], i))),
     )
 
 
-def padding(approach: str, n: int, r_h: int, c: int) -> dict[int, int]:
-    """Null-vertex index -> multiplicity that pads an edge of m-cardinality c.
+def padding(approach: str, n: int, r_h: int, c: int) -> tuple[tuple[int, int], ...]:
+    """The null-vertex runs ((index, multiplicity), ...) that pad an edge of
+    m-cardinality c, in ascending index order.
 
     The indices are those of the e-adjacency tensor (n original vertices
-    first, 1-based); an edge already at m-cardinality r_H gets no padding.
+    first, 1-based), so the runs follow any original-vertex key; an edge
+    already at m-cardinality r_H gets none.
     """
+    if c == r_h:
+        return ()
     if approach == STRAIGHTFORWARD:
-        pad = {n + 1: r_h - c}
-    elif approach == SILO:
-        pad = {n + c: r_h - c}
-    else:
-        pad = dict.fromkeys(range(n + c, n + r_h), 1)
-    return {i: m for i, m in pad.items() if m}
+        return ((n + 1, r_h - c),)
+    if approach == SILO:
+        return ((n + c, r_h - c),)
+    return tuple([(i, 1) for i in range(n + c, n + r_h)])
 
 
 def uniformize(h: HbGraph, approach: str) -> tuple[HbGraph, UniformisationTrace]:
@@ -182,15 +185,14 @@ def uniformize(h: HbGraph, approach: str) -> tuple[HbGraph, UniformisationTrace]
     weights only enter at tensor-construction time.
     """
     trace = _uniformisation_trace(h, approach)
-    nulls = trace.null_vertices
-    vertices = Universe(h.vertices + nulls)
+    vertices = Universe(h.vertices + trace.null_vertices)
     edges = []
     weights = []
     for i in trace.edge_provenance:
-        counts = dict(h.edges[i].mult)
+        counts = h.edges[i].mult
         c = h.edges[i].m_cardinality()
-        for j, m in padding(approach, h.n, trace.r_h, c).items():
-            counts[nulls[j - h.n - 1]] = m
+        # tensor index j names vertex j of the padded vertex list
+        counts.update((vertices[j - 1], m) for j, m in padding(approach, h.n, trace.r_h, c))
         edges.append(Multiset(vertices, counts))
         weights.append(Fraction(trace.r_h, c))
     return HbGraph(vertices, edges, weights), trace

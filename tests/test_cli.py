@@ -294,6 +294,60 @@ def test_verify_order_one_input(tmp_path, capsys):
     assert report["bound"]["empirical_lambda"] is None
 
 
+def graph_file(tmp_path, name: str, *edges: dict) -> str:
+    """An unweighted graph file over the vertices a, b."""
+    path = tmp_path / name
+    path.write_text(dumps({"vertices": ["a", "b"], "edges": [{"mult": e} for e in edges]}))
+    return str(path)
+
+
+def test_verify_from_tensor_on_a_non_natural_graph(tmp_path, capsys):
+    """The reconstruction check reads the graph's keys inside its own ``try``:
+    a non-natural graph fails it, and ``verify`` exits 1, not 3."""
+    natural = graph_file(tmp_path, "natural.json", {"a": 1}, {"b": 1})
+    out = tmp_path / "t.coo"
+    assert main(["tensor", natural, "--approach", "sil", "--out", str(out)]) == 0
+    halved = graph_file(tmp_path, "halved.json", {"a": "1/2"}, {"b": 1})
+    code = main(["verify", halved, "--from-tensor", str(out), "--trace", f"{out}.trace.json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["checks"]["reconstruction"] is False
+    assert report["passed"] is False
+
+
+def test_verify_from_tensor_with_an_all_null_entry(tmp_path, capsys):
+    path = graph_file(tmp_path, "g.json", {"a": 2}, {"b": 1})
+    out = tmp_path / "t.coo"
+    assert main(["tensor", path, "--approach", "sil", "--out", str(out)]) == 0
+    header, *records = out.read_text(encoding="utf-8").splitlines()
+    assert header == "# order=2 dim=3 entries=2"
+    extra = tmp_path / "extra.coo"
+    extra.write_text("\n".join(["# order=2 dim=3 entries=3", *records, "3 3 1"]) + "\n")
+    code = main(["verify", path, "--from-tensor", str(extra), "--trace", f"{out}.trace.json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["checks"]["reconstruction"] is False
+    assert report["checks"]["edge_distribution"] is False
+
+
+def test_verify_argument_errors(demo_file, capsys):
+    assert main(["verify", demo_file, "--from-tensor", demo_file]) == 3
+    assert capsys.readouterr().err == "error: --from-tensor requires --trace\n"
+    for args in ([], ["--approach", "xyz"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", demo_file, *args])
+        assert exc.value.code == 2
+    assert "unknown approach 'xyz'" in capsys.readouterr().err
+
+
+def test_non_positive_weight_exits_2(tmp_path, capsys):
+    for weight in (0, -1):
+        path = tmp_path / "g.json"
+        path.write_text(dumps({"vertices": ["a"], "edges": [{"mult": {"a": 1}, "weight": weight}]}))
+        assert main(["info", str(path)]) == 2
+        assert capsys.readouterr().err.endswith("weights must be positive\n")
+
+
 def test_paths_cli(demo_file, capsys):
     assert main(["paths", demo_file, "--pair", "v1", "v2"]) == 0
     report = json.loads(capsys.readouterr().out)

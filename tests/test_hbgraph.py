@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from hbtensor import (
     APPROACHES,
+    DomainError,
     EmptyEdgeFamily,
     HbGraph,
     Multiset,
@@ -246,6 +247,12 @@ def test_adjacency_predicates(demo):
 def test_edge_universe_checked():
     with pytest.raises(UniverseMismatch):
         HbGraph(("a", "b"), [Multiset(("a",), {"a": 1})])
+
+
+def test_one_weight_per_edge():
+    edges = [{"a": 1}, {"b": 1}]
+    with pytest.raises(DomainError, match="one weight per hb-edge required"):
+        HbGraph.from_dicts(("a", "b"), edges, [1])
 
 
 # -- the vertex stars against a recomputation over every (vertex, edge) pair --

@@ -210,21 +210,29 @@ def test_trace_provenance_serialized_one_based(demo):
 
 
 def test_incidence_csv(demo):
-    text = incidence_csv(demo.incidence_matrix())
+    text = incidence_csv(demo)
     lines = text.splitlines()
     assert lines[0] == "vertex,e1,e2,e3,e4"
     assert lines[1] == "v1,2,0,0,0"
     assert lines[7] == "v7,0,0,0,0"
     h = HbGraph.from_dicts(("a", "b"), [{"a": Fraction(1, 2)}, {"a": Fraction(4, 2), "b": 3}])
-    assert incidence_csv(h.incidence_matrix()) == "vertex,e1,e2\na,1/2,2\nb,0,3\n"
+    assert incidence_csv(h) == "vertex,e1,e2\na,1/2,2\nb,0,3\n"
     rng = random.Random(5)
     for _ in range(20):
-        matrix = random_hbgraph(rng, n_max=9, p_max=7).incidence_matrix()
+        h = random_hbgraph(rng, n_max=9, p_max=7)
+        matrix = h.incidence_matrix()
         rows = [
             ",".join([v, *map(format_rational, row)])
             for v, row in zip(matrix.vertices, matrix.entries)
         ]
-        assert incidence_csv(matrix).splitlines()[1:] == rows
+        assert incidence_csv(h).splitlines()[1:] == rows
+
+
+def test_incidence_csv_header_names_every_edge():
+    # a 0 x p matrix: no vertex rows, but the header still names the p hb-edges
+    h = HbGraph((), [Multiset((), {}), Multiset((), {})])
+    assert incidence_csv(h) == "vertex,e1,e2\n"
+    assert incidence_csv(HbGraph(("a",))) == "vertex,\na,\n"
 
 
 def test_deterministic_output(demo):

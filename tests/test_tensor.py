@@ -36,8 +36,8 @@ from hbtensor.errors import (
     TraceMismatch,
 )
 from hbtensor import tensor as tensor_module
-from hbtensor.tensor import MAX_FULL_RECORDS, _level_weights, _multinomial
-from hbtensor.transform import LAYERED, SILO, STRAIGHTFORWARD, UniformisationTrace
+from hbtensor.tensor import MAX_FULL_RECORDS, _dense, _level_weights, _multinomial
+from hbtensor.transform import LAYERED, SILO, STRAIGHTFORWARD, UniformisationTrace, padding
 from randgen import random_hbgraph, random_hypergraph
 
 DEMO_COUNTS = {1: 1, 2: 0, 3: 1, 4: 1, 5: 1}
@@ -722,3 +722,59 @@ def test_shares_match_perms_first_on_e_adjacency_tensors():
                 assert levels[1:-1] == perms_first_level_weights(t, trace)
             else:
                 assert levels[1:-1] == null_row_level_weights(t, trace)
+
+
+# -- concatenated run keys against the dict-merge-sort keys they replaced ----
+
+
+def reference_padding(approach: str, n: int, r_h: int, c: int) -> dict[int, int]:
+    """Reference: the padding as a null index -> multiplicity dict."""
+    if approach == STRAIGHTFORWARD:
+        pad = {n + 1: r_h - c}
+    elif approach == SILO:
+        pad = {n + c: r_h - c}
+    else:
+        pad = dict.fromkeys(range(n + c, n + r_h), 1)
+    return {i: m for i, m in pad.items() if m}
+
+
+def reference_key(h: HbGraph, e: Multiset, approach: str, r_h: int) -> tuple:
+    """Reference: an index dict of the edge, merged with its padding dict and
+    sorted into runs."""
+    counts = {h.vertex_index(x) + 1: m for x, m in e.mult.items()}
+    counts.update(reference_padding(approach, h.n, r_h, sum(counts.values())))
+    return tuple(sorted(counts.items()))
+
+
+def test_padding_runs_ascend_above_the_original_vertices():
+    for approach in APPROACHES:
+        for n in range(4):
+            for r_h in range(1, 41):
+                for c in range(1, r_h + 1):
+                    runs = padding(approach, n, r_h, c)
+                    indices = [i for i, _ in runs]
+                    assert indices == sorted(set(indices))
+                    assert all(i > n and m > 0 for i, m in runs)
+                    assert dict(runs) == reference_padding(approach, n, r_h, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_hbgraphs(), st.booleans())
+def test_e_adjacency_keys_match_dict_merge_sort_hypothesis(h, weighted):
+    if not weighted:
+        h = HbGraph(h.vertices, h.edges)
+    r_h = h.m_range()
+    for approach in APPROACHES:
+        t, _ = e_adjacency_tensor(h, approach)
+        expected = {reference_key(h, e, approach, r_h): h.weight(i) for i, e in enumerate(h.edges)}
+        assert t._entries == expected
+        assert list(t._entries) == sorted(expected, key=_dense)
+    for e in h.edges:
+        key = reference_key(h, e, STRAIGHTFORWARD, e.m_cardinality())
+        assert mset_hypermatrix(e, normalized=True)._entries == {key: 1}
+
+
+def test_non_natural_key_names_the_element():
+    a = Multiset(("a", "b", "c"), {"a": 2, "b": Fraction(1, 2)})
+    with pytest.raises(NotNatural, match="non-integer multiplicity for 'b'"):
+        mset_hypermatrix(a, normalized=True)
