@@ -26,8 +26,6 @@ from .errors import (
 from .hbgraph import (
     HbGraph,
     IncidenceMatrix,
-    NumberedCopyHypergraph,
-    SupportHypergraph,
     hb_sum,
     is_direct,
     two_section,

@@ -26,22 +26,15 @@ from .tensor import (
     e_adjacency_tensor,
     reconstruct_edges,
 )
-from .transform import uniformize
-
-APPROACH_ALIASES = {
-    "str": "straightforward",
-    "sil": "silo",
-    "lay": "layered",
-    "straightforward": "straightforward",
-    "silo": "silo",
-    "layered": "layered",
-}
+from .transform import APPROACHES, uniformize
 
 
 def _approach(value: str) -> str:
-    if value not in APPROACH_ALIASES:
-        raise argparse.ArgumentTypeError(f"unknown approach {value!r}")
-    return APPROACH_ALIASES[value]
+    """An approach named in full or by its first three letters."""
+    for name in APPROACHES:
+        if value in (name, name[:3]):
+            return name
+    raise argparse.ArgumentTypeError(f"unknown approach {value!r}")
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -10,12 +10,17 @@ The vertex list is the graph's only vertex -> position table: it is a
 makes one pass over the edge supports to build each vertex's hb-star, its
 (edge index, multiplicity) pairs, so m-degree, degree and maximal
 multiplicity cost O(degree) per vertex and the order O(n + sum of degrees).
+
+A hypergraph is an hb-graph whose multiplicities are in {0, 1}, so the
+derived hypergraphs (the support hypergraph, the numbered-copy hypergraph)
+are ``HbGraph``s too, and every hb-graph, path and tensor function takes them.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -35,14 +40,11 @@ class IncidenceMatrix:
 
     vertices: tuple[str, ...]
     entries: tuple[tuple[Rational, ...], ...]
+    p: int  # the column count, which a matrix with no rows cannot show
 
     @property
     def n(self) -> int:
         return len(self.vertices)
-
-    @property
-    def p(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
 
     def row_sums(self) -> list[Rational]:
         """Vertex m-degrees."""
@@ -50,26 +52,10 @@ class IncidenceMatrix:
 
     def col_sums(self) -> list[Rational]:
         """Edge m-cardinalities."""
-        return [sum(col) for col in zip(*self.entries)] if self.entries else []
+        return [sum(col) for col in self.transpose()]
 
     def transpose(self) -> tuple[tuple[Rational, ...], ...]:
-        return tuple(zip(*self.entries)) if self.entries else ()
-
-
-@dataclass(frozen=True)
-class SupportHypergraph:
-    """Hypergraph obtained by replacing every hb-edge with its support."""
-
-    vertices: tuple[str, ...]
-    hyperedges: tuple[tuple[str, ...], ...]
-
-
-@dataclass(frozen=True)
-class NumberedCopyHypergraph:
-    """Hypergraph over numbered copy vertices (v, 1)..(v, max multiplicity)."""
-
-    vertices: tuple[tuple[str, int], ...]
-    edges: tuple[frozenset[tuple[str, int]], ...]
+        return tuple(zip(*self.entries)) if self.entries else ((),) * self.p
 
 
 class HbGraph:
@@ -241,12 +227,12 @@ class HbGraph:
             for j, m in star:
                 row[j] = m
             rows.append(tuple(row))
-        return IncidenceMatrix(self._vertices, tuple(rows))
+        return IncidenceMatrix(self._vertices, tuple(rows), len(self._edges))
 
-    def support_hypergraph(self) -> SupportHypergraph:
-        return SupportHypergraph(
-            self._vertices, tuple(e.support() for e in self._edges)
-        )
+    def support_hypergraph(self) -> "HbGraph":
+        """Unweighted hypergraph of the hb-edges' supports, each vertex once."""
+        vs = self._vertices
+        return HbGraph(vs, [Multiset(vs, dict.fromkeys(e.support(), 1)) for e in self._edges])
 
     def dual(self) -> "HbGraph":
         """Dual hb-graph: one vertex per hb-edge, one hb-edge per vertex.
@@ -260,24 +246,22 @@ class HbGraph:
         ]
         return HbGraph(dual_vertices, dual_edges)
 
-    def numbered_copy_hypergraph(self) -> NumberedCopyHypergraph:
-        """Expand multiplicities into numbered copy vertices.
-
-        Each hb-edge maps to the set of copies (v, 1)..(v, m_e(v)), taking
+    def numbered_copy_hypergraph(self) -> "HbGraph":
+        """Unweighted hypergraph over the numbered copies (v, 1)..(v, max
+        multiplicity of v): each hb-edge becomes its ``Multiset.numbered_copies``,
         copy numbers as small as possible, which makes the result unique.
         """
         if not self.is_natural():
             raise NotNatural("numbered copies need integer multiplicities")
-        copy_vertices = tuple(
+        copies = Universe(
             (v, j)
             for v, star in zip(self._vertices, self._stars)
             for j in range(1, max((m for _, m in star), default=0) + 1)
         )
-        copy_edges = tuple(
-            frozenset((x, j) for x in e.support() for j in range(1, e.multiplicity(x) + 1))
-            for e in self._edges
+        return HbGraph(
+            copies,
+            [Multiset(copies, dict.fromkeys(e.numbered_copies().copies, 1)) for e in self._edges],
         )
-        return NumberedCopyHypergraph(copy_vertices, copy_edges)
 
     # -- adjacency ----------------------------------------------------------
 
@@ -310,19 +294,16 @@ class HbGraph:
         return bool(set(self._edges[i].support()) & set(self._edges[j].support()))
 
 
-def two_section(support: SupportHypergraph) -> tuple[tuple[str, str], ...]:
-    """Edges of the 2-section graph: pairs co-occurring in some hyperedge.
+def two_section(h: HbGraph) -> tuple[tuple[str, str], ...]:
+    """Edges of the 2-section graph: pairs co-occurring in some hb-edge's support.
 
     Undirected, deduplicated, no self-loops; pairs and the result follow the
-    vertex-list order.
+    vertex-list order, which every support already keeps.
     """
-    position = {v: k for k, v in enumerate(support.vertices)}
+    position = h.vertices.position
     pairs = set()
-    for he in support.hyperedges:
-        members = sorted(he, key=position.__getitem__)
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                pairs.add((members[a], members[b]))
+    for e in h.edges:
+        pairs.update(combinations(e.support(), 2))
     return tuple(sorted(pairs, key=lambda uv: (position[uv[0]], position[uv[1]])))
 
 

@@ -11,10 +11,11 @@ permutations start with i, so it adds share * m_i to row i and r * share to
 the total.  The value a is computed only where it leaves the tensor: in
 ``get``, ``entries_rle`` and ``canonical_items``.
 
-The contraction A x^{r-1} is (1/r) times the gradient of the tensor's
-polynomial P(x) = r * sum of share * prod x_j^{m_j}, so it reads the shares
-alone.  One kernel serves both the exact ``apply`` and the float power
-iteration of ``spectral``: the entries' runs, inserted in descending index
+The tensor's polynomial is P(x) = r * sum of share * prod x_j^{m_j}, and
+``polynomial`` keys its monomials by the entries' own runs.  The contraction
+A x^{r-1} is (1/r) times the gradient of P, so it reads the shares alone.
+One kernel serves both the exact ``apply`` and the float power iteration of
+``spectral``: the entries' runs, inserted in descending index
 order, form a trie that shares their common high-index suffixes, the
 null-vertex padding above all, and one forward pass (prefix products) and one
 backward pass (reverse-mode derivative) over its nodes give every row, in
@@ -311,14 +312,12 @@ class SymTensor:
         return _contract(*_trie(self._entries.items(), at), x, [Fraction(0)] * self._dim)
 
     def polynomial(self) -> "HbPolynomial":
-        """Homogeneous polynomial P(z) = sum a_{i_1..i_r} z_{i_1}..z_{i_r}."""
-        # one monomial per entry, whose multinomial(m) logical entries sum to r * share
-        monomials: dict[tuple[int, ...], Fraction] = {}
-        for runs, share in self._entries.items():
-            counts = dict(runs)
-            exponents = tuple(counts.get(i, 0) for i in range(1, self._dim + 1))
-            monomials[exponents] = Fraction(self._order * share)
-        return HbPolynomial(degree=self._order, dim=self._dim, monomials=monomials)
+        """Homogeneous polynomial P(z) = sum a_{i_1..i_r} z_{i_1}..z_{i_r}: one
+        monomial per entry, keyed by its runs, whose multinomial(m) logical
+        entries sum to r * share."""
+        r = self._order
+        monomials = {runs: Fraction(r * share) for runs, share in self._entries.items()}
+        return HbPolynomial(degree=r, dim=self._dim, monomials=monomials)
 
     def export_coo(self, mode: str = "canonical") -> list[tuple[tuple[int, ...], Fraction]]:
         """COO records, either one per canonical entry or fully expanded.
@@ -344,23 +343,21 @@ class SymTensor:
 
 @dataclass(frozen=True)
 class HbPolynomial:
-    """Polynomial attached to a tensor, as exponent-vector -> coefficient."""
+    """Polynomial attached to a tensor, as monomial -> coefficient, each
+    monomial the runs ((index, exponent), ...) of a tensor key."""
 
     degree: int
     dim: int
-    monomials: Mapping[tuple[int, ...], Fraction]
+    monomials: Mapping[tuple[tuple[int, int], ...], Fraction]
 
     def evaluate(self, z: Sequence) -> Fraction:
+        """P(z), at O(sum of the monomials' runs)."""
         if len(z) != self.dim:
             raise DimensionMismatch(f"vector length {len(z)} != dim {self.dim}")
-        total = Fraction(0)
-        for exponents, coeff in self.monomials.items():
-            term = coeff
-            for zi, e in zip(z, exponents):
-                if e:
-                    term *= zi**e
-            total += term
-        return total
+        return sum(
+            (c * math.prod(z[i - 1] ** e for i, e in runs) for runs, c in self.monomials.items()),
+            Fraction(0),
+        )
 
 
 # -- constructions ----------------------------------------------------------

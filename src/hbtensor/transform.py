@@ -150,7 +150,7 @@ def _uniformisation_trace(h: HbGraph, approach: str) -> UniformisationTrace:
     if not h.no_repeated_edges():
         raise RepeatedEdges("uniformisation forbids repeated hb-edges")
     for v in h.vertices:
-        if v.startswith(RESERVED_PREFIX):
+        if isinstance(v, str) and v.startswith(RESERVED_PREFIX):
             raise VertexCollision(f"vertex id {v!r} uses the reserved prefix '__'")
     cardinalities = [e.m_cardinality() for e in h.edges]
     return UniformisationTrace(

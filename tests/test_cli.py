@@ -340,6 +340,38 @@ def test_verify_argument_errors(demo_file, capsys):
     assert "unknown approach 'xyz'" in capsys.readouterr().err
 
 
+def test_approach_full_name_and_prefix_agree(demo_file, capsys):
+    for name in ("straightforward", "silo", "layered"):
+        outputs = []
+        for value in (name, name[:3]):
+            assert main(["export", demo_file, "--format", "coo", "--approach", value]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+
+def test_out_writes_the_printed_bytes(demo_file, tmp_path, capsys):
+    for verb in (
+        ["info"],
+        ["dual"],
+        ["paths"],
+        ["export", "--format", "csv"],
+        ["export", "--format", "json"],
+        ["export", "--format", "coo", "--approach", "sil"],
+    ):
+        assert main([verb[0], demo_file, *verb[1:]]) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "out.txt"
+        assert main([verb[0], demo_file, *verb[1:], "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == printed.encode("utf-8")
+
+
+def test_missing_input_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["info", str(missing)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {missing}")
+
+
 def test_non_positive_weight_exits_2(tmp_path, capsys):
     for weight in (0, -1):
         path = tmp_path / "g.json"

@@ -12,6 +12,7 @@ from hbtensor import (
     EmptyEdgeFamily,
     HbGraph,
     Multiset,
+    NotNatural,
     UniverseMismatch,
     UnknownEdge,
     UnknownVertex,
@@ -20,6 +21,7 @@ from hbtensor import (
     dilatation,
     e_adjacency_tensor,
     hb_sum,
+    hypergraph_tensor,
     io,
     is_direct,
     merge,
@@ -97,17 +99,63 @@ def test_incidence_matrix(demo, trivial):
     assert inc.row_sums() == [demo.m_degree(v) for v in demo.vertices]
     empty = trivial.incidence_matrix()
     assert empty.n == 2 and empty.p == 0
+    # no vertices: the columns are still the p empty hb-edges
+    no_rows = HbGraph((), [Multiset((), {}), Multiset((), {})]).incidence_matrix()
+    assert (no_rows.n, no_rows.p) == (0, 2)
+    assert no_rows.col_sums() == [0, 0]
+    assert no_rows.transpose() == ((), ())
 
 
 def test_support_hypergraph(demo):
     sup = demo.support_hypergraph()
-    assert sup.hyperedges[0] == ("v1", "v4", "v5")
-    assert sup.hyperedges[3] == ("v6",)
+    assert sup.edges[0].support() == ("v1", "v4", "v5")
+    assert sup.edges[3].support() == ("v6",)
     hg = HbGraph.from_dicts(("a", "b"), [{"a": 1, "b": 1}])
-    assert hg.support_hypergraph().hyperedges == (("a", "b"),)
+    assert [e.support() for e in hg.support_hypergraph().edges] == [("a", "b")]
+
+
+def test_derived_hypergraphs_are_hbgraphs(demo):
+    sup = demo.support_hypergraph()
+    assert isinstance(sup, HbGraph) and sup.vertices is demo.vertices
+    assert sup.weights is None
+    assert [e.cardinality() for e in sup.edges] == [e.m_cardinality() for e in sup.edges]
+    t, _ = hypergraph_tensor(sup)
+    assert (t.order, t.dim, t.canonical_count()) == (3, 9, 4)
+    # a hypergraph is its own support hypergraph
+    hg = HbGraph.from_dicts(("a", "b", "c"), [{"a": 1, "b": 1}, {"c": 1}])
+    assert hg.support_hypergraph() == hg
+    copies = demo.numbered_copy_hypergraph()
+    assert isinstance(copies, HbGraph) and copies.weights is None
+    assert copies.n == demo.order() == 11
+    assert [e.cardinality() for e in copies.edges] == [5, 4, 3, 1]
+    assert [e.m_cardinality() for e in copies.edges] == [
+        e.m_cardinality() for e in demo.edges
+    ]
+    t, trace = hypergraph_tensor(copies)
+    assert (t.order, t.dim, t.canonical_count()) == (5, 11 + 4, 4)
+    assert trace.r_h == demo.m_range()
+    rng = random.Random(14)
+    for _ in range(30):
+        h = random_hbgraph(rng)
+        copies = h.numbered_copy_hypergraph()
+        assert copies.n == h.order()
+        assert [e.m_cardinality() for e in copies.edges] == [
+            e.m_cardinality() for e in h.edges
+        ]
+        assert [e.support() for e in h.support_hypergraph().edges] == [
+            e.support() for e in h.edges
+        ]
+        assert two_section(h) == two_section(h.support_hypergraph())
+
+
+def test_numbered_copies_need_natural_multiplicities():
+    h = HbGraph.from_dicts(("a", "b"), [{"a": Fraction(1, 2), "b": 1}])
+    with pytest.raises(NotNatural):
+        h.numbered_copy_hypergraph()
 
 
 def test_two_section(demo):
+    assert two_section(demo) == two_section(demo.support_hypergraph())
     assert two_section(demo.support_hypergraph()) == (
         ("v1", "v4"),
         ("v1", "v5"),
@@ -217,14 +265,14 @@ def test_hb_sum(demo, trivial):
 def test_numbered_copy_hypergraph(demo):
     nch = demo.numbered_copy_hypergraph()
     assert len(nch.vertices) == demo.order()
-    assert nch.edges[0] == frozenset(
+    assert frozenset(nch.edges[0].support()) == frozenset(
         {("v1", 1), ("v1", 2), ("v4", 1), ("v4", 2), ("v5", 1)}
     )
-    assert nch.edges[2] == frozenset({("v3", 1), ("v5", 1), ("v5", 2)})
+    assert frozenset(nch.edges[2].support()) == frozenset({("v3", 1), ("v5", 1), ("v5", 2)})
     hg = HbGraph.from_dicts(("a", "b"), [{"a": 1, "b": 1}])
-    assert hg.numbered_copy_hypergraph().edges == (
+    assert [frozenset(e.support()) for e in hg.numbered_copy_hypergraph().edges] == [
         frozenset({("a", 1), ("b", 1)}),
-    )
+    ]
 
 
 def test_adjacency_predicates(demo):

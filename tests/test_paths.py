@@ -124,7 +124,7 @@ def _valid_alternations(h: HbGraph, max_length: int):
 
 def brute_force_count(h: HbGraph, path: MPath) -> int:
     """Count copy-level paths by enumerating copy-vertex choices."""
-    copy_edges = [set(e) for e in h.numbered_copy_hypergraph().edges]
+    copy_edges = [set(e.support()) for e in h.numbered_copy_hypergraph().edges]
     pools = [copy_edges[i] for i in path.edge_indices]
     slots = [pools[0]]
     for k in range(1, path.length):

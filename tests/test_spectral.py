@@ -97,6 +97,9 @@ def test_power_iteration_zero_and_errors():
     order1 = SymTensor(order=1, dim=2, entries={(1,): 1})
     with pytest.raises(DomainError):
         estimate_max_eigenvalue(order1)
+    negative = SymTensor(order=2, dim=2, entries={(1, 2): 1, (2, 2): -1})
+    with pytest.raises(DomainError):
+        estimate_max_eigenvalue(negative)
 
 
 def test_estimate_below_bound(demo):

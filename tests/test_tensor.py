@@ -31,6 +31,8 @@ from hbtensor import (
 from hbtensor.errors import (
     DimensionMismatch,
     DomainError,
+    EmptyEdge,
+    EmptyEdgeFamily,
     EmptyMultiset,
     IndexOutOfRange,
     TraceMismatch,
@@ -148,6 +150,12 @@ def test_uniform_tensor():
         )
     with pytest.raises(RepeatedEdges):
         uniform_tensor(HbGraph.from_dicts(("a",), [{"a": 1}, {"a": 1}]))
+    with pytest.raises(EmptyEdgeFamily):
+        uniform_tensor(HbGraph(("a",)))
+    with pytest.raises(NotNatural):
+        uniform_tensor(HbGraph.from_dicts(("a",), [{"a": Fraction(3, 2)}]))
+    with pytest.raises(EmptyEdge):
+        uniform_tensor(HbGraph.from_dicts(("a",), [{}]))
 
 
 # -- e-adjacency tensors ------------------------------------------------------
@@ -170,6 +178,12 @@ def test_symmetry_lookup(demo):
     t, _ = e_adjacency_tensor(demo, "silo")
     assert t.get((5, 3, 10, 5, 10)) == t.get((3, 5, 5, 10, 10))
     assert t.get((10, 10, 5, 5, 3)) == Fraction(1, 6)
+    with pytest.raises(DimensionMismatch):
+        t.get((3, 5, 5, 10))
+    with pytest.raises(IndexOutOfRange):
+        t.get((3, 5, 5, 10, 12))
+    with pytest.raises(IndexOutOfRange):
+        t.get((0, 5, 5, 10, 10))
 
 
 def test_canonical_count_is_edge_count():
@@ -239,7 +253,7 @@ def test_polynomial(demo):
     assert poly.evaluate([0] * t.dim) == 0
     single = HbGraph.from_dicts(("v1", "v2"), [{"v1": 2, "v2": 1}])
     p = elementary_tensor(single).polynomial()
-    assert p.monomials == {(2, 1): Fraction(3)}
+    assert p.monomials == {((1, 2), (2, 1)): 3}
     assert p.evaluate([1, 1]) == 3
     for h in small_instances(count=3, seed=41):
         t, _ = e_adjacency_tensor(h, "layered")
@@ -247,6 +261,10 @@ def test_polynomial(demo):
         z = [Fraction(k % 3, 2) for k in range(t.dim)]
         brute = sum((v * math.prod(z[j - 1] for j in idx) for idx, v in dense_tuples(t)), Fraction(0))
         assert poly.evaluate(z) == brute
+        # one monomial per entry, keyed by the entry's own runs
+        assert list(poly.monomials) == [runs for runs, _ in t.entries_rle()]
+    with pytest.raises(DimensionMismatch):
+        poly.evaluate([1])
 
 
 def test_weights_scale_linearly(demo):
@@ -473,11 +491,11 @@ class DenseTensor:
         return out
 
     def polynomial(self):
-        """Exponent vector -> summed logical entries of the full expansion."""
+        """Runs ((index, exponent), ...) -> summed logical entries of the full expansion."""
         monomials = {}
         for perm, v in self.full():
-            exponents = tuple(perm.count(i) for i in range(1, self.dim + 1))
-            monomials[exponents] = monomials.get(exponents, Fraction(0)) + v
+            runs = tuple(sorted(Counter(perm).items()))
+            monomials[runs] = monomials.get(runs, Fraction(0)) + v
         return monomials
 
 

@@ -209,6 +209,17 @@ def test_uniformize_preconditions(demo, trivial):
         uniformize(HbGraph.from_dicts(("__x",), [{"__x": 1}]), "silo")
 
 
+def test_vertex_ids_need_not_be_strings():
+    ints = HbGraph.from_dicts([1, 2], [{1: 1}, {1: 1, 2: 1}])
+    named = HbGraph.from_dicts(["a", "b"], [{"a": 1}, {"a": 1, "b": 1}])
+    for approach in APPROACHES:
+        assert e_adjacency_tensor(ints, approach) == e_adjacency_tensor(named, approach)
+        # the reserved prefix still applies to string ids
+        reserved = HbGraph.from_dicts(["__v", 2], [{"__v": 1}, {"__v": 1, 2: 1}])
+        with pytest.raises(VertexCollision):
+            e_adjacency_tensor(reserved, approach)
+
+
 # -- differential check against the paper's composition ----------------------
 
 
