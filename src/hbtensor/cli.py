@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import io
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, TraceMismatch
 from .paths import connected_components, diameter, distance
 from .spectral import estimate_max_eigenvalue, spectral_bound
 from .tensor import (
@@ -113,7 +113,9 @@ def cmd_verify(args) -> int:
             raise DomainError("--from-tensor requires --trace")
         tensor = io.load_tensor_coo(args.from_tensor)
         trace = io.load_trace(args.trace)
-        _check_trace(tensor, trace)
+        if _check_trace(tensor, trace) != h.n:
+            msg = f"tensor dim {tensor.dim} - {trace.n_a} null vertices != {h.n} graph vertices"
+            raise TraceMismatch(msg)
     else:
         tensor, trace = e_adjacency_tensor(h, args.approach)
 

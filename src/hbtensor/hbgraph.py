@@ -19,9 +19,8 @@ are ``HbGraph``s too, and every hb-graph, path and tensor function takes them.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DomainError,
@@ -34,8 +33,7 @@ from .errors import (
 from .mset import Multiset, Rational, Universe, as_rational
 
 
-@dataclass(frozen=True)
-class IncidenceMatrix:
+class IncidenceMatrix(NamedTuple):
     """n x p matrix of multiplicities m_{e_j}(v_i); vertex rows, edge columns."""
 
     vertices: tuple[str, ...]

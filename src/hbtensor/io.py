@@ -176,6 +176,12 @@ def dumps(obj) -> str:
 # -- incidence CSV -----------------------------------------------------------
 
 
+def _csv_cell(text: str) -> str:
+    """``text`` as a CSV cell, quoted (RFC 4180) only if it holds , " CR or LF."""
+    quote = "," in text or '"' in text or "\r" in text or "\n" in text
+    return '"' + text.replace('"', '""') + '"' if quote else text
+
+
 def incidence_csv(h: HbGraph) -> str:
     """The n x p incidence matrix, one row per vertex written from its hb-star."""
     p = h.p
@@ -184,7 +190,7 @@ def incidence_csv(h: HbGraph) -> str:
         cells = ["0"] * p
         for j, m in h._star(v):
             cells[j] = format_rational(m)
-        lines.append(v + "," + ",".join(cells))
+        lines.append(_csv_cell(v) + "," + ",".join(cells))
     return "\n".join(lines) + "\n"
 
 

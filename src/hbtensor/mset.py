@@ -16,9 +16,8 @@ O(s log s) in its support size s, whatever the size of the universe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 from .errors import DomainError, NotNatural, UniverseMismatch
 
@@ -50,8 +49,7 @@ def _same(u: tuple, v: tuple) -> bool:
     return u is v or u == v
 
 
-@dataclass(frozen=True)
-class NumberedCopySet:
+class NumberedCopySet(NamedTuple):
     """Copies of a natural multiset's elements, numbered 1..m(x) per element."""
 
     originals: Mapping[str, int]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 from .errors import InvalidPath, NotNatural, UnknownEdge
 from .hbgraph import HbGraph
 
@@ -18,19 +18,27 @@ STRICT = "strict"
 LARGE = "large"
 
 
-@dataclass(frozen=True)
-class MPath:
-    """Alternation x_0, e_1, x_1, ..., e_s, x_s with s = len(edge_indices)."""
-
+class _MPathFields(NamedTuple):
     vertices: tuple[str, ...]
     edge_indices: tuple[int, ...]
     kind: str = STRICT
 
-    def __post_init__(self):
-        if self.kind not in (STRICT, LARGE):
-            raise InvalidPath(f"unknown path kind {self.kind!r}")
-        if len(self.vertices) != len(self.edge_indices) + 1 or not self.edge_indices:
+
+class MPath(_MPathFields):
+    """Alternation x_0, e_1, x_1, ..., e_s, x_s with s = len(edge_indices)."""
+
+    __slots__ = ()
+
+    def __new__(cls, vertices, edge_indices, kind=STRICT):
+        if kind not in (STRICT, LARGE):
+            raise InvalidPath(f"unknown path kind {kind!r}")
+        if len(vertices) != len(edge_indices) + 1 or not edge_indices:
             raise InvalidPath("alternation needs s >= 1 edges and s + 1 vertices")
+        return super().__new__(cls, vertices, edge_indices, kind)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
 
     @property
     def length(self) -> int:

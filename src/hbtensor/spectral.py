@@ -16,24 +16,21 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import DomainError
 from .tensor import SymTensor, _check_trace, _contract, _trie
 from .transform import LAYERED, SILO, STRAIGHTFORWARD, UniformisationTrace
 
 
-@dataclass(frozen=True)
-class PowerIterationResult:
+class PowerIterationResult(NamedTuple):
     value: float
     converged: bool
     iterations: int
 
 
-@dataclass(frozen=True)
-class SpectralBoundReport:
+class SpectralBoundReport(NamedTuple):
     approach: str
     r_h: int
     delta: Fraction
@@ -47,13 +44,8 @@ def spectral_bound(t: SymTensor, trace: UniformisationTrace) -> SpectralBoundRep
     rows = t.row_sums()
     delta = max(rows[:n], default=Fraction(0))
     delta_star = max(rows[n:], default=Fraction(0))
-    return SpectralBoundReport(
-        approach=trace.approach,
-        r_h=trace.r_h,
-        delta=delta,
-        delta_star=delta_star,
-        bound=max(delta, delta_star) + trace.r_h,
-    )
+    bound = max(delta, delta_star) + trace.r_h
+    return SpectralBoundReport(trace.approach, trace.r_h, delta, delta_star, bound)
 
 
 def delta_star_closed_form(

@@ -44,10 +44,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -341,8 +340,7 @@ class SymTensor:
         ]
 
 
-@dataclass(frozen=True)
-class HbPolynomial:
+class HbPolynomial(NamedTuple):
     """Polynomial attached to a tensor, as monomial -> coefficient, each
     monomial the runs ((index, exponent), ...) of a tensor key."""
 

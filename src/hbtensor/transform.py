@@ -24,9 +24,8 @@ in (approach, r_H), derived by ``UniformisationTrace.null_vertices``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import (
     DomainError,
@@ -48,8 +47,7 @@ APPROACHES = (STRAIGHTFORWARD, SILO, LAYERED)
 RESERVED_PREFIX = "__"
 
 
-@dataclass(frozen=True)
-class UniformisationTrace:
+class UniformisationTrace(NamedTuple):
     """Bookkeeping needed to interpret tensor indices and reverse the pipeline."""
 
     approach: str

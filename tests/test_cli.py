@@ -330,6 +330,24 @@ def test_verify_from_tensor_with_an_all_null_entry(tmp_path, capsys):
     assert report["checks"]["edge_distribution"] is False
 
 
+def test_verify_from_tensor_of_another_dimension_exits_3(tmp_path, capsys):
+    """A tensor whose dimension, less the trace's null vertices, is not the
+    graph's vertex count is refused before any work sized by the dimension."""
+    path = graph_file(tmp_path, "pair.json", {"a": 1, "b": 1})
+    out = tmp_path / "t.coo"
+    assert main(["tensor", path, "--approach", "str", "--out", str(out)]) == 0
+    header, *records = out.read_text(encoding="utf-8").splitlines()
+    assert header == "# order=2 dim=3 entries=1"
+    for dim in (2, 4, 3 * 10**6 + 3):
+        other = tmp_path / f"dim{dim}.coo"
+        other.write_text("\n".join([f"# order=2 dim={dim} entries=1", *records]) + "\n")
+        args = ["verify", path, "--from-tensor", str(other), "--trace", f"{out}.trace.json"]
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: tensor dim {dim} - 1 null vertices != 2 graph vertices\n"
+
+
 def test_verify_argument_errors(demo_file, capsys):
     assert main(["verify", demo_file, "--from-tensor", demo_file]) == 3
     assert capsys.readouterr().err == "error: --from-tensor requires --trace\n"

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import csv
 import random
 from fractions import Fraction
+from io import StringIO
 
 import pytest
 
@@ -233,6 +235,20 @@ def test_incidence_csv_header_names_every_edge():
     h = HbGraph((), [Multiset((), {}), Multiset((), {})])
     assert incidence_csv(h) == "vertex,e1,e2\n"
     assert incidence_csv(HbGraph(("a",))) == "vertex,\na,\n"
+
+
+def test_incidence_csv_quotes_ids_that_need_it():
+    ids = ["a,b", 'q"x', "c", "line\nbreak", "cr\r", "plain id"]
+    h = HbGraph.from_dicts(ids, [{"a,b": 2, "c": 1}, {'q"x': 1}, {"line\nbreak": 3}])
+    text = incidence_csv(h)
+    rows = list(csv.reader(StringIO(text, newline="")))
+    assert len(rows) == len(ids) + 1
+    assert all(len(row) == h.p + 1 for row in rows)
+    assert [row[0] for row in rows[1:]] == ids
+    assert rows[1] == ["a,b", "2", "0", "0"] and rows[2] == ['q"x', "0", "1", "0"]
+    # only the ids that need it are quoted; quotes inside are doubled
+    assert '\n"q""x",0,1,0\nc,1,0,0\n' in text
+    assert "\nplain id,0,0,0\n" in text
 
 
 def test_deterministic_output(demo):

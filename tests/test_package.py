@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -34,3 +36,18 @@ def test_imports_are_standard_library_only():
                 if name.partition(".")[0] not in sys.stdlib_module_names
             ]
     assert not outside
+
+
+def test_cli_import_loads_no_code_introspection_modules():
+    # what a fresh interpreter loads for the CLI, less what ``site`` preloaded
+    probe = (
+        "import sys; before = set(sys.modules); import hbtensor.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(hbtensor.__file__).parents[1])},
+    )
+    loaded = set(run.stdout.split())
+    assert "hbtensor.cli" in loaded
+    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & loaded

@@ -48,6 +48,27 @@ def test_count(demo):
         count_paths(demo, MPath(("v1", "v2", "v3"), (0, 1), STRICT))
 
 
+def test_malformed_alternation_is_refused_at_construction():
+    with pytest.raises(InvalidPath, match="unknown path kind 'loose'"):
+        MPath(("v1", "v4"), (0,), "loose")
+    for vertices, edges in ((("v1",), ()), (("v1", "v2", "v3"), (0,)), (("v1",), (0,))):
+        with pytest.raises(InvalidPath, match="s >= 1 edges and s \\+ 1 vertices"):
+            MPath(vertices, edges)
+    path = MPath(("v1", "v5", "v3"), (0, 2))
+    assert path.kind == STRICT and path.length == 2
+    with pytest.raises(AttributeError):
+        path.kind = LARGE
+
+
+def test_replace_checks_the_new_alternation():
+    path = MPath(("v1", "v5", "v3"), (0, 2))
+    assert path._replace(kind=LARGE) == MPath(("v1", "v5", "v3"), (0, 2), LARGE)
+    with pytest.raises(InvalidPath):
+        path._replace(kind="loose")
+    with pytest.raises(InvalidPath):
+        path._replace(edge_indices=(0,))
+
+
 def test_strict_at_most_large(demo):
     rng = random.Random(3)
     for _ in range(20):

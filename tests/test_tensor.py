@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import random
@@ -359,10 +358,10 @@ def test_distribution(demo):
     # order, and more null vertices than the tensor has dimensions
     t, trace = e_adjacency_tensor(demo, "silo")
     with pytest.raises(TraceMismatch, match="trace r_H 4 != tensor order 5"):
-        edge_distribution(t, dataclasses.replace(trace, r_h=4), demo.p)
+        edge_distribution(t, trace._replace(r_h=4), demo.p)
     t, trace = e_adjacency_tensor(HbGraph.from_dicts(("a",), [{"a": 5}]), "straightforward")
     with pytest.raises(TraceMismatch, match="more null vertices than tensor dimensions"):
-        edge_distribution(t, dataclasses.replace(trace, approach="silo"), 1)
+        edge_distribution(t, trace._replace(approach="silo"), 1)
 
 
 def test_reconstruction(demo):
