@@ -9,6 +9,7 @@ are 1-based; output is deterministic for fixed input and flags.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 from collections import Counter
@@ -44,6 +45,14 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _cell(v: str) -> str:
+    """A vertex id as a space-separated cell: an empty id, or one holding
+    whitespace or a double quote, as a JSON string literal; any other as it is."""
+    if v and not any(c.isspace() or c == '"' for c in v):
+        return v
+    return json.dumps(v)
+
+
 def cmd_info(args) -> int:
     h = io.load_hbgraph(args.input)
     lines = [
@@ -63,11 +72,11 @@ def cmd_info(args) -> int:
     else:
         lines.append("k-m-regular: no")
     isolated = h.isolated_vertices()
-    lines.append("isolated: " + (" ".join(isolated) if isolated else "none"))
+    lines.append("isolated: " + (" ".join(map(_cell, isolated)) if isolated else "none"))
     lines.append("vertex m-degree degree max-mult")
     for v in h.vertices:
         lines.append(
-            f"{v} {io.format_rational(h.m_degree(v))} {h.degree(v)}"
+            f"{_cell(v)} {io.format_rational(h.m_degree(v))} {h.degree(v)}"
             f" {io.format_rational(h.max_multiplicity(v))}"
         )
     lines.append("incidence:")
@@ -97,11 +106,7 @@ def cmd_uniformize(args) -> int:
 def cmd_tensor(args) -> int:
     h = io.load_hbgraph(args.input)
     tensor, trace = e_adjacency_tensor(h, args.approach)
-    if args.format == "json":
-        body = io.dumps(io.tensor_to_obj(tensor))
-    else:
-        body = io.tensor_to_coo(tensor)
-    Path(args.out).write_text(body, encoding="utf-8")
+    Path(args.out).write_text(io.tensor_to_coo(tensor), encoding="utf-8")
     io.dump_trace(trace, args.trace or args.out + ".trace.json")
     return 0
 
@@ -226,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--approach", type=_approach, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--trace")
-    p.add_argument("--format", choices=("coo", "json"), default="coo")
 
     p = add("verify", cmd_verify, help="run the exact structural checks")
     p.add_argument("--approach", type=_approach)

@@ -1,4 +1,4 @@
-"""File formats: hb-graph JSON, sparse tensor COO text / JSON, trace JSON,
+"""File formats: hb-graph JSON, sparse tensor COO text, trace JSON,
 incidence CSV (written row by row from the vertex hb-stars; no dense matrix).
 
 All rationals are exact: integers are emitted as JSON numbers, non-integral
@@ -17,7 +17,7 @@ from typing import Any
 
 from .errors import DomainError, ParseError
 from .hbgraph import HbGraph
-from .mset import Multiset, Rational, as_rational
+from .mset import Rational, as_rational
 from .tensor import SymTensor
 from .transform import APPROACHES, UniformisationTrace
 
@@ -110,27 +110,6 @@ def _read(path) -> tuple[str, str]:
         raise ParseError(f"cannot read {p}: {exc}") from exc
 
 
-# -- multiset ----------------------------------------------------------------
-
-
-def mset_to_obj(a: Multiset) -> dict:
-    return {
-        "universe": list(a.universe),
-        "mult": {x: rational_to_json(v) for x, v in a.mult.items()},
-    }
-
-
-def mset_from_obj(obj, source: str = "multiset") -> Multiset:
-    universe = _json(obj, dict, source).get("universe")
-    if not isinstance(universe, list) or not all(isinstance(x, str) for x in universe):
-        raise ParseError(f"{source}: 'universe' must be a list of strings")
-    mult = _mult(obj.get("mult", {}), source)
-    try:
-        return Multiset(universe, mult)
-    except DomainError as exc:
-        raise ParseError(f"{source}: {exc}") from exc
-
-
 # -- hb-graph ----------------------------------------------------------------
 
 
@@ -190,7 +169,7 @@ def incidence_csv(h: HbGraph) -> str:
         cells = ["0"] * p
         for j, m in h._star(v):
             cells[j] = format_rational(m)
-        lines.append(_csv_cell(v) + "," + ",".join(cells))
+        lines.append(_csv_cell(str(v)) + "," + ",".join(cells))
     return "\n".join(lines) + "\n"
 
 
@@ -205,11 +184,19 @@ def tensor_to_coo(t: SymTensor, mode: str = "canonical") -> str:
     return "\n".join(lines) + "\n"
 
 
-def dump_tensor_coo(t: SymTensor, path, mode: str = "canonical") -> None:
-    Path(path).write_text(tensor_to_coo(t, mode), encoding="utf-8")
+def _natural(raw: str, where: str) -> int:
+    """A COO index or header value: ASCII decimal digits only, so no sign,
+    underscore or other script's digit that ``int`` would also take."""
+    if not (raw.isascii() and raw.isdigit()):
+        raise ParseError(f"{where}: expected a decimal integer, got {raw[:_EXCERPT]!r}")
+    if len(raw) > _MAX_DIGITS:
+        raise ParseError(f"{where}: number has more than {_MAX_DIGITS} digits")
+    return int(raw)
 
 
 def tensor_from_coo(text: str, source: str = "tensor") -> SymTensor:
+    """Read canonical or ``full`` COO: each record names one entry in any
+    index order, and a repeat must agree."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("#"):
         raise ParseError(f"{source}: missing '# order=.. dim=.. entries=..' header")
@@ -218,10 +205,9 @@ def tensor_from_coo(text: str, source: str = "tensor") -> SymTensor:
         if "=" not in token:
             raise ParseError(f"{source}: bad header token {token!r}")
         name, _, raw = token.partition("=")
-        try:
-            header[name] = int(raw)
-        except ValueError as exc:
-            raise ParseError(f"{source}: bad header value {token!r}") from exc
+        if name in header:
+            raise ParseError(f"{source}: repeated header key {name}=")
+        header[name] = _natural(raw, f"{source}: header {name}")
     for required in ("order", "dim", "entries"):
         if required not in header:
             raise ParseError(f"{source}: header lacks {required}=")
@@ -230,65 +216,25 @@ def tensor_from_coo(text: str, source: str = "tensor") -> SymTensor:
         raise ParseError(
             f"{source}: header announces {header['entries']} records, found {len(lines) - 1}"
         )
-
-    def records():
-        for lineno, line in enumerate(lines[1:], start=2):
-            where = f"{source}: line {lineno}"
-            tokens = line.split()
-            if len(tokens) != order + 1:
-                raise ParseError(f"{where}: expected {order} indices and a value")
-            try:
-                idx = [int(tok) for tok in tokens[:-1]]
-            except ValueError as exc:
-                raise ParseError(f"{where}: {exc}") from exc
-            yield where, idx, json_to_rational(tokens[-1], where)
-
-    return _tensor(order, header["dim"], records(), source)
+    entries: dict[tuple[int, ...], Rational] = {}
+    for lineno, line in enumerate(lines[1:], start=2):
+        where = f"{source}: line {lineno}"
+        tokens = line.split()
+        if len(tokens) != order + 1:
+            raise ParseError(f"{where}: expected {order} indices and a value")
+        key = tuple(sorted(_natural(tok, where) for tok in tokens[:-1]))
+        value = json_to_rational(tokens[-1], where)
+        if entries.setdefault(key, value) != value:
+            raise ParseError(f"{where}: conflicting values for {key}")
+    try:
+        return SymTensor(order=order, dim=header["dim"], entries=entries)
+    except DomainError as exc:
+        raise ParseError(f"{source}: {exc}") from exc
 
 
 def load_tensor_coo(path) -> SymTensor:
     text, source = _read(path)
     return tensor_from_coo(text, source)
-
-
-def tensor_to_obj(t: SymTensor) -> dict:
-    return {
-        "order": t.order,
-        "dim": t.dim,
-        "entries": [
-            {"idx": list(key), "val": rational_to_json(value)}
-            for key, value in t.canonical_items()
-        ],
-    }
-
-
-def tensor_from_obj(obj, source: str = "tensor") -> SymTensor:
-    _json(obj, dict, source, "order", "dim", "entries")
-
-    def records():
-        for k, record in enumerate(_json(obj["entries"], list, f"{source}: entries")):
-            where = f"{source}: entries[{k}]"
-            _json(record, dict, where, "idx", "val")
-            raw_idx = _json(record["idx"], list, f"{where}: idx")
-            idx = [_integer(i, f"{where}: idx") for i in raw_idx]
-            yield where, idx, json_to_rational(record["val"], f"{where}: val")
-
-    order = _integer(obj["order"], f"{source}: order")
-    return _tensor(order, _integer(obj["dim"], f"{source}: dim"), records(), source)
-
-
-def _tensor(order: int, dim: int, records, source: str) -> SymTensor:
-    """The one record path of the tensor readers: each (where, indices, value)
-    record names one entry in any index order; a repeat must agree."""
-    entries: dict[tuple[int, ...], Rational] = {}
-    for where, idx, value in records:
-        key = tuple(sorted(idx))
-        if entries.setdefault(key, value) != value:
-            raise ParseError(f"{where}: conflicting values for {key}")
-    try:
-        return SymTensor(order=order, dim=dim, entries=entries)
-    except DomainError as exc:
-        raise ParseError(f"{source}: {exc}") from exc
 
 
 # -- trace -------------------------------------------------------------------

@@ -46,6 +46,20 @@ def test_info(demo_file, capsys):
     assert "v1,2,0,0,0" in out
 
 
+def test_info_quotes_ids_that_would_split_a_cell(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    graph = {
+        "vertices": ["x y", "z", 'q"', "", "t\tab"],
+        "edges": [{"mult": {"x y": 2, "z": 1}}],
+    }
+    path.write_text(dumps(graph), encoding="utf-8")
+    assert main(["info", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert 'isolated: "q\\"" "" "t\\tab"' in lines
+    table = lines[lines.index("vertex m-degree degree max-mult") + 1 : lines.index("incidence:")]
+    assert table == ['"x y" 2 1 2', "z 1 1 1", '"q\\"" 0 0 0', '"" 0 0 0', '"t\\tab" 0 0 0']
+
+
 def test_info_trivial(trivial_file, capsys):
     assert main(["info", trivial_file]) == 0
     out = capsys.readouterr().out
@@ -166,6 +180,10 @@ def test_tensor(demo_file, tmp_path):
     out2 = tmp_path / "t2.coo"
     assert main(["tensor", demo_file, "--approach", "str", "--out", str(out2)]) == 0
     assert "dim=8" in out2.read_text(encoding="utf-8").splitlines()[0]
+    # COO is the one tensor format; the former --format option is refused
+    with pytest.raises(SystemExit) as exc:
+        main(["tensor", demo_file, "--approach", "sil", "--format", "json", "--out", str(out)])
+    assert exc.value.code == 2
 
 
 def test_tensor_rejects_repeated_edges(tmp_path, capsys):

@@ -66,7 +66,6 @@ CASES = {
     "dual": ["dual"],
     **{f"uniformize_{a}": ["uniformize", "--approach", a] for a in APPROACHES},
     **{f"tensor_{a}": ["tensor", "--approach", a, "--out", "t.coo"] for a in APPROACHES},
-    "tensor_json_sil": ["tensor", "--approach", "sil", "--format", "json", "--out", "t.coo"],
     "export_csv": ["export", "--format", "csv"],
     "export_json": ["export", "--format", "json"],
     **{f"export_coo_{a}": ["export", "--format", "coo", "--approach", a] for a in APPROACHES},
@@ -151,6 +150,16 @@ def test_cli_matches_golden(input_name, case):
     expected = golden_files(input_name, case)
     assert expected, f"no golden files for {input_name}/{case}"
     assert run_case(INPUTS[input_name], cases_for(input_name)[case]) == expected
+
+
+@pytest.mark.parametrize("input_name", INPUTS)
+def test_every_golden_file_belongs_to_a_case(input_name):
+    cases = cases_for(input_name)
+    stray = [
+        p.name for p in sorted((GOLDEN / input_name).iterdir())
+        if p.name.partition(".")[0] not in cases
+    ]
+    assert not stray, f"golden files of no case in {input_name}: {stray}"
 
 
 if __name__ == "__main__":

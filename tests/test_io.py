@@ -10,7 +10,6 @@ import pytest
 from hbtensor import DomainError, HbGraph, Multiset, ParseError, e_adjacency_tensor, uniformize
 from hbtensor.io import (
     dump_hbgraph,
-    dump_tensor_coo,
     dump_trace,
     dumps,
     format_rational,
@@ -21,13 +20,9 @@ from hbtensor.io import (
     load_hbgraph,
     load_tensor_coo,
     load_trace,
-    mset_from_obj,
-    mset_to_obj,
     rational_to_json,
     tensor_from_coo,
-    tensor_from_obj,
     tensor_to_coo,
-    tensor_to_obj,
     trace_from_obj,
     trace_to_obj,
 )
@@ -38,13 +33,6 @@ def test_format_rational():
     assert format_rational(5) == "5"
     assert format_rational(Fraction(5, 3)) == "5/3"
     assert format_rational(Fraction(4, 2)) == "2"
-
-
-def test_mset_round_trip():
-    m = Multiset(("a", "b", "c"), {"a": 2, "c": Fraction(1, 3)})
-    obj = mset_to_obj(m)
-    assert obj == {"universe": ["a", "b", "c"], "mult": {"a": 2, "c": "1/3"}}
-    assert mset_from_obj(obj) == m
 
 
 def test_hbgraph_round_trip(demo, tmp_path):
@@ -97,8 +85,10 @@ def test_number_rule_rejects_what_cannot_be_printed():
         json_to_rational("x/y", "x")
     with pytest.raises(ParseError, match=r"mult\['a'\]: number has more"):
         hbgraph_from_obj({"vertices": ["a"], "edges": [{"mult": {"a": "1e5000"}}]})
-    with pytest.raises(ParseError, match="dim: number has more"):
-        tensor_from_obj({"order": 2, "dim": "1e5000", "entries": []})
+    with pytest.raises(ParseError, match="header dim: expected a decimal integer, got '1e5000'"):
+        tensor_from_coo("# order=2 dim=1e5000 entries=0\n")
+    with pytest.raises(ParseError, match="header dim: number has more than 4300 digits"):
+        tensor_from_coo(f"# order=2 dim={'9' * 4301} entries=0\n")
     with pytest.raises(ParseError, match="line 2: number has more"):
         tensor_from_coo("# order=1 dim=1 entries=1\n1 1e5000\n")
 
@@ -115,12 +105,13 @@ def test_printer_refuses_what_cannot_be_printed():
 
 
 def test_tensor_coo_round_trip(demo, tmp_path):
-    t, _ = e_adjacency_tensor(demo, "silo")
     path = tmp_path / "t.coo"
-    dump_tensor_coo(t, path)
-    text = path.read_text(encoding="utf-8")
-    assert text.splitlines()[0] == "# order=5 dim=11 entries=4"
-    assert load_tensor_coo(path) == t
+    for approach in ("straightforward", "silo", "layered"):
+        t, _ = e_adjacency_tensor(demo, approach)
+        path.write_text(tensor_to_coo(t), encoding="utf-8")
+        assert load_tensor_coo(path) == t
+    t, _ = e_adjacency_tensor(demo, "silo")
+    assert tensor_to_coo(t).splitlines()[0] == "# order=5 dim=11 entries=4"
 
 
 def test_tensor_coo_full_mode_reimports(demo):
@@ -130,40 +121,39 @@ def test_tensor_coo_full_mode_reimports(demo):
 
 
 def test_tensor_coo_errors():
-    with pytest.raises(ParseError):
-        tensor_from_coo("1 2 1/2\n")  # no header
-    with pytest.raises(ParseError):
-        tensor_from_coo("# order=2 dim=2 entries=2\n1 2 1/2\n")  # count mismatch
-    with pytest.raises(ParseError):
-        tensor_from_coo("# order=2 dim=2 entries=1\n1 2 x\n")
-    with pytest.raises(ParseError):
-        tensor_from_coo("# order=2 dim=2 entries=2\n1 2 1/2\n2 1 1/3\n")
-
-
-def test_tensor_json_round_trip(demo):
-    t, _ = e_adjacency_tensor(demo, "layered")
-    assert tensor_from_obj(tensor_to_obj(t)) == t
-
-
-def test_tensor_json_one_record_rule():
-    def tensor(order=2, dim=3, *entries):
-        return tensor_from_obj({"order": order, "dim": dim, "entries": list(entries)})
-
-    same = tensor(Fraction(2), "3", {"idx": [1, 2], "val": 1}, {"idx": [2, 1], "val": "1"})
-    assert same.canonical_items() == [((1, 2), 1)]
-    for bad in (
-        lambda: tensor(2, 3, {"idx": [1, 2], "val": 1}, {"idx": [2, 1], "val": 2}),
-        lambda: tensor(Fraction(5, 2)),
-        lambda: tensor(2.5),
-        lambda: tensor(2, True),
-        lambda: tensor(2, 3, {"idx": [True, 2], "val": 1}),
-        lambda: tensor(2, 3, {"idx": [1, Fraction(3, 2)], "val": 1}),
-        lambda: tensor(2, 3, {"idx": [1, 2, 3], "val": 1}),
-        lambda: tensor(2, 3, {"idx": [1, 4], "val": 1}),
-        lambda: tensor(2, 3, {"idx": [1, 2]}),
+    for text, error in (
+        ("1 2 1/2\n", "missing '# order=.. dim=.. entries=..' header"),
+        ("# order=2 dim=2 entries=2\n1 2 1/2\n", "announces 2 records, found 1"),
+        ("# order=2 dim=2 entries=1\n1 2 x\n", "line 2: bad rational literal 'x'"),
+        ("# order=2 dim=3 entries=0 order=5\n", "repeated header key order="),
+        ("# order=2 dim=3 entries=1 dim=3\n1 2 1\n", "repeated header key dim="),
+        # int() reads each of these: 1_0 as 10, +2 as 2, an Arabic-Indic digit as itself
+        ("# order=2 dim=1_0 entries=0\n", "header dim: expected a decimal integer"),
+        ("# order=+2 dim=3 entries=0\n", "header order: expected a decimal integer"),
+        ("# order=2 dim=3 entries=\u0661\n1 2 1\n", "header entries: expected a decimal"),
+        ("# order=2 dim=3 entries=\n", "header entries: expected a decimal integer"),
+        ("# order=2 dim=12 entries=1\n1 1_0 1\n", "line 2: expected a decimal integer"),
+        ("# order=2 dim=3 entries=1\n+1 2 1\n", "line 2: expected a decimal integer"),
+        ("# order=2 dim=3 entries=1\n1 \u0662 1\n", "line 2: expected a decimal integer"),
+        ("# order=2 dim=3 entries=1\n-1 2 1\n", "line 2: expected a decimal integer"),
     ):
-        with pytest.raises(ParseError):
-            bad()
+        with pytest.raises(ParseError, match=error):
+            tensor_from_coo(text)
+
+
+def test_tensor_coo_one_record_rule():
+    same = tensor_from_coo("# order=2 dim=3 entries=2\n1 2 1\n2 1 1\n")
+    assert same.canonical_items() == [((1, 2), 1)]
+    for text, error in (
+        ("# order=2 dim=3 entries=2\n1 2 1\n2 1 2\n", "line 3: conflicting values"),
+        ("# order=2 dim=3 entries=1\n1 2 3 1\n", "line 2: expected 2 indices and a value"),
+        ("# order=2 dim=3 entries=1\n1 1\n", "line 2: expected 2 indices and a value"),
+        ("# order=2 dim=3 entries=1\n1 4 1\n", r"^tensor: index tuple \(1, 4\) outside 1..3"),
+        ("# order=2 dim=3 entries=1\n1 1.5 1\n", "line 2: expected a decimal integer"),
+        ("# order=2 dim=3 entries=1\ntrue 2 1\n", "line 2: expected a decimal integer"),
+    ):
+        with pytest.raises(ParseError, match=error):
+            tensor_from_coo(text)
 
 
 def test_trace_integer_fields(demo):
@@ -251,6 +241,11 @@ def test_incidence_csv_quotes_ids_that_need_it():
     assert "\nplain id,0,0,0\n" in text
 
 
+def test_incidence_csv_int_and_tuple_ids():
+    h = HbGraph.from_dicts([1, (1, 2), 3], [{1: 1, (1, 2): 2}, {3: 1}])
+    assert incidence_csv(h) == 'vertex,e1,e2\n1,1,0\n"(1, 2)",2,0\n3,0,1\n'
+
+
 def test_deterministic_output(demo):
     a = dumps(hbgraph_to_obj(demo))
     b = dumps(hbgraph_to_obj(HbGraph.from_dicts(
@@ -270,5 +265,4 @@ def test_random_round_trips():
         assert hbgraph_from_obj(hbgraph_to_obj(h)) == h
         t, trace = e_adjacency_tensor(h, "silo")
         assert tensor_from_coo(tensor_to_coo(t)) == t
-        assert tensor_from_obj(tensor_to_obj(t)) == t
         assert trace_from_obj(trace_to_obj(trace)) == trace
