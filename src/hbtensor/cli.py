@@ -162,12 +162,7 @@ def cmd_verify(args) -> int:
         ),
     }
     passed = all(checks.values())
-    if args.bound:
-        sys.stdout.write(io.dumps(bound_obj))
-    else:
-        sys.stdout.write(
-            io.dumps({"checks": checks, "bound": bound_obj, "passed": passed})
-        )
+    sys.stdout.write(io.dumps({"checks": checks, "bound": bound_obj, "passed": passed}))
     return 0 if passed else 1
 
 
@@ -237,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from-tensor", dest="from_tensor")
     p.add_argument("--trace")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bound", action="store_true", help="print only the bound report")
 
     p = add("paths", cmd_paths, help="distance, components, diameter")
     p.add_argument("--pair", nargs=2, metavar=("FROM", "TO"))

@@ -11,6 +11,7 @@ cannot read, a violated precondition of the core (``DomainError``) included.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -26,6 +27,10 @@ _MAX_DIGITS = 4300
 _TOO_LONG = 10**_MAX_DIGITS
 # the most characters of a bad literal that an error message repeats
 _EXCERPT = 40
+# the characters of a "p/q" or decimal string: no '_', whitespace or non-ASCII
+# digit, all of which ``Fraction`` would also take
+_LITERAL = re.compile(r"[0-9+\-./eE]+")
+_HEADER_KEYS = ("order", "dim", "entries")
 
 
 def _too_long(x: Rational) -> bool:
@@ -50,13 +55,16 @@ def format_rational(x: Rational) -> str:
 
 def json_to_rational(obj, where: str) -> Rational:
     """The one number rule: a JSON number or "p/q" string as ``as_rational``
-    reads it.  Bools, lists, objects, null and NaN/Infinity are rejected, and
-    so is a numerator or denominator of more than ``_MAX_DIGITS`` digits, which
-    could not be printed (an int literal that long already fails ``_loads``)."""
+    reads it, a string holding only the characters of ``_LITERAL``.  Bools,
+    lists, objects, null and NaN/Infinity are rejected, and so is a numerator
+    or denominator of more than ``_MAX_DIGITS`` digits, which could not be
+    printed (an int literal that long already fails ``_loads``)."""
     if type(obj) is int:  # fast path: every multiplicity of every load
         return obj
     if isinstance(obj, (Fraction, str)):  # Fraction: parse_float below
         try:
+            if isinstance(obj, str) and not _LITERAL.fullmatch(obj):
+                raise ValueError(obj)
             value = as_rational(obj)
         except (ValueError, ZeroDivisionError) as exc:  # only a str gets here
             shown = repr(obj[:_EXCERPT])
@@ -201,14 +209,16 @@ def tensor_from_coo(text: str, source: str = "tensor") -> SymTensor:
     if not lines or not lines[0].startswith("#"):
         raise ParseError(f"{source}: missing '# order=.. dim=.. entries=..' header")
     header: dict[str, int] = {}
-    for token in lines[0].lstrip("#").split():
+    for token in lines[0][1:].split():
         if "=" not in token:
             raise ParseError(f"{source}: bad header token {token!r}")
         name, _, raw = token.partition("=")
+        if name not in _HEADER_KEYS:
+            raise ParseError(f"{source}: unknown header key {name[:_EXCERPT]!r}")
         if name in header:
             raise ParseError(f"{source}: repeated header key {name}=")
         header[name] = _natural(raw, f"{source}: header {name}")
-    for required in ("order", "dim", "entries"):
+    for required in _HEADER_KEYS:
         if required not in header:
             raise ParseError(f"{source}: header lacks {required}=")
     order = header["order"]
@@ -241,27 +251,16 @@ def load_tensor_coo(path) -> SymTensor:
 
 
 def trace_to_obj(trace: UniformisationTrace) -> dict:
-    return {
-        "approach": trace.approach,
-        "r_h": trace.r_h,
-        "edge_provenance": [i + 1 for i in trace.edge_provenance],
-    }
+    return {"approach": trace.approach, "r_h": trace.r_h}
 
 
 def trace_from_obj(obj, source: str = "trace") -> UniformisationTrace:
-    """Read the three stored fields.  Any other key is ignored, the derived
-    fields that older trace files also carry included."""
-    _json(obj, dict, source, "approach", "r_h", "edge_provenance")
+    """Read the two stored fields.  Any other key is ignored, so older trace
+    files, which also carry an edge map and derived fields, still read."""
+    _json(obj, dict, source, "approach", "r_h")
     if obj["approach"] not in APPROACHES:  # no repr: a decoded value may nest deep
         raise ParseError(f"{source}: 'approach' must be one of {', '.join(APPROACHES)}")
-    return UniformisationTrace(
-        approach=obj["approach"],
-        r_h=_integer(obj["r_h"], f"{source}: r_h"),
-        edge_provenance=tuple(
-            _integer(i, f"{source}: edge_provenance") - 1
-            for i in _json(obj["edge_provenance"], list, f"{source}: edge_provenance")
-        ),
-    )
+    return UniformisationTrace(obj["approach"], _integer(obj["r_h"], f"{source}: r_h"))
 
 
 def load_trace(path) -> UniformisationTrace:

@@ -23,6 +23,9 @@ from .errors import DomainError
 from .tensor import SymTensor, _check_trace, _contract, _trie
 from .transform import LAYERED, SILO, STRAIGHTFORWARD, UniformisationTrace
 
+# the power iteration stops once no coordinate moves by this much in a step
+_TOL = 1e-10
+
 
 class PowerIterationResult(NamedTuple):
     value: float
@@ -63,10 +66,7 @@ def delta_star_closed_form(
 
 
 def estimate_max_eigenvalue(
-    t: SymTensor,
-    iterations: int = 10_000,
-    tol: float = 1e-10,
-    seed: int | None = None,
+    t: SymTensor, iterations: int = 10_000, seed: int | None = None
 ) -> PowerIterationResult:
     """Shifted higher-order power iteration on the positive orthant.
 
@@ -76,7 +76,10 @@ def estimate_max_eigenvalue(
     nonnegative symmetric tensor this quotient never exceeds the largest
     H-eigenvalue, so the reported value always respects the spectral bound.
     Convergence is not guaranteed; the flag reports whether the iterate
-    stabilized within ``tol``.
+    stabilized within ``_TOL``, and is never set on a quotient of 0.0: the
+    shares are positive, so is the largest H-eigenvalue, and 0.0 means every
+    term of the contraction underflowed (x_i^{r-1} at large r) and the iterate
+    froze.  Underflowed coordinates alone are no such sign; correct runs have them.
 
     The iteration runs on the support only: the indices that occur in some
     canonical entry, which (entries being nonzero and nonnegative) are
@@ -85,7 +88,7 @@ def estimate_max_eigenvalue(
     with lambda != 0, since lambda x_i^{r-1} = (A x^{r-1})_i = 0.  Iterated,
     it would only decay by a factor (lambda + 1)^{-1/(r-1)} per step from a
     start near 1, and hold the convergence test open for about
-    23 (r - 1) / ln(lambda + 1) steps at tol = 1e-10.  The seeded start is
+    23 (r - 1) / ln(lambda + 1) steps at ``_TOL`` = 1e-10.  The seeded start is
     drawn for the support coordinates alone, in index order, so on a tensor
     whose every index occurs the iteration is the full-dimension one.
 
@@ -129,11 +132,11 @@ def estimate_max_eigenvalue(
         # the largest coordinate of x is 1.0, so top >= 1
         top = max(nxt)
         nxt = [v / top for v in nxt]
-        converged = all(abs(a - b) < tol for a, b in zip(nxt, x))
+        converged = all(abs(a - b) < _TOL for a, b in zip(nxt, x))
         x = nxt
         if converged:
             break
 
     y = contract(x)
     rayleigh = sum(xi * yi for xi, yi in zip(x, y)) / sum(xi**r for xi in x)
-    return PowerIterationResult(value=rayleigh, converged=converged, iterations=used)
+    return PowerIterationResult(rayleigh, converged and rayleigh > 0.0, used)

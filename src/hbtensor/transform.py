@@ -16,10 +16,12 @@ the original ones, so the runs extend the edge's own tensor key:
 These are what the paper's compositions of ``decompose``, ``dilatation``,
 ``y_complement``, ``vertex_increase`` and ``merge`` produce; ``uniformize``
 and the tensor constructions apply the closed form directly.  Every output
-edge carries the dilatation weight c_r = r_H / r of its level.  The returned
-trace stores only the approach, r_H and the output edge order, which is
-sorted by (m-cardinality, input index); the null vertices are a closed form
-in (approach, r_H), derived by ``UniformisationTrace.null_vertices``.
+edge carries the dilatation weight c_r = r_H / r of its level.  Output edge
+i is input edge i followed by its padding runs: the tensor forgets edge
+order, so ``uniformize`` keeps the input order rather than the level order
+the composition yields.  The returned trace stores only the approach and
+r_H; the null vertices are a closed form in (approach, r_H), derived by
+``UniformisationTrace.null_vertices``.
 """
 
 from __future__ import annotations
@@ -48,11 +50,12 @@ RESERVED_PREFIX = "__"
 
 
 class UniformisationTrace(NamedTuple):
-    """Bookkeeping needed to interpret tensor indices and reverse the pipeline."""
+    """What a tensor needs beside it to be read: the approach and r_H, from
+    which the null vertices follow.  Edge i of the uniformized hb-graph is
+    input edge i, so no edge map is stored."""
 
     approach: str
     r_h: int
-    edge_provenance: tuple[int, ...]  # output edge index -> input edge index
 
     @property
     def n_a(self) -> int:
@@ -150,12 +153,7 @@ def _uniformisation_trace(h: HbGraph, approach: str) -> UniformisationTrace:
     for v in h.vertices:
         if isinstance(v, str) and v.startswith(RESERVED_PREFIX):
             raise VertexCollision(f"vertex id {v!r} uses the reserved prefix '__'")
-    cardinalities = [e.m_cardinality() for e in h.edges]
-    return UniformisationTrace(
-        approach=approach,
-        r_h=max(cardinalities),
-        edge_provenance=tuple(sorted(range(h.p), key=lambda i: (cardinalities[i], i))),
-    )
+    return UniformisationTrace(approach, h.m_range())
 
 
 def padding(approach: str, n: int, r_h: int, c: int) -> tuple[tuple[int, int], ...]:
@@ -178,6 +176,7 @@ def padding(approach: str, n: int, r_h: int, c: int) -> tuple[tuple[int, int], .
 def uniformize(h: HbGraph, approach: str) -> tuple[HbGraph, UniformisationTrace]:
     """Build the r_H-m-uniform weighted hb-graph for the given approach.
 
+    Output edge i is input edge i plus its padding, with weight r_H / c_i.
     Input weights are ignored: the pipelines start from the unweighted
     structure and the output carries the dilatation coefficients.  User
     weights only enter at tensor-construction time.
@@ -186,9 +185,9 @@ def uniformize(h: HbGraph, approach: str) -> tuple[HbGraph, UniformisationTrace]
     vertices = Universe(h.vertices + trace.null_vertices)
     edges = []
     weights = []
-    for i in trace.edge_provenance:
-        counts = h.edges[i].mult
-        c = h.edges[i].m_cardinality()
+    for e in h.edges:
+        counts = e.mult
+        c = e.m_cardinality()
         # tensor index j names vertex j of the padded vertex list
         counts.update((vertices[j - 1], m) for j, m in padding(approach, h.n, trace.r_h, c))
         edges.append(Multiset(vertices, counts))

@@ -110,6 +110,25 @@ def test_number_too_long_to_print_exits_2(demo_file, tmp_path, capsys):
     assert "line 2: number has more" in capsys.readouterr().err
 
 
+def test_off_rule_literals_exit_2(demo_file, tmp_path, capsys):
+    graph = tmp_path / "g.json"
+    graph.write_text('{"vertices": ["a"], "edges": [{"mult": {"a": "1_0"}}]}')
+    assert main(["info", str(graph)]) == 2
+    assert "mult['a']: bad rational literal '1_0'" in capsys.readouterr().err
+    out = tmp_path / "t.coo"
+    assert main(["tensor", demo_file, "--approach", "str", "--out", str(out)]) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    for header, error in (
+        ("#" + lines[0], "bad header token '#'"),
+        (lines[0] + " foo=7", "unknown header key 'foo'"),
+    ):
+        bad = tmp_path / "bad.coo"
+        bad.write_text("\n".join([header] + lines[1:]) + "\n", encoding="utf-8")
+        args = ["verify", demo_file, "--from-tensor", str(bad), "--trace", f"{out}.trace.json"]
+        assert main(args) == 2
+        assert error in capsys.readouterr().err
+
+
 def test_derived_number_too_long_to_print_exits_3(tmp_path, capsys):
     path = tmp_path / "g.json"
     edges = [{"mult": {"a": int("9" * 4300)}}, {"mult": {"b": 1}}]
@@ -204,10 +223,25 @@ def test_verify(demo_file, capsys):
         assert report["bound"]["within_bound"] is True
 
 
-def test_verify_bound_only(demo_file, capsys):
-    assert main(["verify", demo_file, "--approach", "sil", "--bound"]) == 0
-    report = json.loads(capsys.readouterr().out)
+def test_verify_bound_option_is_gone(demo_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", demo_file, "--approach", "sil", "--bound"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    # the bound report is the ``bound`` field of the default output
+    assert main(["verify", demo_file, "--approach", "sil"]) == 0
+    report = json.loads(capsys.readouterr().out)["bound"]
     assert report["delta"] == 3 and report["delta_star"] == 4 and report["bound"] == 9
+
+
+def test_verify_zero_estimate_is_not_converged(tmp_path, capsys):
+    path = tmp_path / "big_and_small.json"
+    edges = [{"mult": {"a": 10000}}, {"mult": {"a": 1, "b": 1}}]
+    path.write_text(dumps({"vertices": ["a", "b"], "edges": edges}), encoding="utf-8")
+    for approach, seed in (("str", "3"), ("lay", "0")):
+        assert main(["verify", str(path), "--approach", approach, "--seed", seed]) == 0
+        report = json.loads(capsys.readouterr().out)["bound"]
+        assert report["empirical_lambda"] == 0.0 and report["converged"] is False
 
 
 def test_verify_corrupted_tensor(demo_file, tmp_path, capsys):
@@ -270,11 +304,13 @@ def test_verify_silo_trace_on_straightforward_tensor(tmp_path, capsys):
 
 
 def test_verify_reads_old_trace_format(demo_file, capsys):
-    """A trace written before the null vertices were derived, with its ``n_a``,
-    ``null_vertices`` and ``layer_coeffs``, reads as the current one does."""
+    """A trace written before the null vertices were derived and the edge order
+    kept, with its ``n_a``, ``null_vertices``, ``layer_coeffs`` and
+    ``edge_provenance``, reads as the current one does."""
     old = DATA / "demo_sil_old_format.trace.json"
     new = GOLDEN_DEMO / "tensor_sil.file.t.coo.trace.json"
-    assert {"n_a", "null_vertices", "layer_coeffs"} <= json.loads(old.read_text()).keys()
+    old_keys = {"n_a", "null_vertices", "layer_coeffs", "edge_provenance"}
+    assert old_keys <= json.loads(old.read_text()).keys()
     assert load_trace(old) == load_trace(new)
     coo = GOLDEN_DEMO / "tensor_sil.file.t.coo"
     reports = []
@@ -294,7 +330,7 @@ def test_verify_trace_with_fractional_r_h(tmp_path, capsys):
     trace = json.loads((tmp_path / "t.coo.trace.json").read_text(encoding="utf-8"))
     assert trace["r_h"] == 2
     bad = tmp_path / "bad.trace.json"
-    bad.write_text(dumps(trace).replace('"r_h": 2,', '"r_h": 2.5,'), encoding="utf-8")
+    bad.write_text(dumps(trace).replace('"r_h": 2', '"r_h": 2.5'), encoding="utf-8")
     code = main(["verify", str(path), "--from-tensor", str(out), "--trace", str(bad)])
     assert code == 2
     assert capsys.readouterr().err == f"error: {bad}: r_h: expected an integer\n"

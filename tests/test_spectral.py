@@ -102,6 +102,21 @@ def test_power_iteration_zero_and_errors():
         estimate_max_eigenvalue(negative)
 
 
+def test_zero_estimate_is_never_converged():
+    # at r_H = M, x_i^(M-1) underflows for most starts; on some seeds every
+    # term does and the iterate stands still at quotient 0.0
+    zeros = 0
+    for m in (3000, 10**4):
+        h = HbGraph.from_dicts(("a", "b"), [{"a": m}, {"a": 1, "b": 1}])
+        for approach in APPROACHES:
+            t, _ = e_adjacency_tensor(h, approach)
+            for seed in range(5):
+                result = estimate_max_eigenvalue(t, seed=seed)
+                assert not (result.converged and result.value < m)
+                zeros += result.value == 0.0
+    assert zeros >= 5  # the collapse was met
+
+
 def test_estimate_below_bound(demo):
     rng = random.Random(67)
     graphs = [demo] + [random_hbgraph(rng, n_max=6, p_max=5, mult_max=3) for _ in range(15)]

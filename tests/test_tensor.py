@@ -674,7 +674,7 @@ def outcome(fn, *args):
 
 
 def straightforward_trace(order: int, dim: int) -> UniformisationTrace:
-    return UniformisationTrace(STRAIGHTFORWARD, order, ())
+    return UniformisationTrace(STRAIGHTFORWARD, order)
 
 
 def check_shares(t: SymTensor, trace: UniformisationTrace | None, total_edges: int):

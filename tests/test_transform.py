@@ -27,7 +27,7 @@ from hbtensor import (
     y_complement,
 )
 from hbtensor.errors import EmptyEdge, EmptyEdgeFamily
-from hbtensor.transform import UniformisationTrace
+from hbtensor.transform import UniformisationTrace, padding
 from randgen import random_hbgraph, random_uniform_hbgraph
 
 
@@ -122,21 +122,17 @@ def test_decompose(demo):
 
 
 def test_uniformize_demo_examples(demo):
-    uni, trace = uniformize(demo, "straightforward")
-    by_source = {trace.edge_provenance[k]: uni.edges[k] for k in range(uni.p)}
-    assert dict(by_source[3].mult) == {"v6": 1, "__N1": 4}
-    assert uni.weights[trace.edge_provenance.index(3)] == 5
+    uni, _ = uniformize(demo, "straightforward")
+    assert dict(uni.edges[3].mult) == {"v6": 1, "__N1": 4}
+    assert uni.weights[3] == 5
 
-    uni, trace = uniformize(demo, "silo")
-    by_source = {trace.edge_provenance[k]: k for k in range(uni.p)}
-    e3 = uni.edges[by_source[2]]
-    assert dict(e3.mult) == {"v3": 1, "v5": 2, "__N3": 2}
-    assert uni.weights[by_source[2]] == Fraction(5, 3)
+    uni, _ = uniformize(demo, "silo")
+    assert dict(uni.edges[2].mult) == {"v3": 1, "v5": 2, "__N3": 2}
+    assert uni.weights[2] == Fraction(5, 3)
 
-    uni, trace = uniformize(demo, "layered")
-    e3 = uni.edges[by_source[2]]
-    assert dict(e3.mult) == {"v3": 1, "v5": 2, "__L3": 1, "__L4": 1}
-    assert uni.weights[by_source[2]] == Fraction(5, 3)
+    uni, _ = uniformize(demo, "layered")
+    assert dict(uni.edges[2].mult) == {"v3": 1, "v5": 2, "__L3": 1, "__L4": 1}
+    assert uni.weights[2] == Fraction(5, 3)
 
 
 def test_uniformize_trace_indices(demo):
@@ -147,7 +143,7 @@ def test_uniformize_trace_indices(demo):
         ("layered", ("__L1", "__L2", "__L3", "__L4")),
     ):
         uni, trace = uniformize(demo, approach)
-        assert (trace.approach, trace.r_h, trace.edge_provenance) == (approach, 5, (3, 2, 1, 0))
+        assert trace == (approach, 5)
         assert trace.null_vertices == nulls and trace.n_a == len(nulls)
         # item k - 1 of the null vertices has tensor index n + k
         assert uni.vertices[n:] == nulls
@@ -162,10 +158,8 @@ def test_uniformize_invariants():
             uni, trace = uniformize(h, approach)
             assert uni.is_k_m_uniform(r_h)
             assert uni.size() == h.size()
-            assert sorted(trace.edge_provenance) == list(range(h.p))
-            # restriction to the original vertices recovers the source edge
-            for k, edge in enumerate(uni.edges):
-                source = h.edges[trace.edge_provenance[k]]
+            # restriction to the original vertices recovers the input edge
+            for k, (edge, source) in enumerate(zip(uni.edges, h.edges, strict=True)):
                 restriction = {
                     v: m for v, m in edge.mult.items() if not v.startswith("__")
                 }
@@ -248,22 +242,27 @@ def reference_uniformize(h: HbGraph, approach: str):
             )
         uniform = accumulated
 
-    cardinalities = [e.m_cardinality() for e in h.edges]
-    provenance = tuple(sorted(range(h.p), key=lambda i: (cardinalities[i], i)))
-    return uniform, UniformisationTrace(approach, r_h, provenance)
+    return uniform, UniformisationTrace(approach, r_h)
+
+
+def level_order(h: HbGraph) -> list[int]:
+    """The input edges in the composition's output order: a stable sort by
+    m-cardinality."""
+    return sorted(range(h.p), key=lambda i: h.edges[i].m_cardinality())
 
 
 def tensor_from_uniform(uniform: HbGraph, trace, h: HbGraph) -> dict:
-    """One entry per uniformized edge: sorted index key, prod m! / (r_H-1)! * w."""
+    """One entry per uniformized edge (edge k of ``uniform`` coming from input
+    edge ``level_order(h)[k]``): sorted index key, prod m! / (r_H-1)! * w."""
     position = {v: k + 1 for k, v in enumerate(uniform.vertices)}
     entries = {}
-    for out_idx, edge in enumerate(uniform.edges):
+    for edge, i in zip(uniform.edges, level_order(h), strict=True):
         key = tuple(sorted(position[x] for x, m in edge.mult.items() for _ in range(m)))
         value = Fraction(
             math.prod(math.factorial(m) for m in edge.mult.values()),
             math.factorial(trace.r_h - 1),
         )
-        entries[key] = value * h.weight(trace.edge_provenance[out_idx])
+        entries[key] = value * h.weight(i)
     return entries
 
 
@@ -271,8 +270,18 @@ def assert_matches_reference(h: HbGraph) -> None:
     for approach in APPROACHES:
         expected, expected_trace = reference_uniformize(h, approach)
         uni, trace = uniformize(h, approach)
-        assert uni == expected
+        # output edge i is input edge i plus its padding, weighted r_H / c_i
+        r_h = trace.r_h
+        for edge, source, w in zip(uni.edges, h.edges, uni.weights, strict=True):
+            c = source.m_cardinality()
+            nulls = [(uni.vertices[j - 1], m) for j, m in padding(approach, h.n, r_h, c)]
+            assert list(edge.mult.items()) == list(source.mult.items()) + nulls
+            assert w == Fraction(r_h, c)
+        # the composition yields level order: equal after the stable sort
+        order = level_order(h)
         assert uni.vertices == expected.vertices
+        assert [uni.edges[i] for i in order] == list(expected.edges)
+        assert [uni.weights[i] for i in order] == list(expected.weights)
         assert trace == expected_trace
         # the derived null-vertex ids are those the composition appends
         assert expected.vertices[h.n :] == trace.null_vertices
