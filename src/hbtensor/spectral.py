@@ -9,7 +9,10 @@ vertices (both readable off the tensor as row sums).  The power iteration
 below, run over the nonzero rows only through the tensor's contraction
 kernel (``tensor._contract``, O(trie nodes) per step, at most
 sum |supp e| + r_H on an e-adjacency tensor), gives a lower estimate of the
-largest H-eigenvalue, so the bound can be checked empirically.
+largest H-eigenvalue, so the bound can be checked empirically.  When its
+steps shrink by a steady ratio rho, one slow mode is left, and an Aitken-type
+extrapolation step (Kamvar, Haveliwala, Manning and Golub, 2003) jumps to
+that mode's limit.
 """
 
 from __future__ import annotations
@@ -25,6 +28,10 @@ from .transform import LAYERED, SILO, STRAIGHTFORWARD, UniformisationTrace
 
 # the power iteration stops once no coordinate moves by this much in a step
 _TOL = 1e-10
+# an extrapolation step needs two consecutive step ratios that agree to within
+# _AGREE min(rho, 1 - rho), the later one rho, and 0 < rho < _MAX_RATIO
+_AGREE = 0.2
+_MAX_RATIO = 0.999
 
 
 class PowerIterationResult(NamedTuple):
@@ -81,6 +88,24 @@ def estimate_max_eigenvalue(
     term of the contraction underflowed (x_i^{r-1} at large r) and the iterate
     froze.  Underflowed coordinates alone are no such sign; correct runs have them.
 
+    Each plain step x' = T(x) moves the iterate by delta = x' - x, and rho =
+    <delta_k, delta_{k-1}> / <delta_{k-1}, delta_{k-1}> estimates the rate at
+    which the steps shrink.  It is read off the distances between the last
+    three iterates, so no step is stored and a step costs two distance sums
+    more than a plain power iteration.  When two consecutive estimates agree to
+    within ``_AGREE`` min(rho, 1 - rho) and 0 < rho < ``_MAX_RATIO``, the
+    remaining steps of that mode sum to rho / (1 - rho) delta, and the
+    iteration jumps to normalize(x' + rho / (1 - rho) delta) and starts a new
+    pair of estimates.  The jump keeps a coordinate at 0.0 at 0.0, and is not
+    taken (the plain step stands) if it would make a positive coordinate
+    nonpositive or any coordinate non-finite, so the iterate stays in the
+    positive orthant and the quotient below rho(A).  The agreement test scales
+    with rho as well as with 1 - rho: a rate that falls step by step (an
+    iterate that converges faster than linearly) gets no jump, which there
+    would overshoot.  A jump costs no contraction; ``iterations`` counts
+    contractions, and the stop test is only ever passed by a plain step, so
+    ``converged`` keeps its meaning.
+
     The iteration runs on the support only: the indices that occur in some
     canonical entry, which (entries being nonzero and nonnegative) are
     exactly the nonzero rows, renumbered in order.  A zero row i, such as an
@@ -126,6 +151,7 @@ def estimate_max_eigenvalue(
 
     converged, used = False, 0
     k, root = r - 1, 1.0 / (r - 1)
+    before = gap = ratio = None  # the iterate before x, the length of the step to x, its rho
     for used in range(1, iterations + 1):
         y = contract(x)
         nxt = [(yi + xi**k) ** root for xi, yi in zip(x, y)]
@@ -133,9 +159,25 @@ def estimate_max_eigenvalue(
         top = max(nxt)
         nxt = [v / top for v in nxt]
         converged = all(abs(a - b) < _TOL for a, b in zip(nxt, x))
-        x = nxt
         if converged:
+            x = nxt
             break
+        size, rho = math.dist(nxt, x), None
+        if before is not None:
+            # <a - b, b - c> = (|a - c|^2 - |a - b|^2 - |b - c|^2) / 2, and the step
+            # to x moved some coordinate by _TOL, so gap > 0
+            rho = (math.dist(nxt, before) ** 2 - size * size - gap * gap) / (2.0 * gap * gap)
+        before, x, gap = x, nxt, size
+        agree = ratio is not None and abs(rho - ratio) < _AGREE * min(rho, 1.0 - rho)
+        if agree and 0.0 < rho < _MAX_RATIO:
+            # the steps shrink by rho each: jump to the limit of that one mode
+            c = rho / (1.0 - rho)
+            jumped = [xi + c * (xi - xb) if xi else 0.0 for xi, xb in zip(x, before)]
+            top = max(jumped)
+            if math.isfinite(top) and all(j > 0.0 for j, xi in zip(jumped, x) if xi):
+                x = [j / top for j in jumped]
+                before = rho = None
+        ratio = rho
 
     y = contract(x)
     rayleigh = sum(xi * yi for xi, yi in zip(x, y)) / sum(xi**r for xi in x)

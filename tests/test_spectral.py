@@ -7,6 +7,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hbtensor import (
     APPROACHES,
@@ -214,9 +215,15 @@ def test_estimate_matches_reference_iteration(demo):
                 seed = rng.randint(0, 99)
                 result = estimate_max_eigenvalue(t, iterations=iterations, seed=seed)
                 value, converged, used = reference_estimate(t, iterations, seed=seed)
-                # the kernel sums in another order: the value agrees to rounding
-                assert (result.converged, result.iterations) == (converged, used)
-                assert math.isclose(result.value, value, rel_tol=1e-12)
+                if iterations <= 2:
+                    # no extrapolation step can fire before the third step
+                    assert (result.converged, result.iterations) == (converged, used)
+                    # the kernel sums in another order: the value agrees to rounding
+                    assert math.isclose(result.value, value, rel_tol=1e-12)
+                elif converged:
+                    assert result.converged
+                    assert math.isclose(result.value, value, rel_tol=1e-9)
+                    assert result.iterations <= used
                 cut_short += iterations < 4 and not result.converged
     assert cut_short >= 20  # runs stopped before converging were compared
 
@@ -275,6 +282,75 @@ def highmult_shaped(rng: random.Random) -> HbGraph:
         if e not in edges:
             edges.append(e)
     return HbGraph.from_dicts(vertices, edges)
+
+
+def sparse_shaped(rng: random.Random) -> HbGraph:
+    """120 vertices and 120 distinct hb-edges of 1-4 vertices with multiplicities
+    1-4: one of m-cardinality r_H = 16."""
+    vertices = [f"v{i}" for i in range(1, 121)]
+    edges = [{v: 4 for v in vertices[:4]}]
+    while len(edges) < 120:
+        e = {v: rng.randint(1, 4) for v in rng.sample(vertices, rng.randint(1, 4))}
+        if e not in edges:
+            edges.append(e)
+    return HbGraph.from_dicts(vertices, edges)
+
+
+def test_extrapolation_halves_silo_iterations():
+    # silo's plain iteration has one slow mode (hundreds of steps); the
+    # extrapolation step removes it
+    for h in (sparse_shaped(random.Random(107)), highmult_shaped(random.Random(101))):
+        t, trace = e_adjacency_tensor(h, "silo")
+        assert trace.r_h in (16, 300)
+        result = estimate_max_eigenvalue(t, seed=7)
+        value, converged, used = reference_estimate(t, 10_000, seed=7)
+        assert result.converged and converged
+        assert 2 * result.iterations <= used
+        assert round(result.value, 9) == round(value, 9)
+
+
+@st.composite
+def small_hbgraphs(draw):
+    """Up to 4 distinct hb-edges of 1-3 vertices with multiplicities up to 4,
+    unweighted or with weights 1-5."""
+    vertices = [f"v{i}" for i in range(1, draw(st.integers(1, 4)) + 1)]
+    edge = st.dictionaries(st.sampled_from(vertices), st.integers(1, 4), min_size=1, max_size=3)
+    edges = draw(
+        st.lists(edge, min_size=1, max_size=4, unique_by=lambda e: tuple(sorted(e.items())))
+    )
+    weights = None
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(1, 5), min_size=len(edges), max_size=len(edges)))
+    return HbGraph.from_dicts(vertices, edges, weights)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_hbgraphs(), st.integers(0, 99))
+def test_estimate_matches_reference_hypothesis(h, seed):
+    for approach in APPROACHES:
+        t, trace = e_adjacency_tensor(h, approach)
+        if t.order < 2:
+            continue
+        result = estimate_max_eigenvalue(t, iterations=2_000, seed=seed)
+        assert 0.0 <= result.value
+        assert Fraction(result.value) <= spectral_bound(t, trace).bound
+        value, converged, _ = reference_estimate(t, 2_000, seed=seed)
+        if result.converged and converged:
+            assert math.isclose(result.value, value, rel_tol=1e-9)
+
+
+def test_extrapolation_never_converges_to_a_wrong_value():
+    # two blocks with the same eigenvalue 300: the balance between them
+    # drifts, a slow mode that no jump may pass off as the limit
+    h = HbGraph.from_dicts(("a", "b"), [{"b": 300}, {"a": 1}])
+    converged = 0
+    for approach in APPROACHES:
+        t, _ = e_adjacency_tensor(h, approach)
+        for seed in range(4):
+            result = estimate_max_eigenvalue(t, seed=seed)
+            assert not (result.converged and abs(result.value - 300) > 3e-7)
+            converged += result.converged
+    assert converged >= 4  # the layered runs converge
 
 
 def test_estimate_converges_where_float_coefficients_overflowed(tmp_path, capsys):
