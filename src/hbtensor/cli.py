@@ -20,14 +20,8 @@ from . import io
 from .errors import DomainError, ParseError, TraceMismatch
 from .paths import connected_components, diameter, distance
 from .spectral import estimate_max_eigenvalue, spectral_bound
-from .tensor import (
-    _check_trace,
-    _indexed,
-    _level_weights,
-    e_adjacency_tensor,
-    reconstruct_edges,
-)
-from .transform import APPROACHES, uniformize
+from .tensor import _check_trace, _indexed, _level_weights, e_adjacency_tensor
+from .transform import APPROACHES, padding, uniformize
 
 
 def _approach(value: str) -> str:
@@ -114,10 +108,8 @@ def cmd_tensor(args) -> int:
 def cmd_verify(args) -> int:
     h = io.load_hbgraph(args.input)
     if args.from_tensor:
-        if not args.trace:
-            raise DomainError("--from-tensor requires --trace")
         tensor = io.load_tensor_coo(args.from_tensor)
-        trace = io.load_trace(args.trace)
+        trace = io.load_trace(args.trace or args.from_tensor + ".trace.json")
         if _check_trace(tensor, trace) != h.n:
             msg = f"tensor dim {tensor.dim} - {trace.n_a} null vertices != {h.n} graph vertices"
             raise TraceMismatch(msg)
@@ -136,9 +128,12 @@ def cmd_verify(args) -> int:
     levels = enumerate(_level_weights(tensor, trace))
     checks["edge_distribution"] = {j: w for j, w in levels if w} == by_level
     try:
-        # recovered edges keep their entries' ascending runs
-        recovered = Counter(tuple(e.items()) for e in reconstruct_edges(tensor, trace))
-        checks["reconstruction"] = recovered == Counter(map(_indexed, h.edges))
+        # each entry's whole key, padding included: an edge's runs, then its padding's
+        expected = Counter(
+            _indexed(e) + padding(trace.approach, h.n, trace.r_h, e.m_cardinality())
+            for e in h.edges
+        )
+        checks["reconstruction"] = Counter(tensor._entries.keys()) == expected
     except DomainError:
         checks["reconstruction"] = False
 
@@ -252,7 +247,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.verb == "verify" and not args.from_tensor and args.approach is None:
-        parser.error("verify requires --approach (or --from-tensor with --trace)")
+        parser.error("verify requires --approach (or --from-tensor)")
     try:
         return args.fn(args)
     except ParseError as exc:

@@ -19,12 +19,13 @@ from typing import Any
 from .errors import DomainError, ParseError
 from .hbgraph import HbGraph
 from .mset import Rational, as_rational
-from .tensor import SymTensor
+from .tensor import SymTensor, _denominators_too_long
 from .transform import APPROACHES, UniformisationTrace
 
 # the most decimal digits ``str`` prints of an int by default; 10**4300 has one more
 _MAX_DIGITS = 4300
 _TOO_LONG = 10**_MAX_DIGITS
+_CANNOT_PRINT = f"cannot print a number of more than {_MAX_DIGITS} digits"
 # the most characters of a bad literal that an error message repeats
 _EXCERPT = 40
 # the characters of a "p/q" or decimal string: no '_', whitespace or non-ASCII
@@ -45,7 +46,7 @@ def rational_to_json(x: Rational):
         return x
     x = Fraction(x)
     if _too_long(x):
-        raise DomainError(f"cannot print a number of more than {_MAX_DIGITS} digits")
+        raise DomainError(_CANNOT_PRINT)
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -185,6 +186,10 @@ def incidence_csv(h: HbGraph) -> str:
 
 
 def tensor_to_coo(t: SymTensor, mode: str = "canonical") -> str:
+    """COO text of ``t``.  A value whose denominator the printer would refuse
+    is refused before any value is built, where the log-gammas tell."""
+    if _denominators_too_long(t, _MAX_DIGITS):
+        raise DomainError(_CANNOT_PRINT)
     records = t.export_coo(mode)
     lines = [f"# order={t.order} dim={t.dim} entries={len(records)}"]
     for key, value in records:

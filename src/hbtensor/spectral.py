@@ -5,7 +5,9 @@ Every eigenvalue of an e-adjacency tensor satisfies
     |lambda| <= max(Delta, Delta*) + r_H
 
 where Delta and Delta* are the maximal m-degrees over original and null
-vertices (both readable off the tensor as row sums).  The power iteration
+vertices (both readable off the tensor as row sums).  The bound is exact:
+Delta, Delta* and the bound follow ``mset.as_rational``, as the row sums do
+(an int when integral, a ``Fraction`` otherwise).  The power iteration
 below, run over the nonzero rows only through the tensor's contraction
 kernel (``tensor._contract``, O(trie nodes) per step, at most
 sum |supp e| + r_H on an e-adjacency tensor), gives a lower estimate of the
@@ -19,10 +21,10 @@ from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 from typing import Mapping, NamedTuple
 
 from .errors import DomainError
+from .mset import Rational
 from .tensor import SymTensor, _check_trace, _contract, _trie
 from .transform import LAYERED, SILO, STRAIGHTFORWARD, UniformisationTrace
 
@@ -43,17 +45,18 @@ class PowerIterationResult(NamedTuple):
 class SpectralBoundReport(NamedTuple):
     approach: str
     r_h: int
-    delta: Fraction
-    delta_star: Fraction
-    bound: Fraction
+    delta: Rational
+    delta_star: Rational
+    bound: Rational
 
 
 def spectral_bound(t: SymTensor, trace: UniformisationTrace) -> SpectralBoundReport:
-    """Exact bound max(Delta, Delta*) + r_H from the tensor's row sums."""
+    """Exact bound max(Delta, Delta*) + r_H from the tensor's row sums; a
+    maximum over no rows is 0."""
     n = _check_trace(t, trace)
     rows = t.row_sums()
-    delta = max(rows[:n], default=Fraction(0))
-    delta_star = max(rows[n:], default=Fraction(0))
+    delta = max(rows[:n], default=0)
+    delta_star = max(rows[n:], default=0)
     bound = max(delta, delta_star) + trace.r_h
     return SpectralBoundReport(trace.approach, trace.r_h, delta, delta_star, bound)
 

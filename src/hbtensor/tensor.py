@@ -9,7 +9,12 @@ stored as its exact share, a * multinomial(m) / r for value a and
 multiplicities m (an int when integral): multinomial(m) * m_i / r of its
 permutations start with i, so it adds share * m_i to row i and r * share to
 the total.  The value a is computed only where it leaves the tensor: in
-``get``, ``entries_rle`` and ``canonical_items``.
+``get``, ``entries_rle`` and ``canonical_items``.  Every exact number the
+tensor returns (values, row sums, the total, the polynomial's coefficients
+and values) follows ``mset.as_rational``: an int when integral, a
+``Fraction`` otherwise.  Before a writer builds a value,
+``_denominators_too_long`` bounds its denominator's digits from log-gammas
+alone.
 
 The tensor's polynomial is P(x) = r * sum of share * prod x_j^{m_j}, and
 ``polynomial`` keys its monomials by the entries' own runs.  The contraction
@@ -73,6 +78,8 @@ from .transform import (
 
 # the most records a full COO export expands to
 MAX_FULL_RECORDS = 10**7
+# the log-gammas of a smaller order stay far inside the float range
+_FLOAT_ORDER = 2**1000
 
 
 def _multinomial(counts: Iterable[int]) -> int:
@@ -85,14 +92,43 @@ def _multinomial(counts: Iterable[int]) -> int:
     return result
 
 
+def _log10_multinomial(runs: Iterable[tuple[int, int]], r: int) -> float:
+    """A lower bound on log10 of the multinomial of ``runs``, whose
+    multiplicities sum to r, less a margin of one digit, from log-gammas
+    alone: they lose 10^-12 of lgamma(r + 1), far above their float error.
+    No bound (-inf) from r = ``_FLOAT_ORDER`` on."""
+    if r >= _FLOAT_ORDER:
+        return -math.inf
+    top = math.lgamma(r + 1)
+    rest = math.fsum(math.lgamma(m + 1) for _, m in runs)
+    return (top - rest - 1e-12 * top) / math.log(10) - 1
+
+
+def _denominators_too_long(t: "SymTensor", digits: int) -> bool:
+    """Whether some value of ``t`` certainly has a reduced denominator of more
+    than ``digits`` digits, told before any value is built.
+
+    A value r * share / multinomial has a reduced denominator of at least
+    multinomial / |numerator of r * share|.  No multinomial exceeds r!, so
+    nothing is computed when log10 r! <= digits (r <= 1550 at 4300 digits).
+    """
+    r = t.order
+    if r >= _FLOAT_ORDER or math.lgamma(r + 1) <= digits * math.log(10):
+        return False
+    return any(
+        _log10_multinomial(runs, r) - math.log10(abs((r * share).numerator)) > digits
+        for runs, share in t._entries.items()
+    )
+
+
 def _share(runs: Iterable[tuple[int, int]], value: Fraction, r: int) -> Rational:
     """The stored share of an entry of value ``value`` (module docstring)."""
     return as_rational(value * _multinomial(m for _, m in runs) / r)
 
 
-def _value(runs: Iterable[tuple[int, int]], share: Rational, r: int) -> Fraction:
+def _value(runs: Iterable[tuple[int, int]], share: Rational, r: int) -> Rational:
     """The value of an entry stored as ``share``: share * r / multinomial."""
-    return Fraction(share * r, _multinomial(m for _, m in runs))
+    return as_rational(Fraction(share * r, _multinomial(m for _, m in runs)))
 
 
 def _runs(key: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
@@ -235,7 +271,7 @@ class SymTensor:
         return self._dim
 
     @property
-    def entries(self) -> Mapping[tuple[int, ...], Fraction]:
+    def entries(self) -> Mapping[tuple[int, ...], Rational]:
         return dict(self.canonical_items())
 
     def __eq__(self, other) -> bool:
@@ -256,15 +292,15 @@ class SymTensor:
     def canonical_count(self) -> int:
         return len(self._entries)
 
-    def canonical_items(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def canonical_items(self) -> list[tuple[tuple[int, ...], Rational]]:
         return [(_dense(runs), value) for runs, value in self.entries_rle()]
 
-    def entries_rle(self) -> list[tuple[tuple[tuple[int, int], ...], Fraction]]:
+    def entries_rle(self) -> list[tuple[tuple[tuple[int, int], ...], Rational]]:
         """((index, multiplicity), ...) and value per canonical entry, in
         canonical order."""
         return [(runs, _value(runs, s, self._order)) for runs, s in self._entries.items()]
 
-    def get(self, idx: Sequence[int]) -> Fraction:
+    def get(self, idx: Sequence[int]) -> Rational:
         """Logical entry for any index permutation; zero when absent."""
         key = tuple(sorted(idx))
         if len(key) != self._order:
@@ -273,34 +309,34 @@ class SymTensor:
             raise IndexOutOfRange(f"index tuple {key} outside 1..{self._dim}")
         runs = _runs(key)
         share = self._entries.get(runs)
-        return Fraction(0) if share is None else _value(runs, share, self._order)
+        return 0 if share is None else _value(runs, share, self._order)
 
     def logical_nonzero_count(self) -> int:
         """Number of nonzero positions in the full symmetric expansion."""
         return sum(_multinomial(m for _, m in runs) for runs in self._entries)
 
-    def total_sum(self) -> Fraction:
+    def total_sum(self) -> Rational:
         """Sum over all logical entries: r times the summed shares."""
-        return Fraction(self._order * sum(self._entries.values()))
+        return as_rational(self._order * sum(self._entries.values()))
 
-    def row_sum(self, i: int) -> Fraction:
+    def row_sum(self, i: int) -> Rational:
         """Sum of all logical entries whose first index is ``i``."""
         if not 1 <= i <= self._dim:
             raise IndexOutOfRange(f"index {i} outside 1..{self._dim}")
         return self._row_vector()[i - 1]
 
-    def row_sums(self) -> list[Fraction]:
+    def row_sums(self) -> list[Rational]:
         """All row sums; item i-1 is row_sum(i)."""
         return list(self._row_vector())
 
-    def _row_vector(self) -> tuple[Fraction, ...]:
+    def _row_vector(self) -> tuple[Rational, ...]:
         """The row sums, made in one pass over the entries on first use."""
         if self._rows is None:
             sums = [0] * self._dim
             for runs, share in self._entries.items():
                 for i, m in runs:
                     sums[i - 1] += share * m
-            object.__setattr__(self, "_rows", tuple(map(Fraction, sums)))
+            object.__setattr__(self, "_rows", tuple(map(as_rational, sums)))
         return self._rows
 
     def apply(self, x: Sequence) -> list:
@@ -315,19 +351,27 @@ class SymTensor:
         monomial per entry, keyed by its runs, whose multinomial(m) logical
         entries sum to r * share."""
         r = self._order
-        monomials = {runs: Fraction(r * share) for runs, share in self._entries.items()}
+        monomials = {runs: as_rational(r * share) for runs, share in self._entries.items()}
         return HbPolynomial(degree=r, dim=self._dim, monomials=monomials)
 
-    def export_coo(self, mode: str = "canonical") -> list[tuple[tuple[int, ...], Fraction]]:
+    def export_coo(self, mode: str = "canonical") -> list[tuple[tuple[int, ...], Rational]]:
         """COO records, either one per canonical entry or fully expanded.
 
         Full mode emits every distinct index permutation and refuses, before
-        expanding anything, to emit more than ``MAX_FULL_RECORDS`` records.
+        expanding anything, to emit more than ``MAX_FULL_RECORDS`` records:
+        at once, from its log-gammas, if one entry has more than
+        10 ``MAX_FULL_RECORDS`` permutations, and otherwise from their count.
         """
         if mode == "canonical":
             return self.canonical_items()
         if mode != "full":
             raise DomainError(f"unknown export mode {mode!r}")
+        limit = math.log10(MAX_FULL_RECORDS)
+        if any(_log10_multinomial(runs, self._order) > limit for runs in self._entries):
+            raise DomainError(
+                f"full export would emit more than {10 * MAX_FULL_RECORDS} records"
+                f" (limit {MAX_FULL_RECORDS})"
+            )
         total = self.logical_nonzero_count()
         if total > MAX_FULL_RECORDS:
             raise DomainError(
@@ -346,15 +390,14 @@ class HbPolynomial(NamedTuple):
 
     degree: int
     dim: int
-    monomials: Mapping[tuple[tuple[int, int], ...], Fraction]
+    monomials: Mapping[tuple[tuple[int, int], ...], Rational]
 
-    def evaluate(self, z: Sequence) -> Fraction:
-        """P(z), at O(sum of the monomials' runs)."""
+    def evaluate(self, z: Sequence) -> Rational:
+        """P(z) as an ``as_rational`` number, at O(sum of the monomials' runs)."""
         if len(z) != self.dim:
             raise DimensionMismatch(f"vector length {len(z)} != dim {self.dim}")
-        return sum(
-            (c * math.prod(z[i - 1] ** e for i, e in runs) for runs, c in self.monomials.items()),
-            Fraction(0),
+        return as_rational(
+            sum(c * math.prod(z[i - 1] ** e for i, e in runs) for runs, c in self.monomials.items())
         )
 
 

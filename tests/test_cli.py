@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import hbtensor
 from hbtensor.cli import main
 from hbtensor.io import dumps, load_trace
 
@@ -136,6 +141,33 @@ def test_derived_number_too_long_to_print_exits_3(tmp_path, capsys):
     # each multiplicity prints, but the order 10**4300 has 4301 digits
     assert main(["info", str(path)]) == 3
     assert capsys.readouterr().err == "error: cannot print a number of more than 4300 digits\n"
+
+
+def test_value_too_long_to_print_is_refused_before_it_is_built(tmp_path):
+    """The layered value 1/(r_H - 1)! of the edge {a, b} has a 456 569-digit
+    denominator at r_H = 10**5; the log-gammas refuse it before it is built."""
+    env = {**os.environ, "PYTHONPATH": str(Path(hbtensor.__file__).parents[1])}
+
+    def tensor(m: int, approach: str):
+        path = tmp_path / f"m{m}.json"
+        edges = [{"mult": {"a": m}}, {"mult": {"a": 1, "b": 1}}]
+        path.write_text(dumps({"vertices": ["a", "b"], "edges": edges}))
+        args = ["tensor", str(path), "--approach", approach, "--out", str(tmp_path / "t.coo")]
+        start = time.perf_counter()
+        run = subprocess.run(
+            [sys.executable, "-m", "hbtensor.cli", *args],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        return run, time.perf_counter() - start
+
+    for m in (10**5, 10**6):
+        run, seconds = tensor(m, "lay")
+        assert run.returncode == 3 and seconds < 10
+        assert run.stderr == "error: cannot print a number of more than 4300 digits\n"
+    # r_H > 1550, but every straightforward value fits: r_H and 1/(r_H - 1)
+    run, _ = tensor(10**5, "str")
+    assert run.returncode == 0 and run.stderr == ""
+    assert (tmp_path / "t.coo").read_text(encoding="utf-8").endswith(" 1/99999\n")
 
 
 def test_weight_too_large_for_a_float_exits_3(tmp_path, capsys):
@@ -384,6 +416,42 @@ def test_verify_from_tensor_with_an_all_null_entry(tmp_path, capsys):
     assert report["checks"]["edge_distribution"] is False
 
 
+def test_verify_from_tensor_reads_the_default_trace(demo_file, tmp_path, capsys):
+    for approach in ("str", "sil", "lay"):
+        out = tmp_path / f"{approach}.coo"
+        assert main(["tensor", demo_file, "--approach", approach, "--out", str(out)]) == 0
+        assert main(["verify", demo_file, "--from-tensor", str(out)]) == 0
+        default = capsys.readouterr().out
+        assert json.loads(default)["passed"] is True
+        args = ["verify", demo_file, "--from-tensor", str(out), "--trace", f"{out}.trace.json"]
+        assert main(args) == 0
+        assert capsys.readouterr().out == default
+
+
+def test_verify_from_tensor_checks_the_padding(tmp_path, capsys):
+    """An entry whose null vertex has moved keeps every row sum and level of
+    the original vertices, but not its key."""
+    path = tmp_path / "g.json"
+    edges = [{"mult": {"a": 1}}, {"mult": {"b": 1, "c": 1}}, {"mult": {"a": 1, "b": 1, "c": 1}}]
+    path.write_text(dumps({"vertices": ["a", "b", "c"], "edges": edges}))
+    out = tmp_path / "t.coo"
+    assert main(["tensor", str(path), "--approach", "sil", "--out", str(out)]) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert "1 4 4 1" in lines  # the level-1 edge, padded with __N1 (index 3 + 1)
+    moved = tmp_path / "moved.coo"
+    moved.write_text("\n".join("1 5 5 1" if ln == "1 4 4 1" else ln for ln in lines) + "\n")
+    args = ["verify", str(path), "--from-tensor", str(moved), "--trace", f"{out}.trace.json"]
+    assert main(args) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["checks"] == {
+        "degree_retrieval": True,
+        "total_sum": True,
+        "edge_distribution": True,
+        "reconstruction": False,
+    }
+    assert report["passed"] is False
+
+
 def test_verify_from_tensor_of_another_dimension_exits_3(tmp_path, capsys):
     """A tensor whose dimension, less the trace's null vertices, is not the
     graph's vertex count is refused before any work sized by the dimension."""
@@ -403,8 +471,10 @@ def test_verify_from_tensor_of_another_dimension_exits_3(tmp_path, capsys):
 
 
 def test_verify_argument_errors(demo_file, capsys):
-    assert main(["verify", demo_file, "--from-tensor", demo_file]) == 3
-    assert capsys.readouterr().err == "error: --from-tensor requires --trace\n"
+    # with no --trace, the trace is read from <tensor>.trace.json; here the
+    # tensor itself is a JSON file, which does not read as COO
+    assert main(["verify", demo_file, "--from-tensor", demo_file]) == 2
+    assert "missing '# order=.. dim=.. entries=..' header" in capsys.readouterr().err
     for args in ([], ["--approach", "xyz"]):
         with pytest.raises(SystemExit) as exc:
             main(["verify", demo_file, *args])

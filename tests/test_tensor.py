@@ -25,6 +25,7 @@ from hbtensor import (
     mset_hypermatrix,
     reconstruct_edges,
     reconstruct_hbgraph,
+    spectral_bound,
     uniform_tensor,
 )
 from hbtensor.errors import (
@@ -37,7 +38,13 @@ from hbtensor.errors import (
     TraceMismatch,
 )
 from hbtensor import tensor as tensor_module
-from hbtensor.tensor import MAX_FULL_RECORDS, _dense, _level_weights, _multinomial
+from hbtensor.tensor import (
+    MAX_FULL_RECORDS,
+    _dense,
+    _level_weights,
+    _log10_multinomial,
+    _multinomial,
+)
 from hbtensor.transform import LAYERED, SILO, STRAIGHTFORWARD, UniformisationTrace, padding
 from randgen import random_hbgraph, random_hypergraph
 
@@ -313,6 +320,32 @@ def test_export_full_is_sorted_distinct_permutations():
 def test_export_full_at_large_order():
     t, _ = e_adjacency_tensor(HbGraph.from_dicts(("a",), [{"a": 3000}]), "silo")
     assert t.export_coo("full") == [((1,) * 3000, Fraction(3000))]
+
+
+def test_export_full_refuses_a_huge_entry_before_counting(monkeypatch):
+    """The layered entry of {a, b} at r_H = 10**5 has 10**5! permutations; its
+    log-gammas refuse it before any multinomial is built."""
+    h = HbGraph.from_dicts(("a", "b"), [{"a": 10**5}, {"a": 1, "b": 1}])
+    t, _ = e_adjacency_tensor(h, LAYERED)
+    monkeypatch.setattr(tensor_module, "_multinomial", None)
+    with pytest.raises(DomainError, match=f"more than {10 * MAX_FULL_RECORDS} records"):
+        t.export_coo("full")
+
+
+def test_log10_multinomial_is_a_lower_bound_less_one_digit():
+    rng = random.Random(101)
+    cases = [[(1, 1), (2, 1), (3, 10**20 - 2)], [(1, 10**15), (2, 3)], [(1, 1)] * 20]
+    for _ in range(200):
+        top = rng.choice([3, 300, 3000])
+        cases.append([(i, rng.randint(1, top)) for i in range(rng.randint(1, 5))])
+    for runs in cases:
+        r = sum(m for _, m in runs)
+        exact = math.log10(_multinomial(m for _, m in runs))
+        bound = _log10_multinomial(runs, r)
+        assert bound <= exact - 1
+        if r < 10**5:  # the float error is negligible here
+            assert bound > exact - 1 - 1e-6
+    assert _log10_multinomial([(1, 1), (2, 2**1000 - 1)], 2**1000) == -math.inf
 
 
 def _perms_first(counts: dict[int, int]) -> dict[int, int]:
@@ -677,14 +710,56 @@ def straightforward_trace(order: int, dim: int) -> UniformisationTrace:
     return UniformisationTrace(STRAIGHTFORWARD, order)
 
 
+def follows_number_rule(x) -> bool:
+    """The one number rule, ``mset.as_rational``: an int when integral, a
+    Fraction otherwise."""
+    return type(x) is (int if x.denominator == 1 else Fraction)
+
+
+def check_number_contract(t: SymTensor, trace: UniformisationTrace, rng: random.Random):
+    numbers = [*t.row_sums(), *map(t.row_sum, range(1, t.dim + 1)), t.total_sum()]
+    for runs, value in t.entries_rle():
+        numbers += [value, t.get(_dense(runs))]
+    numbers += [value for _, value in t.canonical_items()]
+    numbers += t.entries.values()
+    numbers += [t.get([rng.randint(1, t.dim) for _ in range(t.order)]) for _ in range(5)]
+    poly = t.polynomial()
+    numbers += poly.monomials.values()
+    coordinates = [0, 1, 2, Fraction(1, 2), Fraction(-2, 3)]
+    numbers.append(poly.evaluate([1] * t.dim))
+    numbers.append(poly.evaluate([rng.choice(coordinates) for _ in range(t.dim)]))
+    report = spectral_bound(t, trace)
+    numbers += [report.r_h, report.delta, report.delta_star, report.bound]
+    assert all(map(follows_number_rule, numbers)), numbers
+
+
+def test_number_contract_on_e_adjacency_and_random_tensors():
+    rng = random.Random(97)
+    for k in range(30):
+        h = random_hbgraph(rng, n_max=6, p_max=5, mult_max=4)
+        if k % 2:
+            weights = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in h.edges]
+            h = HbGraph(h.vertices, h.edges, weights)
+        for approach in APPROACHES:
+            check_number_contract(*e_adjacency_tensor(h, approach), rng)
+    values = [1, 3, Fraction(1, 3), Fraction(-5, 2), Fraction(7, 6), Fraction(4, 2), -2]
+    for _ in range(100):
+        order, dim = rng.randint(1, 5), rng.randint(1, 5)
+        entries = {}
+        for _ in range(rng.randint(0, 6)):
+            entries[tuple(sorted(rng.randint(1, dim) for _ in range(order)))] = rng.choice(values)
+        t = SymTensor(order, dim, entries)
+        check_number_contract(t, straightforward_trace(order, dim), rng)
+
+
 def check_shares(t: SymTensor, trace: UniformisationTrace | None, total_edges: int):
     expected = perms_first_row_sums(t)
     sums = t.row_sums()
     assert sums == expected
-    assert all(type(s) is Fraction for s in sums)
+    assert all(map(follows_number_rule, sums))
     for i in range(1, t.dim + 1):
         row = t.row_sum(i)
-        assert row == expected[i - 1] and type(row) is Fraction
+        assert row == expected[i - 1] and follows_number_rule(row)
     assert t.total_sum() == sum(expected, Fraction(0))
     if trace is not None:
         assert outcome(edge_distribution, t, trace, total_edges) == outcome(
