@@ -2,8 +2,16 @@
 
 Verbs: info, dual, uniformize, tensor, verify, paths, export.  Exit codes:
 0 success (verify: all exact checks pass), 1 verification failure, 2 parse
-error, 3 precondition violation, 4 internal error.  All human-facing indices
-are 1-based; output is deterministic for fixed input and flags.
+error or an ``--out`` that cannot be written, 3 precondition violation, 4
+internal error.  All human-facing indices are 1-based; output is
+deterministic for fixed input and flags.
+
+Only a tensor gets a trace: ``tensor --out T`` writes ``T.trace.json``.
+``uniformize`` emits the uniform hb-graph alone (its m-range is r_H, its
+vertex list names the null vertices).  ``verify`` takes exactly one of
+``--approach`` and ``--from-tensor T``; ``--trace`` replaces ``T.trace.json``
+and needs ``--from-tensor``.  ``export`` takes ``--approach`` exactly with
+``--format coo``, and ``--full`` only there.
 """
 
 from __future__ import annotations
@@ -86,14 +94,8 @@ def cmd_dual(args) -> int:
 
 
 def cmd_uniformize(args) -> int:
-    h = io.load_hbgraph(args.input)
-    uniform, trace = uniformize(h, args.approach)
-    if args.out:
-        io.dump_hbgraph(uniform, args.out)
-        io.dump_trace(trace, args.trace or args.out + ".trace.json")
-    else:
-        graph_obj, trace_obj = io.hbgraph_to_obj(uniform), io.trace_to_obj(trace)
-        sys.stdout.write(io.dumps({"hbgraph": graph_obj, "trace": trace_obj}))
+    uniform, _ = uniformize(io.load_hbgraph(args.input), args.approach)
+    _emit(io.dumps(io.hbgraph_to_obj(uniform)), args.out)
     return 0
 
 
@@ -101,7 +103,7 @@ def cmd_tensor(args) -> int:
     h = io.load_hbgraph(args.input)
     tensor, trace = e_adjacency_tensor(h, args.approach)
     Path(args.out).write_text(io.tensor_to_coo(tensor), encoding="utf-8")
-    io.dump_trace(trace, args.trace or args.out + ".trace.json")
+    io.dump_trace(trace, args.out + ".trace.json")
     return 0
 
 
@@ -113,6 +115,8 @@ def cmd_verify(args) -> int:
         if _check_trace(tensor, trace) != h.n:
             msg = f"tensor dim {tensor.dim} - {trace.n_a} null vertices != {h.n} graph vertices"
             raise TraceMismatch(msg)
+    elif args.trace:
+        raise DomainError("--trace requires --from-tensor")
     else:
         tensor, trace = e_adjacency_tensor(h, args.approach)
 
@@ -180,13 +184,16 @@ def cmd_paths(args) -> int:
 
 def cmd_export(args) -> int:
     h = io.load_hbgraph(args.input)
+    coo = args.format == "coo"
+    if coo != bool(args.approach) or (args.full and not coo):
+        raise DomainError(
+            "--format coo requires --approach; --approach and --full require --format coo"
+        )
     if args.format == "csv":
         _emit(io.incidence_csv(h), args.out)
     elif args.format == "json":
         _emit(io.dumps(io.hbgraph_to_obj(h)), args.out)
     else:  # coo
-        if not args.approach:
-            raise DomainError("--format coo requires --approach")
         tensor, _ = e_adjacency_tensor(h, args.approach)
         mode = "full" if args.full else "canonical"
         _emit(io.tensor_to_coo(tensor, mode), args.out)
@@ -215,16 +222,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("uniformize", cmd_uniformize, help="m-uniformize the hb-graph")
     p.add_argument("--approach", type=_approach, required=True)
     p.add_argument("--out")
-    p.add_argument("--trace")
 
     p = add("tensor", cmd_tensor, help="build the e-adjacency tensor")
     p.add_argument("--approach", type=_approach, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--trace")
 
     p = add("verify", cmd_verify, help="run the exact structural checks")
-    p.add_argument("--approach", type=_approach)
-    p.add_argument("--from-tensor", dest="from_tensor")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--approach", type=_approach)
+    source.add_argument("--from-tensor", dest="from_tensor")
     p.add_argument("--trace")
     p.add_argument("--seed", type=int, default=0)
 
@@ -244,10 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.verb == "verify" and not args.from_tensor and args.approach is None:
-        parser.error("verify requires --approach (or --from-tensor)")
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except ParseError as exc:
@@ -256,6 +259,9 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # an --out that cannot be written; the message names it
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
         return 4

@@ -64,7 +64,7 @@ class Multiset:
     normalized away on construction, so support and hashing are canonical.
     """
 
-    __slots__ = ("_universe", "_mult", "_natural", "_hash")
+    __slots__ = ("_universe", "_mult", "_natural")
 
     def __init__(
         self,
@@ -87,7 +87,6 @@ class Multiset:
         object.__setattr__(self, "_universe", uni)
         object.__setattr__(self, "_mult", ordered)
         object.__setattr__(self, "_natural", all(isinstance(v, int) for v in ordered.values()))
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Multiset is immutable")
@@ -156,12 +155,8 @@ class Multiset:
         return _same(self._universe, other._universe) and self._mult == other._mult
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            # the support only, O(s) rather than O(n); __eq__ compares universes
-            h = hash(tuple(self._mult.items()))
-            object.__setattr__(self, "_hash", h)
-        return h
+        # the support only, O(s) rather than O(n); __eq__ compares universes
+        return hash(tuple(self._mult.items()))
 
     def __contains__(self, x) -> bool:
         return x in self._mult

@@ -519,6 +519,13 @@ def edge_distribution(
 
     Uses only tensor entries, the trace, and the total edge count (needed for
     the top level).  Returns a count for every level 1..r_H, zeros included.
+
+    The counts are exact only for an unweighted tensor: each entry's share,
+    which is its edge's weight, counts at its level.  On a weighted tensor the
+    result is the summed weight per level below r_H, with the top level made
+    up from ``total_edges``, and no error is raised: edges ``{a}``,
+    ``{a, b²}``, ``{c, d²}`` of weights 2, 1, 1 give ``{1: 2, 2: 0, 3: 1}``,
+    not the true ``{1: 1, 3: 2}``.
     """
     levels = _level_weights(t, trace)
     r_h = trace.r_h

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -204,21 +205,42 @@ def test_dual(demo_file, capsys):
     assert obj["edges"][6]["mult"] == {}
 
 
-def test_uniformize(demo_file, tmp_path, capsys):
-    out = tmp_path / "uni.json"
-    trace = tmp_path / "uni.trace.json"
-    assert main([
-        "uniformize", demo_file, "--approach", "sil",
-        "--out", str(out), "--trace", str(trace),
-    ]) == 0
-    graph = json.loads(out.read_text(encoding="utf-8"))
-    assert graph["vertices"][-4:] == ["__N1", "__N2", "__N3", "__N4"]
-    meta = json.loads(trace.read_text(encoding="utf-8"))
-    assert meta["approach"] == "silo" and meta["r_h"] == 5
-    # stdout mode bundles both
-    assert main(["uniformize", demo_file, "--approach", "lay"]) == 0
-    bundle = json.loads(capsys.readouterr().out)
-    assert set(bundle) == {"hbgraph", "trace"}
+WEIGHTED_OBJ = {
+    "vertices": ["a", "b", "c", "d", "e"],
+    "edges": [
+        {"mult": {"a": 2, "b": 1}, "weight": "1/2"},
+        {"mult": {"b": 1, "c": 3, "d": 1}, "weight": "7/3"},
+        {"mult": {"d": 2}, "weight": 2},
+        {"mult": {"a": 1, "e": 1}, "weight": "5/4"},
+    ],
+}
+
+
+def test_uniformize(tmp_path, capsys):
+    nulls = {"str": ["__N1"], "sil": ["__N1", "__N2", "__N3", "__N4"],
+             "lay": ["__L1", "__L2", "__L3", "__L4"]}  # both graphs have r_H = 5
+    path = tmp_path / "g.json"
+    for graph in (DEMO_OBJ, WEIGHTED_OBJ):
+        path.write_text(dumps(graph), encoding="utf-8")
+        for approach in nulls:
+            # stdout and --out carry the same plain uniform hb-graph, and no trace
+            assert main(["uniformize", str(path), "--approach", approach]) == 0
+            printed = capsys.readouterr().out
+            uniform = json.loads(printed)
+            assert set(uniform) == {"vertices", "edges"}
+            assert uniform["vertices"] == graph["vertices"] + nulls[approach]
+            out = tmp_path / "u.json"
+            assert main(["uniformize", str(path), "--approach", approach, "--out", str(out)]) == 0
+            assert capsys.readouterr().out == ""
+            assert out.read_bytes() == printed.encode("utf-8")
+            assert not list(tmp_path.glob("*.trace.json"))
+            # the printed graph is an input like any other: r_H-m-uniform
+            assert main(["info", str(out)]) == 0
+            assert "k-m-uniform: 5\n" in capsys.readouterr().out
+    # the former --trace option is refused
+    with pytest.raises(SystemExit) as exc:
+        main(["uniformize", str(path), "--approach", "sil", "--trace", str(tmp_path / "x")])
+    assert exc.value.code == 2
 
 
 def test_tensor(demo_file, tmp_path):
@@ -235,6 +257,15 @@ def test_tensor(demo_file, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["tensor", demo_file, "--approach", "sil", "--format", "json", "--out", str(out)])
     assert exc.value.code == 2
+
+
+def test_tensor_trace_option_is_gone(demo_file, tmp_path):
+    # the trace always goes to <out>.trace.json, where verify --from-tensor looks
+    with pytest.raises(SystemExit) as exc:
+        main(["tensor", demo_file, "--approach", "sil", "--out", str(tmp_path / "t.coo"),
+              "--trace", str(tmp_path / "elsewhere.json")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "t.coo").exists()
 
 
 def test_tensor_rejects_repeated_edges(tmp_path, capsys):
@@ -480,6 +511,70 @@ def test_verify_argument_errors(demo_file, capsys):
             main(["verify", demo_file, *args])
         assert exc.value.code == 2
     assert "unknown approach 'xyz'" in capsys.readouterr().err
+
+
+def test_verify_takes_exactly_one_source(demo_file, tmp_path, capsys):
+    out = tmp_path / "t.coo"
+    assert main(["tensor", demo_file, "--approach", "sil", "--out", str(out)]) == 0
+    for args, message in (
+        ([], "one of the arguments --approach --from-tensor is required"),
+        (["--approach", "lay", "--from-tensor", str(out)],
+         "argument --from-tensor: not allowed with argument --approach"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", demo_file, *args])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--approach", "sil", "--trace", "missing.trace.json"],
+    ["export", "--format", "csv", "--approach", "lay"],
+    ["export", "--format", "csv", "--full"],
+    ["export", "--format", "json", "--approach", "sil"],
+    ["export", "--format", "csv", "--approach", "lay", "--full"],
+    ["export", "--format", "coo", "--full"],
+])
+def test_an_option_the_command_would_ignore_exits_3(demo_file, capsys, args):
+    assert main([args[0], demo_file, *args[1:]]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "requires" in captured.err
+
+
+WRITING_VERBS = {
+    "info": ["info"],
+    "dual": ["dual"],
+    "uniformize": ["uniformize", "--approach", "sil"],
+    "tensor": ["tensor", "--approach", "sil"],
+    "paths": ["paths"],
+    "export": ["export", "--format", "csv"],
+}
+
+
+@pytest.mark.parametrize("target", ["missing_dir", "directory"])
+@pytest.mark.parametrize("verb", WRITING_VERBS)
+def test_unwritable_out_exits_2(demo_file, tmp_path, capsys, verb, target):
+    out = tmp_path / "no" / "x" if target == "missing_dir" else tmp_path
+    args = WRITING_VERBS[verb]
+    assert main([args[0], demo_file, *args[1:], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "internal error" not in err
+    assert str(out) in err
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    """Every ``hbtensor`` line of the README's command block, in order, on the demo graph."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    lines = [words for words in lines if words]
+    assert lines and all(words[0] == "hbtensor" for words in lines)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "graph.json").write_text(dumps(DEMO_OBJ), encoding="utf-8")
+    for words in lines:
+        assert main(words[1:]) == 0, " ".join(words)
+        capsys.readouterr()
 
 
 def test_approach_full_name_and_prefix_agree(demo_file, capsys):
