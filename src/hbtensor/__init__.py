@@ -46,7 +46,6 @@ from .paths import (
 from .spectral import (
     PowerIterationResult,
     SpectralBoundReport,
-    delta_star_closed_form,
     estimate_max_eigenvalue,
     spectral_bound,
 )

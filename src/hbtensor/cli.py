@@ -81,9 +81,7 @@ def cmd_info(args) -> int:
             f"{_cell(v)} {io.format_rational(h.m_degree(v))} {h.degree(v)}"
             f" {io.format_rational(h.max_multiplicity(v))}"
         )
-    lines.append("incidence:")
-    text = "\n".join(lines) + "\n" + io.incidence_csv(h)
-    _emit(text, args.out)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 

@@ -153,10 +153,6 @@ def load_hbgraph(path) -> HbGraph:
     return hbgraph_from_obj(_loads(text, source), source)
 
 
-def dump_hbgraph(h: HbGraph, path) -> None:
-    Path(path).write_text(dumps(hbgraph_to_obj(h)), encoding="utf-8")
-
-
 def dumps(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 

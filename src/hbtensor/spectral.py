@@ -7,10 +7,16 @@ Every eigenvalue of an e-adjacency tensor satisfies
 where Delta and Delta* are the maximal m-degrees over original and null
 vertices (both readable off the tensor as row sums).  The bound is exact:
 Delta, Delta* and the bound follow ``mset.as_rational``, as the row sums do
-(an int when integral, a ``Fraction`` otherwise).  The power iteration
-below, run over the nonzero rows only through the tensor's contraction
-kernel (``tensor._contract``, O(trie nodes) per step, at most
-sum |supp e| + r_H on an e-adjacency tensor), gives a lower estimate of the
+(an int when integral, a ``Fraction`` otherwise).  Delta* is read off the
+null rows.  On an e-adjacency tensor it is also a closed form in the level
+weights W_c of ``tensor._level_weights``, summed over c < r_H for
+straightforward ((r_H - c) W_c) and layered (W_c), and the maximum of
+(r_H - c) W_c for silo; but a tensor read from a file may pad an entry with
+another level's null vertex, and only the row scan stays right there.
+
+The power iteration below, run over the nonzero rows only through the
+tensor's contraction kernel (``tensor._contract``, O(trie nodes) per step, at
+most sum |supp e| + r_H on an e-adjacency tensor), gives a lower estimate of the
 largest H-eigenvalue, so the bound can be checked empirically.  When its
 steps shrink by a steady ratio rho, one slow mode is left, and an Aitken-type
 extrapolation step (Kamvar, Haveliwala, Manning and Golub, 2003) jumps to
@@ -21,12 +27,12 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from .errors import DomainError
 from .mset import Rational
 from .tensor import SymTensor, _check_trace, _contract, _trie
-from .transform import LAYERED, SILO, STRAIGHTFORWARD, UniformisationTrace
+from .transform import UniformisationTrace
 
 # the power iteration stops once no coordinate moves by this much in a step
 _TOL = 1e-10
@@ -59,20 +65,6 @@ def spectral_bound(t: SymTensor, trace: UniformisationTrace) -> SpectralBoundRep
     delta_star = max(rows[n:], default=0)
     bound = max(delta, delta_star) + trace.r_h
     return SpectralBoundReport(trace.approach, trace.r_h, delta, delta_star, bound)
-
-
-def delta_star_closed_form(
-    approach: str, r_h: int, level_counts: Mapping[int, int]
-) -> int:
-    """Maximal null-vertex m-degree from the edge-cardinality distribution."""
-    below = range(1, r_h)
-    if approach == STRAIGHTFORWARD:
-        return sum((r_h - j) * level_counts.get(j, 0) for j in below)
-    if approach == SILO:
-        return max(((r_h - j) * level_counts.get(j, 0) for j in below), default=0)
-    if approach == LAYERED:
-        return sum(level_counts.get(j, 0) for j in below)
-    raise DomainError(f"unknown approach {approach!r}")
 
 
 def estimate_max_eigenvalue(

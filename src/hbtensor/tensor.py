@@ -464,7 +464,9 @@ def e_adjacency_tensor(
 
     Order r_H; dimension n+1 (straightforward) or n+r_H-1 (silo, layered;
     n when r_H = 1).  Each entry's share is its hb-edge's weight, so user edge
-    weights scale the entries linearly.
+    weights scale the entries linearly.  On an r_H-m-uniform input, such as
+    the hb-graph ``uniformize`` returns, every c is r_H: the n_a null
+    dimensions are kept, no entry uses them, and Delta* is 0.
     """
     trace = _uniformisation_trace(h, approach)
     shares = [
@@ -504,42 +506,42 @@ def _check_trace(t: SymTensor, trace: UniformisationTrace) -> int:
 
 def _level_weights(t: SymTensor, trace: UniformisationTrace) -> list[Rational]:
     """Item j (0..r_H): the summed shares of the entries at level j (module
-    docstring), the summed weight of the m-cardinality-j hb-edges."""
+    docstring), the summed weight W_j of the m-cardinality-j hb-edges, as
+    ``as_rational`` numbers.  The one level computation: ``edge_distribution``
+    and ``verify`` read it."""
     n = _check_trace(t, trace)
     levels = [0] * (trace.r_h + 1)
     for runs, share in t._entries.items():
         levels[sum(m for i, m in runs if i <= n)] += share
-    return levels
+    return list(map(as_rational, levels))
 
 
 def edge_distribution(
     t: SymTensor, trace: UniformisationTrace, total_edges: int
-) -> dict[int, int]:
-    """Recover the number of input edges per m-cardinality from the tensor.
+) -> dict[int, Rational]:
+    """The hb-edge distribution {c: W_c} at every level c whose W_c is
+    nonzero, read off the tensor's entries and the trace alone, top level
+    included.
 
-    Uses only tensor entries, the trace, and the total edge count (needed for
-    the top level).  Returns a count for every level 1..r_H, zeros included.
-
-    The counts are exact only for an unweighted tensor: each entry's share,
-    which is its edge's weight, counts at its level.  On a weighted tensor the
-    result is the summed weight per level below r_H, with the top level made
-    up from ``total_edges``, and no error is raised: edges ``{a}``,
-    ``{a, b²}``, ``{c, d²}`` of weights 2, 1, 1 give ``{1: 2, 2: 0, 3: 1}``,
-    not the true ``{1: 1, 3: 2}``.
+    W_c is the summed weight of the m-cardinality-c hb-edges: their number
+    when the graph is unweighted, the exact summed weight otherwise (edges
+    ``{a}``, ``{a, b²}``, ``{c, d²}`` of weights 2, 1, 1 give ``{1: 2, 3: 2}``).
+    ``total_edges`` only checks the tensor: an e-adjacency tensor holds one
+    canonical entry per hb-edge, and each entry has an original-vertex index,
+    so ``TraceMismatch`` is raised for another entry count or an entry of
+    level 0.
     """
     levels = _level_weights(t, trace)
-    r_h = trace.r_h
-    counts = {j: _as_count(levels[j]) for j in range(1, r_h)}
-    counts[r_h] = total_edges - sum(counts.values())
-    if counts[r_h] < 0:
-        raise TraceMismatch("recovered counts exceed the total edge count")
-    return counts
-
-
-def _as_count(value: Rational) -> int:
-    if value.denominator != 1 or value < 0:
-        raise TraceMismatch(f"recovered edge count {value} is not a natural number")
-    return int(value)
+    if t.canonical_count() != total_edges:
+        raise TraceMismatch(
+            f"tensor holds {t.canonical_count()} canonical entries, not one per"
+            f" hb-edge ({total_edges})"
+        )
+    n = t.dim - trace.n_a
+    for runs in t._entries:
+        if runs[0][0] > n:
+            raise TraceMismatch(f"entry {_dense(runs)} has no original-vertex index")
+    return {c: w for c, w in enumerate(levels) if w}
 
 
 def reconstruct_edges(

@@ -150,9 +150,6 @@ def _uniformisation_trace(h: HbGraph, approach: str) -> UniformisationTrace:
         raise EmptyEdge("uniformisation forbids empty hb-edges")
     if not h.no_repeated_edges():
         raise RepeatedEdges("uniformisation forbids repeated hb-edges")
-    for v in h.vertices:
-        if isinstance(v, str) and v.startswith(RESERVED_PREFIX):
-            raise VertexCollision(f"vertex id {v!r} uses the reserved prefix '__'")
     return UniformisationTrace(approach, h.m_range())
 
 
@@ -182,6 +179,10 @@ def uniformize(h: HbGraph, approach: str) -> tuple[HbGraph, UniformisationTrace]
     weights only enter at tensor-construction time.
     """
     trace = _uniformisation_trace(h, approach)
+    # only here are null vertices named, so only here is their prefix reserved
+    for v in h.vertices:
+        if isinstance(v, str) and v.startswith(RESERVED_PREFIX):
+            raise VertexCollision(f"vertex id {v!r} uses the reserved prefix '__'")
     vertices = Universe(h.vertices + trace.null_vertices)
     edges = []
     weights = []

@@ -391,7 +391,7 @@ def test_star_metrics_hypothesis(h):
 
 def test_builders_share_the_vertex_table(demo, tmp_path):
     path = tmp_path / "demo.json"
-    io.dump_hbgraph(demo, path)
+    path.write_text(io.dumps(io.hbgraph_to_obj(demo)), encoding="utf-8")
     weighted = HbGraph.from_dicts(("v1", "w1"), [{"w1": 2}, {"v1": 1}], [3, Fraction(1, 2)])
     graphs = {
         "from_dicts": demo,

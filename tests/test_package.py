@@ -51,3 +51,16 @@ def test_cli_import_loads_no_code_introspection_modules():
     loaded = set(run.stdout.split())
     assert "hbtensor.cli" in loaded
     assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & loaded
+
+
+def test_readme_python_quickstart_runs():
+    """The README's library quickstart runs as written, and its
+    ``edge_distribution`` line returns the value in its comment."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    quickstart = readme.split("## Library quickstart", 1)[1]
+    block = quickstart.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    (line,) = [ln for ln in block.splitlines() if ln.startswith("edge_distribution(")]
+    call, _, comment = line.partition("#")
+    assert eval(call, namespace) == ast.literal_eval(comment.strip())

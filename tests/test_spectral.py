@@ -14,16 +14,17 @@ from hbtensor import (
     HbGraph,
     SymTensor,
     TraceMismatch,
-    delta_star_closed_form,
     e_adjacency_tensor,
+    edge_distribution,
     estimate_max_eigenvalue,
     spectral_bound,
 )
 from hbtensor.cli import main
 from hbtensor.errors import DomainError
-from hbtensor.io import dumps
+from hbtensor.io import dumps, tensor_from_coo, tensor_to_coo
 from hbtensor.tensor import _contract, _trie
 from randgen import random_hbgraph
+from test_tensor import weighted_hbgraphs
 
 
 def test_bound_demo(demo):
@@ -47,25 +48,74 @@ def test_bound_uniform_unit_input():
         assert report.bound == report.delta + trace.r_h
 
 
-def test_closed_forms_demo():
-    counts = {1: 1, 3: 1, 4: 1, 5: 1}
-    assert delta_star_closed_form("straightforward", 5, counts) == 7
-    assert delta_star_closed_form("silo", 5, counts) == 4
-    assert delta_star_closed_form("layered", 5, counts) == 3
+def delta_star_closed_form(approach: str, r_h: int, levels: dict) -> Fraction:
+    """Reference: Delta* from the level weights {c: W_c} of an e-adjacency
+    tensor, by the paper's closed form for each approach."""
+    below = [(r_h - c, w) for c, w in levels.items() if c < r_h]
+    if approach == "straightforward":
+        return sum(pad * w for pad, w in below)
+    if approach == "silo":
+        return max((pad * w for pad, w in below), default=0)
+    assert approach == "layered"
+    return sum(w for _, w in below)
+
+
+def test_closed_forms_demo(demo):
+    levels = {1: 1, 3: 1, 4: 1, 5: 1}
+    for approach, expected in (("straightforward", 7), ("silo", 4), ("layered", 3)):
+        t, trace = e_adjacency_tensor(demo, approach)
+        assert edge_distribution(t, trace, demo.p) == levels
+        assert delta_star_closed_form(approach, 5, levels) == expected
+        assert spectral_bound(t, trace).delta_star == expected
 
 
 def test_closed_forms_match_row_sums():
     rng = random.Random(61)
-    for _ in range(30):
+    for k in range(30):
         h = random_hbgraph(rng)
-        counts = Counter(int(e.m_cardinality()) for e in h.edges)
+        if k % 2:
+            weights = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in h.edges]
+            h = HbGraph(h.vertices, h.edges, weights)
         for approach in APPROACHES:
             t, trace = e_adjacency_tensor(h, approach)
             report = spectral_bound(t, trace)
-            assert report.delta_star == delta_star_closed_form(
-                approach, trace.r_h, counts
-            )
-            assert report.delta == max(h.m_degree(v) for v in h.vertices)
+            levels = edge_distribution(t, trace, h.p)
+            assert report.delta_star == delta_star_closed_form(approach, trace.r_h, levels)
+            degrees = [sum(h.weight(i) * e.multiplicity(v) for i, e in enumerate(h.edges))
+                       for v in h.vertices]
+            assert report.delta == max(degrees)
+
+
+@settings(max_examples=100, deadline=None)
+@given(weighted_hbgraphs())
+def test_levels_and_closed_forms_hypothesis(h):
+    by_level = Counter()
+    for i, e in enumerate(h.edges):
+        by_level[e.m_cardinality()] += h.weight(i)
+    for approach in APPROACHES:
+        t, trace = e_adjacency_tensor(h, approach)
+        levels = edge_distribution(t, trace, h.p)
+        assert levels == {c: w for c, w in by_level.items() if w}
+        expected = delta_star_closed_form(approach, trace.r_h, levels)
+        assert spectral_bound(t, trace).delta_star == expected
+
+
+def test_delta_star_is_the_row_scan_on_a_tensor_padded_at_another_level():
+    """The closed form holds only where each entry is padded at its own level.
+    Moving the silo padding of a level-1 entry to the level-2 null vertex keeps
+    the degrees, the total and the levels, but not the null rows."""
+    h = HbGraph.from_dicts(("a", "b", "c"), [{"a": 1}, {"b": 1}, {"a": 1, "b": 1, "c": 1}])
+    t, trace = e_adjacency_tensor(h, "silo")
+    text = tensor_to_coo(t)
+    assert "\n2 4 4 1\n" in text
+    moved = tensor_from_coo(text.replace("\n2 4 4 1\n", "\n2 5 5 1\n"))
+    assert moved.row_sums()[: h.n] == t.row_sums()[: h.n]
+    assert moved.total_sum() == t.total_sum()
+    levels = edge_distribution(moved, trace, h.p)
+    assert levels == edge_distribution(t, trace, h.p) == {1: 2, 3: 1}
+    assert spectral_bound(t, trace).delta_star == 4
+    assert spectral_bound(moved, trace).delta_star == 2
+    assert delta_star_closed_form("silo", 3, levels) == 4
 
 
 def test_diagonal_dichotomy(demo):

@@ -48,7 +48,7 @@ from hbtensor.tensor import (
 from hbtensor.transform import LAYERED, SILO, STRAIGHTFORWARD, UniformisationTrace, padding
 from randgen import random_hbgraph, random_hypergraph
 
-DEMO_COUNTS = {1: 1, 2: 0, 3: 1, 4: 1, 5: 1}
+DEMO_COUNTS = {1: 1, 3: 1, 4: 1, 5: 1}
 
 
 # -- dense expansion oracles --------------------------------------------------
@@ -382,8 +382,7 @@ def test_distribution(demo):
     rng = random.Random(43)
     for _ in range(25):
         h = random_hbgraph(rng)
-        truth = Counter(int(e.m_cardinality()) for e in h.edges)
-        expected = {r: truth.get(r, 0) for r in range(1, h.m_range() + 1)}
+        expected = Counter(int(e.m_cardinality()) for e in h.edges)
         for approach in APPROACHES:
             t, trace = e_adjacency_tensor(h, approach)
             assert edge_distribution(t, trace, h.p) == expected
@@ -395,6 +394,35 @@ def test_distribution(demo):
     t, trace = e_adjacency_tensor(HbGraph.from_dicts(("a",), [{"a": 5}]), "straightforward")
     with pytest.raises(TraceMismatch, match="more null vertices than tensor dimensions"):
         edge_distribution(t, trace._replace(approach="silo"), 1)
+
+
+def test_distribution_of_a_weighted_tensor_is_the_summed_weight():
+    vertices, edges = ("a", "b", "c", "d"), [{"a": 1}, {"a": 1, "b": 2}, {"c": 1, "d": 2}]
+    for weights, expected in (
+        ([2, 1, 1], {1: 2, 3: 2}),
+        ([Fraction(1, 2), 1, 1], {1: Fraction(1, 2), 3: 2}),
+        ([Fraction(1, 3), Fraction(2, 3), Fraction(4, 3)], {1: Fraction(1, 3), 3: 2}),
+    ):
+        h = HbGraph.from_dicts(vertices, edges, weights)
+        for approach in APPROACHES:
+            levels = edge_distribution(*e_adjacency_tensor(h, approach), h.p)
+            assert levels == expected
+            assert all(map(follows_number_rule, levels.values()))
+
+
+def test_distribution_checks_the_entries():
+    """One canonical entry per hb-edge, each with an original-vertex index."""
+    h = HbGraph.from_dicts(("a", "b"), [{"a": 2}, {"b": 1}])
+    for approach in APPROACHES:
+        t, trace = e_adjacency_tensor(h, approach)
+        for wrong in (0, 1, 3):
+            message = rf"holds 2 canonical entries, not one per hb-edge \({wrong}\)"
+            with pytest.raises(TraceMismatch, match=message):
+                edge_distribution(t, trace, wrong)
+        null = t.dim  # a null index under every approach
+        extra = SymTensor(t.order, t.dim, {**t.entries, (null,) * t.order: 1})
+        with pytest.raises(TraceMismatch, match=rf"entry \({null}, {null}\) has no original-vertex"):
+            edge_distribution(extra, trace, 3)
 
 
 def test_reconstruction(demo):
@@ -687,16 +715,25 @@ def null_row_level_weights(t: SymTensor, trace: UniformisationTrace) -> list:
 
 
 def perms_first_levels(t: SymTensor, trace: UniformisationTrace, total_edges: int):
-    """Reference for edge_distribution on a straightforward trace."""
-    counts = {}
-    for j, level in enumerate(perms_first_level_weights(t, trace), 1):
-        if level.denominator != 1 or level < 0:
-            raise TraceMismatch(f"recovered edge count {level} is not a natural number")
-        counts[j] = int(level)
-    counts[trace.r_h] = total_edges - sum(counts.values())
-    if counts[trace.r_h] < 0:
-        raise TraceMismatch("recovered counts exceed the total edge count")
-    return counts
+    """Reference for edge_distribution from the per-index row sums: levels
+    1..r_H - 1 off the null rows, level r_H the rest of total / r_H.  The null
+    rows give the levels of a straightforward trace on any tensor, and of the
+    other approaches on e-adjacency tensors."""
+    if t.canonical_count() != total_edges:
+        raise TraceMismatch(
+            f"tensor holds {t.canonical_count()} canonical entries, not one per"
+            f" hb-edge ({total_edges})"
+        )
+    n = t.dim - trace.n_a
+    for key in t.entries:
+        if key[0] > n:
+            raise TraceMismatch(f"entry {key} has no original-vertex index")
+    if trace.approach == STRAIGHTFORWARD:
+        below = perms_first_level_weights(t, trace)
+    else:
+        below = null_row_level_weights(t, trace)
+    top = sum(perms_first_row_sums(t), Fraction(0)) / trace.r_h - sum(below)
+    return {c: w for c, w in enumerate(below + [top], 1) if w}
 
 
 def outcome(fn, *args):
@@ -752,7 +789,7 @@ def test_number_contract_on_e_adjacency_and_random_tensors():
         check_number_contract(t, straightforward_trace(order, dim), rng)
 
 
-def check_shares(t: SymTensor, trace: UniformisationTrace | None, total_edges: int):
+def check_shares(t: SymTensor, trace: UniformisationTrace, total_edges: int):
     expected = perms_first_row_sums(t)
     sums = t.row_sums()
     assert sums == expected
@@ -761,10 +798,10 @@ def check_shares(t: SymTensor, trace: UniformisationTrace | None, total_edges: i
         row = t.row_sum(i)
         assert row == expected[i - 1] and follows_number_rule(row)
     assert t.total_sum() == sum(expected, Fraction(0))
-    if trace is not None:
-        assert outcome(edge_distribution, t, trace, total_edges) == outcome(
-            perms_first_levels, t, trace, total_edges
-        )
+    got = outcome(edge_distribution, t, trace, total_edges)
+    assert got == outcome(perms_first_levels, t, trace, total_edges)
+    if got[0] == "ok":
+        assert all(map(follows_number_rule, got[1].values()))
 
 
 def test_shares_match_perms_first_on_random_tensors():
@@ -778,17 +815,18 @@ def test_shares_match_perms_first_on_random_tensors():
             key = tuple(sorted(rng.randint(1, dim) for _ in range(order)))
             entries[key] = rng.choice(values)
         t, trace = SymTensor(order, dim, entries), straightforward_trace(order, dim)
-        total_edges = rng.randint(0, 8)
+        total_edges = t.canonical_count() + rng.choice((0, 0, 0, -1, 1))
         check_shares(t, trace, total_edges)
         mismatches += outcome(edge_distribution, t, trace, total_edges)[0] != "ok"
     assert 30 < mismatches < 270  # both outcomes were compared
 
 
 @settings(max_examples=80, deadline=None)
-@given(dense_tensors(), st.integers(0, 6))
-def test_shares_match_perms_first_hypothesis(spec, total_edges):
+@given(dense_tensors(), st.integers(-1, 1))
+def test_shares_match_perms_first_hypothesis(spec, offset):
     order, dim, entries = spec
-    check_shares(SymTensor(order, dim, entries), straightforward_trace(order, dim), total_edges)
+    t = SymTensor(order, dim, entries)
+    check_shares(t, straightforward_trace(order, dim), t.canonical_count() + offset)
 
 
 def test_shares_match_perms_first_on_e_adjacency_tensors():
@@ -805,7 +843,7 @@ def test_shares_match_perms_first_on_e_adjacency_tensors():
             by_level[e.m_cardinality()] += h.weight(i)
         for approach in APPROACHES:
             t, trace = e_adjacency_tensor(h, approach)
-            check_shares(t, trace if approach == STRAIGHTFORWARD else None, h.p)
+            check_shares(t, trace, h.p)
             assert t.row_sums()[: h.n] == degrees
             # one level rule for every approach, against the paper's per-approach rules
             levels = _level_weights(t, trace)

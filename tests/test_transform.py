@@ -208,10 +208,11 @@ def test_vertex_ids_need_not_be_strings():
     named = HbGraph.from_dicts(["a", "b"], [{"a": 1}, {"a": 1, "b": 1}])
     for approach in APPROACHES:
         assert e_adjacency_tensor(ints, approach) == e_adjacency_tensor(named, approach)
-        # the reserved prefix still applies to string ids
+        # only uniformize, which names the null vertices, reserves the prefix
         reserved = HbGraph.from_dicts(["__v", 2], [{"__v": 1}, {"__v": 1, 2: 1}])
         with pytest.raises(VertexCollision):
-            e_adjacency_tensor(reserved, approach)
+            uniformize(reserved, approach)
+        assert e_adjacency_tensor(reserved, approach) == e_adjacency_tensor(named, approach)
 
 
 # -- differential check against the paper's composition ----------------------
