@@ -12,6 +12,12 @@ vertex list names the null vertices).  ``verify`` takes exactly one of
 ``--approach`` and ``--from-tensor T``; ``--trace`` replaces ``T.trace.json``
 and needs ``--from-tensor``.  ``export`` takes ``--approach`` exactly with
 ``--format coo``, and ``--full`` only there.
+
+Each verb imports only the modules it runs, so a start-up compiles no more of
+the package than it needs.  ``info``, ``dual`` and ``export --format csv|json``
+load ``cli``, ``errors``, ``mset``, ``hbgraph`` and ``io``; ``paths`` adds
+``paths``; ``uniformize`` adds ``transform``; ``tensor`` and ``export --format
+coo`` add ``transform`` and ``tensor``; ``verify`` adds ``spectral`` as well.
 """
 
 from __future__ import annotations
@@ -26,14 +32,12 @@ from pathlib import Path
 
 from . import io
 from .errors import DomainError, ParseError, TraceMismatch
-from .paths import connected_components, diameter, distance
-from .spectral import estimate_max_eigenvalue, spectral_bound
-from .tensor import _check_trace, _indexed, _level_weights, e_adjacency_tensor
-from .transform import APPROACHES, padding, uniformize
 
 
 def _approach(value: str) -> str:
     """An approach named in full or by its first three letters."""
+    from .transform import APPROACHES
+
     for name in APPROACHES:
         if value in (name, name[:3]):
             return name
@@ -92,12 +96,16 @@ def cmd_dual(args) -> int:
 
 
 def cmd_uniformize(args) -> int:
+    from .transform import uniformize
+
     uniform, _ = uniformize(io.load_hbgraph(args.input), args.approach)
     _emit(io.dumps(io.hbgraph_to_obj(uniform)), args.out)
     return 0
 
 
 def cmd_tensor(args) -> int:
+    from .tensor import e_adjacency_tensor
+
     h = io.load_hbgraph(args.input)
     tensor, trace = e_adjacency_tensor(h, args.approach)
     Path(args.out).write_text(io.tensor_to_coo(tensor), encoding="utf-8")
@@ -106,6 +114,10 @@ def cmd_tensor(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .spectral import estimate_max_eigenvalue, spectral_bound
+    from .tensor import _check_trace, _indexed, _level_weights, e_adjacency_tensor
+    from .transform import padding
+
     h = io.load_hbgraph(args.input)
     if args.from_tensor:
         tensor = io.load_tensor_coo(args.from_tensor)
@@ -164,6 +176,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_paths(args) -> int:
+    from .paths import connected_components, diameter, distance
+
     h = io.load_hbgraph(args.input)
     want_all = not (args.pair or args.components or args.diameter)
     report: dict = {}
@@ -192,6 +206,8 @@ def cmd_export(args) -> int:
     elif args.format == "json":
         _emit(io.dumps(io.hbgraph_to_obj(h)), args.out)
     else:  # coo
+        from .tensor import e_adjacency_tensor
+
         tensor, _ = e_adjacency_tensor(h, args.approach)
         mode = "full" if args.full else "canonical"
         _emit(io.tensor_to_coo(tensor, mode), args.out)

@@ -133,7 +133,7 @@ class HbGraph:
         try:
             return self._vertices.position[v]
         except KeyError:
-            raise UnknownVertex(v) from None
+            raise UnknownVertex(f"unknown vertex {v!r}") from None
 
     def _star(self, v: str) -> list[tuple[int, Rational]]:
         """(edge index, multiplicity) of every hb-edge containing ``v``."""
@@ -141,7 +141,7 @@ class HbGraph:
 
     def _check_edge(self, i: int) -> None:
         if not 0 <= i < len(self._edges):
-            raise UnknownEdge(i)
+            raise UnknownEdge(f"unknown hb-edge {i}")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HbGraph):

@@ -14,13 +14,15 @@ import json
 import re
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .errors import DomainError, ParseError
 from .hbgraph import HbGraph
 from .mset import Rational, as_rational
-from .tensor import SymTensor, _denominators_too_long
-from .transform import APPROACHES, UniformisationTrace
+
+if TYPE_CHECKING:  # imported where used, so reading a graph loads neither
+    from .tensor import SymTensor
+    from .transform import UniformisationTrace
 
 # the most decimal digits ``str`` prints of an int by default; 10**4300 has one more
 _MAX_DIGITS = 4300
@@ -184,6 +186,8 @@ def incidence_csv(h: HbGraph) -> str:
 def tensor_to_coo(t: SymTensor, mode: str = "canonical") -> str:
     """COO text of ``t``.  A value whose denominator the printer would refuse
     is refused before any value is built, where the log-gammas tell."""
+    from .tensor import _denominators_too_long
+
     if _denominators_too_long(t, _MAX_DIGITS):
         raise DomainError(_CANNOT_PRINT)
     records = t.export_coo(mode)
@@ -206,6 +210,8 @@ def _natural(raw: str, where: str) -> int:
 def tensor_from_coo(text: str, source: str = "tensor") -> SymTensor:
     """Read canonical or ``full`` COO: each record names one entry in any
     index order, and a repeat must agree."""
+    from .tensor import SymTensor
+
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("#"):
         raise ParseError(f"{source}: missing '# order=.. dim=.. entries=..' header")
@@ -258,6 +264,8 @@ def trace_to_obj(trace: UniformisationTrace) -> dict:
 def trace_from_obj(obj, source: str = "trace") -> UniformisationTrace:
     """Read the two stored fields.  Any other key is ignored, so older trace
     files, which also carry an edge map and derived fields, still read."""
+    from .transform import APPROACHES, UniformisationTrace
+
     _json(obj, dict, source, "approach", "r_h")
     if obj["approach"] not in APPROACHES:  # no repr: a decoded value may nest deep
         raise ParseError(f"{source}: 'approach' must be one of {', '.join(APPROACHES)}")

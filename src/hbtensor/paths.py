@@ -55,7 +55,7 @@ def _check_ids(h: HbGraph, path: MPath) -> None:
         h.vertex_index(v)
     for i in path.edge_indices:
         if not 0 <= i < h.p:
-            raise UnknownEdge(i)
+            raise UnknownEdge(f"unknown hb-edge {i}")
 
 
 def _choices(h: HbGraph, path: MPath) -> list:

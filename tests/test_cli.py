@@ -646,6 +646,12 @@ def test_paths_cli(demo_file, capsys):
     assert report["diameter"] == "inf"
 
 
+def test_paths_unknown_vertex_exits_3_naming_it(demo_file, capsys):
+    assert main(["paths", demo_file, "--pair", "v1", "nope"]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: unknown vertex 'nope'\n")
+
+
 def test_export(demo_file, tmp_path, capsys):
     assert main(["export", demo_file, "--format", "csv"]) == 0
     assert capsys.readouterr().out.startswith("vertex,e1,e2,e3,e4")

@@ -1,13 +1,65 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import hbtensor
+
+# the 62 public names of the package root, by the module that defines each
+HOMES = {
+    "errors": (
+        "DimensionMismatch DomainError EmptyEdge EmptyEdgeFamily EmptyMultiset"
+        " HbTensorError IndexOutOfRange InvalidPath NonPositiveC NotAHypergraph"
+        " NotNatural NotUniform ParseError RepeatedEdges TraceMismatch"
+        " UniverseMismatch UnknownEdge UnknownVertex VertexCollision"
+    ),
+    "hbgraph": "HbGraph IncidenceMatrix hb_sum is_direct two_section",
+    "mset": "Multiset NumberedCopySet",
+    "paths": (
+        "LARGE STRICT MPath connected_components count_paths diameter distance"
+        " interior_choices is_connected validate_path"
+    ),
+    "spectral": "PowerIterationResult SpectralBoundReport estimate_max_eigenvalue spectral_bound",
+    "tensor": (
+        "HbPolynomial SymTensor e_adjacency_tensor edge_distribution elementary_tensor"
+        " hypergraph_tensor mset_hypermatrix reconstruct_edges reconstruct_hbgraph"
+        " uniform_tensor"
+    ),
+    "transform": (
+        "APPROACHES LAYERED SILO STRAIGHTFORWARD UniformisationTrace canonical_weighting"
+        " decompose dilatation merge uniformize vertex_increase y_complement"
+    ),
+}
+PUBLIC = sorted(name for names in HOMES.values() for name in names.split())
+
+# what each verb loads of the package, beyond ``hbtensor`` itself
+BASE = {"cli", "errors", "hbgraph", "io", "mset"}
+VERB_MODULES = [
+    (["info", "g.json"], BASE),
+    (["dual", "g.json"], BASE),
+    (["export", "g.json", "--format", "csv"], BASE),
+    (["export", "g.json", "--format", "json"], BASE),
+    (["paths", "g.json"], BASE | {"paths"}),
+    (["uniformize", "g.json", "--approach", "sil"], BASE | {"transform"}),
+    (["tensor", "g.json", "--approach", "sil", "--out", "t.coo"], BASE | {"transform", "tensor"}),
+    (["export", "g.json", "--format", "coo", "--approach", "lay"], BASE | {"transform", "tensor"}),
+    (["verify", "g.json", "--approach", "str"], BASE | {"transform", "tensor", "spectral"}),
+    (["verify", "g.json", "--from-tensor", "t.coo"], BASE | {"transform", "tensor", "spectral"}),
+]
+
+
+def _python(*args: str, cwd=None) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, cwd=cwd,
+        env={**os.environ, "PYTHONPATH": str(Path(hbtensor.__file__).parents[1])},
+    )
 
 
 def test_all_exports_no_modules():
@@ -64,3 +116,57 @@ def test_readme_python_quickstart_runs():
     (line,) = [ln for ln in block.splitlines() if ln.startswith("edge_distribution(")]
     call, _, comment = line.partition("#")
     assert eval(call, namespace) == ast.literal_eval(comment.strip())
+
+
+def test_bare_import_loads_nothing_else():
+    # ``-S``: no ``site``, which would preload ``importlib`` and much else
+    probe = (
+        "import sys; before = set(sys.modules); import hbtensor; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    run = _python("-S", "-c", probe)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["hbtensor"]
+
+
+def test_each_verb_loads_only_the_modules_it_runs(tmp_path):
+    (tmp_path / "g.json").write_text(
+        (Path(__file__).parent / "golden" / "demo" / "export_json.stdout").read_text()
+    )
+    probe = (
+        "import sys; from hbtensor.cli import main; code = main(sys.argv[1:]); "
+        "names = sorted(m for m in sys.modules if m.startswith('hbtensor.')); "
+        "sys.stderr.write(' '.join(names)); raise SystemExit(code)"
+    )
+    for argv, expected in VERB_MODULES:
+        run = _python("-c", probe, *argv, cwd=tmp_path)
+        assert run.returncode == 0, (argv, run.stderr)
+        assert run.stderr.split() == sorted(f"hbtensor.{m}" for m in expected), argv
+
+
+def test_public_api_through_the_lazy_root():
+    assert hbtensor.__all__ == PUBLIC
+    for module, names in HOMES.items():
+        home = importlib.import_module(f"hbtensor.{module}")
+        for name in names.split():
+            assert getattr(hbtensor, name) is getattr(home, name), name
+    assert set(PUBLIC) | {"__all__", "__version__"} <= set(dir(hbtensor))
+    namespace: dict = {}
+    exec("from hbtensor import *", namespace)
+    assert set(PUBLIC) <= set(namespace)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hbtensor.no_such_name
+    from hbtensor import tensor
+
+    assert isinstance(tensor, types.ModuleType) and tensor.__name__ == "hbtensor.tensor"
+
+
+def test_names_and_submodules_resolve_in_a_fresh_interpreter():
+    probe = (
+        "from hbtensor import SymTensor, spectral, uniformize; import hbtensor, sys; "
+        "assert spectral is sys.modules['hbtensor.spectral']; "
+        "assert SymTensor is sys.modules['hbtensor.tensor'].SymTensor; "
+        "assert hbtensor.uniformize is uniformize; print(hbtensor.__version__)"
+    )
+    run = _python("-c", probe)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "0.1.0\n", "")

@@ -35,6 +35,15 @@ def test_validate(demo):
         validate_path(demo, MPath(("v1", "v4"), (9,), STRICT))
 
 
+def test_unknown_ids_are_named_in_the_message(demo):
+    with pytest.raises(UnknownVertex, match="^unknown vertex 'zz'$"):
+        validate_path(demo, MPath(("v1", "zz"), (0,), STRICT))
+    with pytest.raises(UnknownEdge, match="^unknown hb-edge 9$"):
+        validate_path(demo, MPath(("v1", "v4"), (9,), STRICT))
+    with pytest.raises(UnknownEdge, match="^unknown hb-edge 4$"):
+        demo.weight(4)
+
+
 def test_count(demo):
     strict = MPath(("v1", "v5", "v3"), (0, 2), STRICT)
     large = MPath(("v1", "v5", "v3"), (0, 2), LARGE)
