@@ -2,16 +2,18 @@
 
 A path alternates vertices and hb-edges.  Interior vertices must lie in the
 support of the intersection (strict) or union (large) of the two surrounding
-hb-edges.  Distance is computed on the support hypergraph: a strict m-path
-exists between two vertices exactly when a support path does.
+hb-edges.  Distance is computed on the supports: a strict m-path exists
+between two vertices exactly when a support path does.  Distance, components
+and diameter share one breadth-first search over the hb-stars, from a vertex
+to each hb-edge of its star and on to that edge's support.  Each hb-edge is
+expanded at most once per search, so a search costs O(n + p + Σ|supp e|).
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from typing import NamedTuple
-from .errors import InvalidPath, NotNatural, UnknownEdge
+from .errors import InvalidPath, NotNatural
 from .hbgraph import HbGraph
 
 STRICT = "strict"
@@ -54,8 +56,7 @@ def _check_ids(h: HbGraph, path: MPath) -> None:
     for v in path.vertices:
         h.vertex_index(v)
     for i in path.edge_indices:
-        if not 0 <= i < h.p:
-            raise UnknownEdge(f"unknown hb-edge {i}")
+        h._check_edge(i)
 
 
 def _choices(h: HbGraph, path: MPath) -> list:
@@ -97,55 +98,54 @@ def _count(h: HbGraph, path: MPath, interior_only: bool) -> int:
     return math.prod(choices[1:-1] if interior_only else choices)
 
 
-def _support_adjacency(h: HbGraph) -> dict[str, set[str]]:
-    neighbors: dict[str, set[str]] = {v: set() for v in h.vertices}
-    for e in h.edges:
-        members = e.support()
-        for u in members:
-            neighbors[u].update(members)
-    for v, ns in neighbors.items():
-        ns.discard(v)
-    return neighbors
+def _supports(h: HbGraph) -> list[list[int]]:
+    """Each hb-edge's support as vertex positions."""
+    position = h.vertices.position
+    return [[position[v] for v in e.support()] for e in h.edges]
 
 
-def _bfs(neighbors: dict[str, set[str]], start: str) -> dict[str, int]:
-    seen = {start: 0}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for w in neighbors[u]:
-            if w not in seen:
-                seen[w] = seen[u] + 1
-                queue.append(w)
-    return seen
+def _search(h: HbGraph, supports, start: int, dist: list, used: list) -> list[int]:
+    """Breadth-first search from position ``start``: marks each hb-edge of a
+    reached vertex's star in ``used`` and reads its support once.  Sets
+    ``dist`` (-1 while unreached); returns the positions in the order reached."""
+    stars = h._stars
+    dist[start] = 0
+    order = [start]
+    for u in order:
+        d = dist[u] + 1
+        for j, _ in stars[u]:
+            if not used[j]:
+                used[j] = True
+                for w in supports[j]:
+                    if dist[w] < 0:
+                        dist[w] = d
+                        order.append(w)
+    return order
 
 
 def distance(h: HbGraph, x: str, y: str):
     """Minimal m-path length between two vertices, or ``math.inf``."""
-    h.vertex_index(x)
-    h.vertex_index(y)
-    if x == y:
-        return 0
-    reached = _bfs(_support_adjacency(h), x)
-    return reached.get(y, math.inf)
+    start, end = h.vertex_index(x), h.vertex_index(y)
+    dist = [-1] * h.n
+    _search(h, _supports(h), start, dist, [False] * h.p)
+    return dist[end] if dist[end] >= 0 else math.inf
 
 
 def connected_components(h: HbGraph) -> tuple[tuple[str, ...], ...]:
     """Partition of the vertices into maximal mutually reachable sets.
 
     Isolated vertices form singleton components.  Components and their
-    members follow the vertex-list order.
+    members follow the vertex-list order.  The searches share one ``dist``
+    and one ``used`` array, so together they cost O(n + p + Σ|supp e|).
     """
-    neighbors = _support_adjacency(h)
-    seen: set[str] = set()
-    components = []
-    for v in h.vertices:
-        if v in seen:
-            continue
-        members = _bfs(neighbors, v)
-        seen.update(members)
-        components.append(tuple(sorted(members, key=h.vertex_index)))
-    return tuple(components)
+    supports = _supports(h)
+    dist = [-1] * h.n
+    used = [False] * h.p
+    return tuple(
+        tuple(h.vertices[k] for k in sorted(_search(h, supports, s, dist, used)))
+        for s in range(h.n)
+        if dist[s] < 0
+    )
 
 
 def is_connected(h: HbGraph) -> bool:
@@ -155,13 +155,12 @@ def is_connected(h: HbGraph) -> bool:
 def diameter(h: HbGraph):
     """Largest pairwise distance;  ``math.inf`` as soon as two vertices are
     mutually unreachable (disconnected hb-graph or isolated vertex)."""
-    if h.n == 0:
-        return 0
-    neighbors = _support_adjacency(h)
+    supports = _supports(h)
     best = 0
-    for v in h.vertices:
-        reached = _bfs(neighbors, v)
-        if len(reached) < h.n:
+    for s in range(h.n):
+        dist = [-1] * h.n
+        order = _search(h, supports, s, dist, [False] * h.p)
+        if len(order) < h.n:
             return math.inf
-        best = max(best, max(reached.values()))
+        best = max(best, dist[order[-1]])
     return best

@@ -3,9 +3,11 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import Counter
+from collections import Counter, deque
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hbtensor import (
     LARGE,
@@ -21,8 +23,9 @@ from hbtensor import (
     is_connected,
     validate_path,
 )
+from hbtensor import paths
 from hbtensor.errors import UnknownEdge, UnknownVertex
-from randgen import random_hbgraph
+from randgen import random_hbgraph, random_hypergraph
 
 
 def test_validate(demo):
@@ -269,9 +272,170 @@ def test_join_rule_matches_join_multisets():
     assert min(outcomes.values()) > 20  # both kinds, valid and invalid
 
 
+# -- the searches against a neighbour-set BFS ---------------------------------
+
+
+def support_adjacency(h: HbGraph) -> dict[str, set[str]]:
+    """Reference: the vertices sharing a support with each vertex."""
+    neighbors: dict[str, set[str]] = {v: set() for v in h.vertices}
+    for e in h.edges:
+        members = e.support()
+        for u in members:
+            neighbors[u].update(members)
+    for v, ns in neighbors.items():
+        ns.discard(v)
+    return neighbors
+
+
+def neighbour_bfs(neighbors: dict[str, set[str]], start: str) -> dict[str, int]:
+    seen = {start: 0}
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for w in neighbors[u]:
+            if w not in seen:
+                seen[w] = seen[u] + 1
+                queue.append(w)
+    return seen
+
+
+def oracle_distance(h: HbGraph, x: str, y: str):
+    return neighbour_bfs(support_adjacency(h), x).get(y, math.inf)
+
+
+def oracle_components(h: HbGraph) -> tuple[tuple[str, ...], ...]:
+    neighbors = support_adjacency(h)
+    seen: set[str] = set()
+    components = []
+    for v in h.vertices:
+        if v not in seen:
+            members = neighbour_bfs(neighbors, v)
+            seen.update(members)
+            components.append(tuple(sorted(members, key=h.vertex_index)))
+    return tuple(components)
+
+
+def oracle_diameter(h: HbGraph):
+    neighbors = support_adjacency(h)
+    best = 0
+    for v in h.vertices:
+        reached = neighbour_bfs(neighbors, v)
+        if len(reached) < h.n:
+            return math.inf
+        best = max(best, max(reached.values()))
+    return best
+
+
+def assert_searches_match_oracle(h: HbGraph) -> None:
+    neighbors = support_adjacency(h)
+    for x in h.vertices:
+        reached = neighbour_bfs(neighbors, x)
+        for y in h.vertices:
+            assert distance(h, x, y) == reached.get(y, math.inf), (x, y)
+    assert connected_components(h) == oracle_components(h)
+    assert diameter(h) == oracle_diameter(h)
+
+
+def test_searches_match_the_neighbour_set_oracle():
+    rng = random.Random(41)
+    for _ in range(60):
+        assert_searches_match_oracle(random_hbgraph(rng, n_max=10, p_max=8, mult_max=3))
+        assert_searches_match_oracle(random_hypergraph(rng, n_max=12, k_max=3, p_max=8))
+    for _ in range(6):  # wider supports, longer paths
+        names = [f"x{i}" for i in range(60)]
+        edges = [
+            {v: rng.randint(1, 3) for v in rng.sample(names, rng.randint(1, 12))}
+            for _ in range(rng.randint(5, 15))
+        ]
+        assert_searches_match_oracle(HbGraph.from_dicts(names, edges))
+
+
+multiplicities = st.one_of(
+    st.integers(min_value=0, max_value=3),
+    st.fractions(min_value=0, max_value=3, max_denominator=4),
+)
+
+
+@st.composite
+def hbgraphs(draw):
+    """Isolated vertices, empty hb-edges (all multiplicities 0), repeated
+    hb-edges and ``Fraction`` multiplicities; n may be 0 with p >= 1."""
+    vertices = tuple(f"v{i + 1}" for i in range(draw(st.integers(0, 7))))
+    edge = st.dictionaries(st.sampled_from(vertices), multiplicities) if vertices else st.just({})
+    edges = draw(st.lists(edge, max_size=7))
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=3))
+    return HbGraph.from_dicts(vertices, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hbgraphs())
+@example(HbGraph.from_dicts((), [{}, {}]))
+@example(
+    HbGraph.from_dicts(
+        ("a", "b", "c", "d"),
+        [{"a": Fraction(1, 2), "b": 0}, {}, {"a": Fraction(1, 2)}, {"b": 1, "c": 2}]
+        + [{"b": 1, "c": 2}],
+    )
+)
+def test_searches_match_the_neighbour_set_oracle_hypothesis(h):
+    assert_searches_match_oracle(h)
+
+
+class CountingSupports(list):
+    """Position lists that count how often each is read."""
+
+    def __init__(self, lists):
+        super().__init__(lists)
+        self.reads = Counter()
+
+    def __getitem__(self, j):
+        self.reads[j] += 1
+        return super().__getitem__(j)
+
+
+def overlapping_wide_edges(n: int, width: int, stride: int) -> HbGraph:
+    names = [f"x{i}" for i in range(n)]
+    edges = [{names[k]: 1 for k in range(i, i + width)} for i in range(0, n - width + 1, stride)]
+    return HbGraph.from_dicts(names, edges)
+
+
+def test_each_support_is_read_at_most_once_per_search(monkeypatch):
+    # 100 vertices, 17 edges of 20 overlapping by 15: a search that walked a
+    # support once for each of its reached vertices would read 340 supports
+    h = overlapping_wide_edges(100, 20, 5)
+    for start in range(h.n):
+        supports = CountingSupports(paths._supports(h))
+        order = paths._search(h, supports, start, [-1] * h.n, [False] * h.p)
+        assert len(order) == h.n
+        assert supports.reads == Counter(range(h.p))
+    # the components' searches share the marks: one read per nonempty edge
+    names = [f"x{i}" for i in range(50)]
+    split = HbGraph.from_dicts(
+        names,
+        [{names[k]: 1 for k in range(i, i + 8)} for i in range(0, 17, 2)]
+        + [{names[k]: 2 for k in range(30, 45)}, {}, {names[30]: 1, names[44]: 1}],
+    )
+    supports = CountingSupports(paths._supports(split))
+    arrays = []
+    original = paths._search
+
+    def search(h, supports, start, dist, used):
+        arrays.append((dist, used))
+        return original(h, supports, start, dist, used)
+
+    monkeypatch.setattr(paths, "_supports", lambda h: supports)
+    monkeypatch.setattr(paths, "_search", search)
+    assert connected_components(split) == oracle_components(split)
+    assert supports.reads == Counter(j for j, e in enumerate(split.edges) if not e.is_empty())
+    # and one dist and one used array, not a fresh pair per component
+    assert len(arrays) == len(oracle_components(split)) == 13
+    assert all(dist is arrays[0][0] and used is arrays[0][1] for dist, used in arrays)
+
+
 def all_pairs_diameter(h: HbGraph):
-    """Reference: the largest distance over all vertex pairs."""
-    return max((distance(h, x, y) for x in h.vertices for y in h.vertices), default=0)
+    """Reference: the largest neighbour-set BFS distance over all vertex pairs."""
+    return max((oracle_distance(h, x, y) for x in h.vertices for y in h.vertices), default=0)
 
 
 def test_diameter_matches_all_pairs_bfs():
