@@ -8,23 +8,6 @@ modules whose names it reads (PEP 562).
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "APPROACHES", "DimensionMismatch", "DomainError", "EmptyEdge", "EmptyEdgeFamily",
-    "EmptyMultiset", "HbGraph", "HbPolynomial", "HbTensorError", "IncidenceMatrix",
-    "IndexOutOfRange", "InvalidPath", "LARGE", "LAYERED", "MPath", "Multiset",
-    "NonPositiveC", "NotAHypergraph", "NotNatural", "NotUniform", "NumberedCopySet",
-    "ParseError", "PowerIterationResult", "RepeatedEdges", "SILO", "STRAIGHTFORWARD",
-    "STRICT", "SpectralBoundReport", "SymTensor", "TraceMismatch",
-    "UniformisationTrace", "UniverseMismatch", "UnknownEdge", "UnknownVertex",
-    "VertexCollision", "canonical_weighting", "connected_components", "count_paths",
-    "decompose", "diameter", "dilatation", "distance", "e_adjacency_tensor",
-    "edge_distribution", "elementary_tensor", "estimate_max_eigenvalue", "hb_sum",
-    "hypergraph_tensor", "interior_choices", "is_connected", "is_direct", "merge",
-    "mset_hypermatrix", "reconstruct_edges", "reconstruct_hbgraph", "spectral_bound",
-    "two_section", "uniform_tensor", "uniformize", "validate_path", "vertex_increase",
-    "y_complement",
-]
-
 # each public name -> the submodule that defines it
 _HOME = {
     name: module
@@ -48,6 +31,8 @@ _HOME = {
     )
     for name in names.split()
 }
+
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):

@@ -6,18 +6,18 @@ error or an ``--out`` that cannot be written, 3 precondition violation, 4
 internal error.  All human-facing indices are 1-based; output is
 deterministic for fixed input and flags.
 
-Only a tensor gets a trace: ``tensor --out T`` writes ``T.trace.json``.
-``uniformize`` emits the uniform hb-graph alone (its m-range is r_H, its
-vertex list names the null vertices).  ``verify`` takes exactly one of
-``--approach`` and ``--from-tensor T``; ``--trace`` replaces ``T.trace.json``
-and needs ``--from-tensor``.  ``export`` takes ``--approach`` exactly with
-``--format coo``, and ``--full`` only there.
+``tensor --out T`` is the one tensor writer: it writes the COO ``T``,
+canonical or ``--full``, and its trace ``T.trace.json``.  ``uniformize``
+emits the uniform hb-graph alone (its m-range is r_H, its vertex list names
+the null vertices).  ``verify`` takes exactly one of ``--approach`` and
+``--from-tensor T``, and reads the trace of ``T`` from ``T.trace.json``.
+``export`` writes the graph formats, incidence CSV and JSON.
 
 Each verb imports only the modules it runs, so a start-up compiles no more of
-the package than it needs.  ``info``, ``dual`` and ``export --format csv|json``
-load ``cli``, ``errors``, ``mset``, ``hbgraph`` and ``io``; ``paths`` adds
-``paths``; ``uniformize`` adds ``transform``; ``tensor`` and ``export --format
-coo`` add ``transform`` and ``tensor``; ``verify`` adds ``spectral`` as well.
+the package than it needs.  ``info``, ``dual`` and ``export`` load ``cli``,
+``errors``, ``mset``, ``hbgraph`` and ``io``; ``paths`` adds ``paths``;
+``uniformize`` adds ``transform``; ``tensor`` adds ``transform`` and
+``tensor``; ``verify`` adds ``spectral`` as well.
 """
 
 from __future__ import annotations
@@ -108,25 +108,24 @@ def cmd_tensor(args) -> int:
 
     h = io.load_hbgraph(args.input)
     tensor, trace = e_adjacency_tensor(h, args.approach)
-    Path(args.out).write_text(io.tensor_to_coo(tensor), encoding="utf-8")
+    # built before any file is opened, so a refused expansion writes neither file
+    coo = io.tensor_to_coo(tensor, "full" if args.full else "canonical")
+    Path(args.out).write_text(coo, encoding="utf-8")
     io.dump_trace(trace, args.out + ".trace.json")
     return 0
 
 
 def cmd_verify(args) -> int:
     from .spectral import estimate_max_eigenvalue, spectral_bound
-    from .tensor import _check_trace, _indexed, _level_weights, e_adjacency_tensor
-    from .transform import padding
+    from .tensor import _check_trace, _edge_keys, _level_weights, e_adjacency_tensor
 
     h = io.load_hbgraph(args.input)
     if args.from_tensor:
         tensor = io.load_tensor_coo(args.from_tensor)
-        trace = io.load_trace(args.trace or args.from_tensor + ".trace.json")
+        trace = io.load_trace(args.from_tensor + ".trace.json")
         if _check_trace(tensor, trace) != h.n:
             msg = f"tensor dim {tensor.dim} - {trace.n_a} null vertices != {h.n} graph vertices"
             raise TraceMismatch(msg)
-    elif args.trace:
-        raise DomainError("--trace requires --from-tensor")
     else:
         tensor, trace = e_adjacency_tensor(h, args.approach)
 
@@ -142,11 +141,8 @@ def cmd_verify(args) -> int:
     levels = enumerate(_level_weights(tensor, trace))
     checks["edge_distribution"] = {j: w for j, w in levels if w} == by_level
     try:
-        # each entry's whole key, padding included: an edge's runs, then its padding's
-        expected = Counter(
-            _indexed(e) + padding(trace.approach, h.n, trace.r_h, e.m_cardinality())
-            for e in h.edges
-        )
+        # each entry's whole key, padding included
+        expected = Counter(_edge_keys(h, trace.approach, trace.r_h))
         checks["reconstruction"] = Counter(tensor._entries.keys()) == expected
     except DomainError:
         checks["reconstruction"] = False
@@ -196,21 +192,10 @@ def cmd_paths(args) -> int:
 
 def cmd_export(args) -> int:
     h = io.load_hbgraph(args.input)
-    coo = args.format == "coo"
-    if coo != bool(args.approach) or (args.full and not coo):
-        raise DomainError(
-            "--format coo requires --approach; --approach and --full require --format coo"
-        )
     if args.format == "csv":
         _emit(io.incidence_csv(h), args.out)
-    elif args.format == "json":
+    else:  # json
         _emit(io.dumps(io.hbgraph_to_obj(h)), args.out)
-    else:  # coo
-        from .tensor import e_adjacency_tensor
-
-        tensor, _ = e_adjacency_tensor(h, args.approach)
-        mode = "full" if args.full else "canonical"
-        _emit(io.tensor_to_coo(tensor, mode), args.out)
     return 0
 
 
@@ -239,13 +224,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("tensor", cmd_tensor, help="build the e-adjacency tensor")
     p.add_argument("--approach", type=_approach, required=True)
+    p.add_argument("--full", action="store_true")
     p.add_argument("--out", required=True)
 
     p = add("verify", cmd_verify, help="run the exact structural checks")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--approach", type=_approach)
     source.add_argument("--from-tensor", dest="from_tensor")
-    p.add_argument("--trace")
     p.add_argument("--seed", type=int, default=0)
 
     p = add("paths", cmd_paths, help="distance, components, diameter")
@@ -254,10 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--diameter", action="store_true")
     p.add_argument("--out")
 
-    p = add("export", cmd_export, help="export incidence CSV, JSON or tensor COO")
-    p.add_argument("--format", choices=("json", "coo", "csv"), required=True)
-    p.add_argument("--approach", type=_approach)
-    p.add_argument("--full", action="store_true")
+    p = add("export", cmd_export, help="export incidence CSV or hb-graph JSON")
+    p.add_argument("--format", choices=("json", "csv"), required=True)
     p.add_argument("--out")
 
     return parser

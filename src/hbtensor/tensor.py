@@ -457,6 +457,11 @@ def uniform_tensor(h: HbGraph) -> SymTensor:
     return SymTensor._from_shares(k, h.n, [(_indexed(e), 1) for e in h.edges])
 
 
+def _edge_keys(h: HbGraph, approach: str, r_h: int) -> list[tuple[tuple[int, int], ...]]:
+    """Each hb-edge's e-adjacency key, in edge order: its runs, then its padding's."""
+    return [_indexed(e) + padding(approach, h.n, r_h, e.m_cardinality()) for e in h.edges]
+
+
 def e_adjacency_tensor(
     h: HbGraph, approach: str
 ) -> tuple[SymTensor, UniformisationTrace]:
@@ -469,10 +474,7 @@ def e_adjacency_tensor(
     dimensions are kept, no entry uses them, and Delta* is 0.
     """
     trace = _uniformisation_trace(h, approach)
-    shares = [
-        (_indexed(e) + padding(approach, h.n, trace.r_h, e.m_cardinality()), h.weight(i))
-        for i, e in enumerate(h.edges)
-    ]
+    shares = zip(_edge_keys(h, approach, trace.r_h), map(h.weight, range(h.p)))
     return SymTensor._from_shares(trace.r_h, h.n + trace.n_a, shares), trace
 
 

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -11,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import hbtensor
-from hbtensor.cli import main
+from hbtensor.cli import build_parser, main
 from hbtensor.io import dumps, load_trace
 
 DATA = Path(__file__).parent / "data"
@@ -106,12 +108,10 @@ def test_number_too_long_to_print_exits_2(demo_file, tmp_path, capsys):
     assert "edges[0]: weight: number has more" in capsys.readouterr().err
     out = tmp_path / "t.coo"
     assert main(["tensor", demo_file, "--approach", "str", "--out", str(out)]) == 0
-    huge = tmp_path / "huge.coo"
     lines = out.read_text(encoding="utf-8").splitlines()
     lines[1] = lines[1].rsplit(" ", 1)[0] + " 1e5000"
-    huge.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    args = ["verify", demo_file, "--from-tensor", str(huge), "--trace", f"{out}.trace.json"]
-    assert main(args) == 2
+    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["verify", demo_file, "--from-tensor", str(out)]) == 2
     assert "line 2: number has more" in capsys.readouterr().err
 
 
@@ -127,10 +127,8 @@ def test_off_rule_literals_exit_2(demo_file, tmp_path, capsys):
         ("#" + lines[0], "bad header token '#'"),
         (lines[0] + " foo=7", "unknown header key 'foo'"),
     ):
-        bad = tmp_path / "bad.coo"
-        bad.write_text("\n".join([header] + lines[1:]) + "\n", encoding="utf-8")
-        args = ["verify", demo_file, "--from-tensor", str(bad), "--trace", f"{out}.trace.json"]
-        assert main(args) == 2
+        out.write_text("\n".join([header] + lines[1:]) + "\n", encoding="utf-8")
+        assert main(["verify", demo_file, "--from-tensor", str(out)]) == 2
         assert error in capsys.readouterr().err
 
 
@@ -331,13 +329,8 @@ def test_verify_corrupted_tensor(demo_file, tmp_path, capsys):
     main(["tensor", demo_file, "--approach", "sil", "--out", str(out)])
     lines = out.read_text(encoding="utf-8").splitlines()
     lines[1] = lines[1].rsplit(" ", 1)[0] + " 9/2"  # tamper with one value
-    corrupted = tmp_path / "bad.coo"
-    corrupted.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    code = main([
-        "verify", demo_file,
-        "--from-tensor", str(corrupted),
-        "--trace", str(out) + ".trace.json",
-    ])
+    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(["verify", demo_file, "--from-tensor", str(out)])
     report = json.loads(capsys.readouterr().out)
     assert code == 1
     assert report["checks"]["degree_retrieval"] is False
@@ -363,9 +356,8 @@ def test_verify_trace_with_wrong_r_h(demo_file, tmp_path, capsys):
     main(["tensor", demo_file, "--approach", "sil", "--out", str(out)])
     trace = json.loads((tmp_path / "t.coo.trace.json").read_text(encoding="utf-8"))
     trace["r_h"] = 4
-    bad = tmp_path / "bad.trace.json"
-    bad.write_text(dumps(trace), encoding="utf-8")
-    code = main(["verify", demo_file, "--from-tensor", str(out), "--trace", str(bad)])
+    (tmp_path / "t.coo.trace.json").write_text(dumps(trace), encoding="utf-8")
+    code = main(["verify", demo_file, "--from-tensor", str(out)])
     assert code == 3
     assert capsys.readouterr().err == "error: trace r_H 4 != tensor order 5\n"
 
@@ -378,14 +370,13 @@ def test_verify_silo_trace_on_straightforward_tensor(tmp_path, capsys):
     # silo needs r_H - 1 = 4 null vertices; the tensor has dimension n + 1 = 2
     trace = json.loads((tmp_path / "t.coo.trace.json").read_text(encoding="utf-8"))
     trace["approach"] = "silo"
-    bad = tmp_path / "silo.trace.json"
-    bad.write_text(dumps(trace), encoding="utf-8")
-    code = main(["verify", str(path), "--from-tensor", str(out), "--trace", str(bad)])
+    (tmp_path / "t.coo.trace.json").write_text(dumps(trace), encoding="utf-8")
+    code = main(["verify", str(path), "--from-tensor", str(out)])
     assert code == 3
     assert capsys.readouterr().err == "error: more null vertices than tensor dimensions\n"
 
 
-def test_verify_reads_old_trace_format(demo_file, capsys):
+def test_verify_reads_old_trace_format(demo_file, tmp_path, capsys):
     """A trace written before the null vertices were derived and the edge order
     kept, with its ``n_a``, ``null_vertices``, ``layer_coeffs`` and
     ``edge_provenance``, reads as the current one does."""
@@ -394,11 +385,12 @@ def test_verify_reads_old_trace_format(demo_file, capsys):
     old_keys = {"n_a", "null_vertices", "layer_coeffs", "edge_provenance"}
     assert old_keys <= json.loads(old.read_text()).keys()
     assert load_trace(old) == load_trace(new)
-    coo = GOLDEN_DEMO / "tensor_sil.file.t.coo"
+    coo = tmp_path / "t.coo"
+    coo.write_bytes((GOLDEN_DEMO / "tensor_sil.file.t.coo").read_bytes())
     reports = []
     for trace in (old, new):
-        args = ["verify", demo_file, "--from-tensor", str(coo), "--trace", str(trace)]
-        assert main(args + ["--seed", "7"]) == 0
+        (tmp_path / "t.coo.trace.json").write_bytes(trace.read_bytes())
+        assert main(["verify", demo_file, "--from-tensor", str(coo), "--seed", "7"]) == 0
         reports.append(capsys.readouterr().out)
     assert reports[0] == reports[1]
     assert json.loads(reports[0])["passed"] is True
@@ -411,9 +403,9 @@ def test_verify_trace_with_fractional_r_h(tmp_path, capsys):
     assert main(["tensor", str(path), "--approach", "str", "--out", str(out)]) == 0
     trace = json.loads((tmp_path / "t.coo.trace.json").read_text(encoding="utf-8"))
     assert trace["r_h"] == 2
-    bad = tmp_path / "bad.trace.json"
+    bad = tmp_path / "t.coo.trace.json"
     bad.write_text(dumps(trace).replace('"r_h": 2', '"r_h": 2.5'), encoding="utf-8")
-    code = main(["verify", str(path), "--from-tensor", str(out), "--trace", str(bad)])
+    code = main(["verify", str(path), "--from-tensor", str(out)])
     assert code == 2
     assert capsys.readouterr().err == f"error: {bad}: r_h: expected an integer\n"
 
@@ -444,7 +436,7 @@ def test_verify_from_tensor_on_a_non_natural_graph(tmp_path, capsys):
     out = tmp_path / "t.coo"
     assert main(["tensor", natural, "--approach", "sil", "--out", str(out)]) == 0
     halved = graph_file(tmp_path, "halved.json", {"a": "1/2"}, {"b": 1})
-    code = main(["verify", halved, "--from-tensor", str(out), "--trace", f"{out}.trace.json"])
+    code = main(["verify", halved, "--from-tensor", str(out)])
     report = json.loads(capsys.readouterr().out)
     assert code == 1
     assert report["checks"]["reconstruction"] is False
@@ -457,9 +449,8 @@ def test_verify_from_tensor_with_an_all_null_entry(tmp_path, capsys):
     assert main(["tensor", path, "--approach", "sil", "--out", str(out)]) == 0
     header, *records = out.read_text(encoding="utf-8").splitlines()
     assert header == "# order=2 dim=3 entries=2"
-    extra = tmp_path / "extra.coo"
-    extra.write_text("\n".join(["# order=2 dim=3 entries=3", *records, "3 3 1"]) + "\n")
-    code = main(["verify", path, "--from-tensor", str(extra), "--trace", f"{out}.trace.json"])
+    out.write_text("\n".join(["# order=2 dim=3 entries=3", *records, "3 3 1"]) + "\n")
+    code = main(["verify", path, "--from-tensor", str(out)])
     report = json.loads(capsys.readouterr().out)
     assert code == 1
     assert report["checks"]["reconstruction"] is False
@@ -471,11 +462,12 @@ def test_verify_from_tensor_reads_the_default_trace(demo_file, tmp_path, capsys)
         out = tmp_path / f"{approach}.coo"
         assert main(["tensor", demo_file, "--approach", approach, "--out", str(out)]) == 0
         assert main(["verify", demo_file, "--from-tensor", str(out)]) == 0
-        default = capsys.readouterr().out
-        assert json.loads(default)["passed"] is True
-        args = ["verify", demo_file, "--from-tensor", str(out), "--trace", f"{out}.trace.json"]
-        assert main(args) == 0
-        assert capsys.readouterr().out == default
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+        # the trace is <tensor>.trace.json and no other file
+        trace = tmp_path / f"{approach}.coo.trace.json"
+        trace.rename(tmp_path / f"{approach}.json")
+        assert main(["verify", demo_file, "--from-tensor", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {trace}")
 
 
 def test_verify_from_tensor_checks_the_padding(tmp_path, capsys):
@@ -488,10 +480,8 @@ def test_verify_from_tensor_checks_the_padding(tmp_path, capsys):
     assert main(["tensor", str(path), "--approach", "sil", "--out", str(out)]) == 0
     lines = out.read_text(encoding="utf-8").splitlines()
     assert "1 4 4 1" in lines  # the level-1 edge, padded with __N1 (index 3 + 1)
-    moved = tmp_path / "moved.coo"
-    moved.write_text("\n".join("1 5 5 1" if ln == "1 4 4 1" else ln for ln in lines) + "\n")
-    args = ["verify", str(path), "--from-tensor", str(moved), "--trace", f"{out}.trace.json"]
-    assert main(args) == 1
+    out.write_text("\n".join("1 5 5 1" if ln == "1 4 4 1" else ln for ln in lines) + "\n")
+    assert main(["verify", str(path), "--from-tensor", str(out)]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["checks"] == {
         "degree_retrieval": True,
@@ -511,17 +501,15 @@ def test_verify_from_tensor_of_another_dimension_exits_3(tmp_path, capsys):
     header, *records = out.read_text(encoding="utf-8").splitlines()
     assert header == "# order=2 dim=3 entries=1"
     for dim in (2, 4, 3 * 10**6 + 3):
-        other = tmp_path / f"dim{dim}.coo"
-        other.write_text("\n".join([f"# order=2 dim={dim} entries=1", *records]) + "\n")
-        args = ["verify", path, "--from-tensor", str(other), "--trace", f"{out}.trace.json"]
-        assert main(args) == 3
+        out.write_text("\n".join([f"# order=2 dim={dim} entries=1", *records]) + "\n")
+        assert main(["verify", path, "--from-tensor", str(out)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: tensor dim {dim} - 1 null vertices != 2 graph vertices\n"
 
 
 def test_verify_argument_errors(demo_file, capsys):
-    # with no --trace, the trace is read from <tensor>.trace.json; here the
+    # the tensor is read before its trace, <tensor>.trace.json; here the
     # tensor itself is a JSON file, which does not read as COO
     assert main(["verify", demo_file, "--from-tensor", demo_file]) == 2
     assert "missing '# order=.. dim=.. entries=..' header" in capsys.readouterr().err
@@ -554,11 +542,14 @@ def test_verify_takes_exactly_one_source(demo_file, tmp_path, capsys):
     ["export", "--format", "csv", "--approach", "lay", "--full"],
     ["export", "--format", "coo", "--full"],
 ])
-def test_an_option_the_command_would_ignore_exits_3(demo_file, capsys, args):
-    assert main([args[0], demo_file, *args[1:]]) == 3
+def test_a_removed_option_exits_2(demo_file, capsys, args):
+    # the trace is always <tensor>.trace.json, and ``tensor`` writes every COO
+    with pytest.raises(SystemExit) as exc:
+        main([args[0], demo_file, *args[1:]])
+    assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and "requires" in captured.err
+    assert "unrecognized arguments" in captured.err or "invalid choice: 'coo'" in captured.err
 
 
 WRITING_VERBS = {
@@ -596,12 +587,31 @@ def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
         capsys.readouterr()
 
 
-def test_approach_full_name_and_prefix_agree(demo_file, capsys):
+def test_readme_command_line_names_every_option_and_no_other():
+    """The README's command-line section and ``build_parser`` cannot drift:
+    each ``--option`` the section names is declared, and each declared one named."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    (verbs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    declared = {
+        option
+        for parser in verbs.choices.values()
+        for action in parser._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+    assert named - declared == set(), "named in the README, not declared"
+    assert declared - named == set(), "declared, not named in the README"
+
+
+def test_approach_full_name_and_prefix_agree(demo_file, tmp_path):
     for name in ("straightforward", "silo", "layered"):
         outputs = []
         for value in (name, name[:3]):
-            assert main(["export", demo_file, "--format", "coo", "--approach", value]) == 0
-            outputs.append(capsys.readouterr().out)
+            out = tmp_path / f"{value}.coo"
+            assert main(["tensor", demo_file, "--approach", value, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
 
@@ -612,7 +622,6 @@ def test_out_writes_the_printed_bytes(demo_file, tmp_path, capsys):
         ["paths"],
         ["export", "--format", "csv"],
         ["export", "--format", "json"],
-        ["export", "--format", "coo", "--approach", "sil"],
     ):
         assert main([verb[0], demo_file, *verb[1:]]) == 0
         printed = capsys.readouterr().out
@@ -657,24 +666,30 @@ def test_export(demo_file, tmp_path, capsys):
     assert capsys.readouterr().out.startswith("vertex,e1,e2,e3,e4")
     assert main(["export", demo_file, "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["vertices"][0] == "v1"
-    assert main(["export", demo_file, "--format", "coo", "--approach", "sil"]) == 0
-    assert "entries=4" in capsys.readouterr().out
-    assert main(["export", demo_file, "--format", "coo", "--approach", "str", "--full"]) == 0
-    assert "entries=85" in capsys.readouterr().out
-    # one edge of 11 distinct vertices: 11! records, over the 10**7 limit
+
+
+def test_tensor_full(demo_file, tmp_path, capsys):
+    out = tmp_path / "t.coo"
+    assert main(["tensor", demo_file, "--approach", "str", "--full", "--out", str(out)]) == 0
+    assert "entries=85" in out.read_text(encoding="utf-8").splitlines()[0]
+    assert (tmp_path / "t.coo.trace.json").exists()
+    # one edge of 11 distinct vertices: 11! records, over the 10**7 limit;
+    # the refusal comes before either file is opened
     wide = tmp_path / "wide.json"
     names = list("abcdefghijk")
     wide.write_text(dumps({"vertices": names, "edges": [{"mult": dict.fromkeys(names, 1)}]}))
-    assert main(["export", str(wide), "--format", "coo", "--approach", "str", "--full"]) == 3
+    refused = tmp_path / "wide.coo"
+    args = ["tensor", str(wide), "--approach", "str", "--full", "--out", str(refused)]
+    assert main(args) == 3
     assert "full export would emit 39916800 records" in capsys.readouterr().err
-    assert main(["export", demo_file, "--format", "coo"]) == 3  # approach required
+    assert not refused.exists() and not (tmp_path / "wide.coo.trace.json").exists()
 
 
-def test_export_full_at_large_order(tmp_path, capsys):
+def test_export_full_at_large_order(tmp_path):
     path = tmp_path / "big.json"
     path.write_text(dumps({"vertices": ["a"], "edges": [{"mult": {"a": 3000}}]}))
-    args = ["export", str(path), "--format", "coo", "--approach", "sil", "--full"]
-    assert main(args) == 0
-    header, record = capsys.readouterr().out.splitlines()
+    out = tmp_path / "t.coo"
+    assert main(["tensor", str(path), "--approach", "sil", "--full", "--out", str(out)]) == 0
+    header, record = out.read_text(encoding="utf-8").splitlines()
     assert header == "# order=3000 dim=3000 entries=1"
     assert record == " ".join(["1"] * 3000) + " 3000"

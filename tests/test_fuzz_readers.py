@@ -149,13 +149,13 @@ def demo_files(draw):
 @given(demo_files())
 def test_hostile_files_get_a_clean_exit(files):
     with tempfile.TemporaryDirectory() as tmp:
-        paths = [Path(tmp) / name for name in ("g.json", "t.coo", "t.trace.json")]
-        graph, coo, trace = paths
+        paths = [Path(tmp) / name for name in ("g.json", "t.coo", "t.coo.trace.json")]
+        graph, coo, _ = paths
         for path, text in zip(paths, files):
             path.write_text(text, encoding="utf-8")
         for argv in (
             ["info", str(graph)],
-            ["verify", str(graph), "--from-tensor", str(coo), "--trace", str(trace)],
+            ["verify", str(graph), "--from-tensor", str(coo)],
         ):
             code, err = _run(argv)
             assert code in CLEAN_EXITS, (argv[0], err, files)

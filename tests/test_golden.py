@@ -66,25 +66,25 @@ CASES = {
     "dual": ["dual"],
     **{f"uniformize_{a}": ["uniformize", "--approach", a] for a in APPROACHES},
     **{f"tensor_{a}": ["tensor", "--approach", a, "--out", "t.coo"] for a in APPROACHES},
+    "tensor_full_sil": ["tensor", "--approach", "sil", "--full", "--out", "t.coo"],
     "export_csv": ["export", "--format", "csv"],
     "export_json": ["export", "--format", "json"],
-    **{f"export_coo_{a}": ["export", "--format", "coo", "--approach", a] for a in APPROACHES},
-    "export_coo_full_sil": ["export", "--format", "coo", "--approach", "sil", "--full"],
 }
 
 VERIFY_CASES = {
     f"verify_{a}": ["verify", "--approach", a, "--seed", "7"] for a in APPROACHES
 }
 
-# verify on the committed output of the matching tensor case; the names are
-# resolved in the input's golden folder (``cases_for``), which ``regenerate``
-# fills in CASES order, so the tensor files exist before these cases run
+# verify on the committed output of the matching tensor case, whose trace it
+# reads from <tensor>.trace.json; the names are resolved in the input's golden
+# folder (``cases_for``), which ``regenerate`` fills in CASES order, so the
+# tensor files exist before these cases run.  The full expansion of the silo
+# tensor reads back to the same report as its canonical file.
 FROM_TENSOR_CASES = {
     f"verify_from_tensor_{a}": [
-        "verify", "--from-tensor", f"tensor_{a}.file.t.coo",
-        "--trace", f"tensor_{a}.file.t.coo.trace.json", "--seed", "7",
+        "verify", "--from-tensor", f"tensor_{a}.file.t.coo", "--seed", "7",
     ]
-    for a in APPROACHES
+    for a in (*APPROACHES, "full_sil")
 }
 
 EXACT_BOUND_FIELDS = ("approach", "r_h", "delta", "delta_star", "bound")

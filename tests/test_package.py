@@ -49,7 +49,6 @@ VERB_MODULES = [
     (["paths", "g.json"], BASE | {"paths"}),
     (["uniformize", "g.json", "--approach", "sil"], BASE | {"transform"}),
     (["tensor", "g.json", "--approach", "sil", "--out", "t.coo"], BASE | {"transform", "tensor"}),
-    (["export", "g.json", "--format", "coo", "--approach", "lay"], BASE | {"transform", "tensor"}),
     (["verify", "g.json", "--approach", "str"], BASE | {"transform", "tensor", "spectral"}),
     (["verify", "g.json", "--from-tensor", "t.coo"], BASE | {"transform", "tensor", "spectral"}),
 ]
