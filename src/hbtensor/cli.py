@@ -3,8 +3,8 @@
 Verbs: info, dual, uniformize, tensor, verify, paths, export.  Exit codes:
 0 success (verify: all exact checks pass), 1 verification failure, 2 parse
 error or an ``--out`` that cannot be written, 3 precondition violation, 4
-internal error.  All human-facing indices are 1-based; output is
-deterministic for fixed input and flags.
+internal error, printed with the exception's type.  All human-facing indices
+are 1-based; output is deterministic for fixed input and flags.
 
 ``tensor --out T`` is the one tensor writer: it writes the COO ``T``,
 canonical or ``--full``, and its trace ``T.trace.json``.  ``uniformize``
@@ -138,8 +138,7 @@ def cmd_verify(args) -> int:
     checks: dict[str, bool] = {}
     checks["degree_retrieval"] = tensor.row_sums()[: h.n] == degrees
     checks["total_sum"] = tensor.total_sum() == trace.r_h * sum(by_level.values())
-    levels = enumerate(_level_weights(tensor, trace))
-    checks["edge_distribution"] = {j: w for j, w in levels if w} == by_level
+    checks["edge_distribution"] = _level_weights(tensor, trace) == by_level
     try:
         # each entry's whole key, padding included
         expected = Counter(_edge_keys(h, trace.approach, trace.r_h))
@@ -259,8 +258,10 @@ def main(argv=None) -> int:
     except OSError as exc:  # an --out that cannot be written; the message names it
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # the type names what happened where the message is empty, as for MemoryError()
+        detail = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
+        print(f"internal error: {detail}", file=sys.stderr)
         return 4
 
 

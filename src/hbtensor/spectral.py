@@ -118,14 +118,16 @@ def estimate_max_eigenvalue(
     """
     if t.order < 2:
         raise DomainError("power iteration needs tensor order >= 2")
-    shares = t._entries  # run-length key -> share, of the sign of its value
+    shares = t._entries  # run key -> share, of the sign of its value
     if any(s < 0 for s in shares.values()):
         raise DomainError("power iteration needs nonnegative entries")
     if not shares:
         return PowerIterationResult(value=0.0, converged=True, iterations=0)
     r = t.order
-    # the support, renumbered in order: index i -> coordinate k
-    at = {i: k for k, i in enumerate(sorted({i for runs in shares for i, _ in runs}))}
+    # the support, renumbered in order: index i -> coordinate k; each index
+    # of a run is its own coordinate
+    support = {i for runs in shares for first, _, c in runs for i in range(first, first + c)}
+    at = {i: k for k, i in enumerate(sorted(support))}
     d = len(at)
     nodes, inner, exact = _trie(shares.items(), at)
     try:

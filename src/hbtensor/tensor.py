@@ -1,12 +1,16 @@
 """Canonical sparse symmetric hypermatrices and e-adjacency tensors.
 
 A symmetric tensor of order r and dimension d stores one canonical entry per
-index multiset, run-length encoded as ((index, multiplicity), ...) in
-ascending index order and kept in canonical order (that of the dense
-nondecreasing index tuples, which appear only at the API boundary); every
-permutation of its indices denotes the same logical entry.  Each entry is
-stored as its exact share, a * multinomial(m) / r for value a and
-multiplicities m (an int when integral): multinomial(m) * m_i / r of its
+index multiset, as runs (first, multiplicity, count): ``count`` consecutive
+indices from ``first``, each taken ``multiplicity`` times.  A key's runs
+ascend and are maximal (no run continues the one before it at the same
+multiplicity), so the runs are a function of the dense nondecreasing index
+tuple alone, which appears only at the API boundary (``_dense``;
+``entries_rle`` and ``polynomial`` give one (index, multiplicity) pair per
+index).  Entries are kept in canonical order, that of the dense keys, and
+every permutation of an entry's indices denotes the same logical entry.
+Each entry is stored as its exact share, a * multinomial(m) / r for value a
+and multiplicities m (an int when integral): multinomial(m) * m_i / r of its
 permutations start with i, so it adds share * m_i to row i and r * share to
 the total.  The value a is computed only where it leaves the tensor: in
 ``get``, ``entries_rle`` and ``canonical_items``.  Every exact number the
@@ -14,26 +18,30 @@ tensor returns (values, row sums, the total, the polynomial's coefficients
 and values) follows ``mset.as_rational``: an int when integral, a
 ``Fraction`` otherwise.  Before a writer builds a value,
 ``_denominators_too_long`` bounds its denominator's digits from log-gammas
-alone.
+alone.  Sorting, row sums, levels, multinomials and reconstruction read a
+run whole, so they cost O(runs) per entry, not O(indices).
 
 The tensor's polynomial is P(x) = r * sum of share * prod x_j^{m_j}, and
-``polynomial`` keys its monomials by the entries' own runs.  The contraction
-A x^{r-1} is (1/r) times the gradient of P, so it reads the shares alone.
-One kernel serves both the exact ``apply`` and the float power iteration of
-``spectral``: the entries' runs, inserted in descending index
+``polynomial`` keys its monomials by the entries' (index, exponent) pairs.
+The contraction A x^{r-1} is (1/r) times the gradient of P, so it reads the
+shares alone.  One kernel serves both the exact ``apply`` and the float power
+iteration of ``spectral``: the entries' indices, inserted in descending
 order, form a trie that shares their common high-index suffixes, the
 null-vertex padding above all, and one forward pass (prefix products) and one
 backward pass (reverse-mode derivative) over its nodes give every row, in
-O(nodes) operations with no division and no multinomial.  On an e-adjacency
-tensor the trie has at most sum |supp e| + r_H nodes: straightforward and
-silo entries of level c share one padding node, and layered entries share
-one chain of null indices.
+O(nodes) operations with no division and no multinomial.  Each index is its
+own node, so on an e-adjacency tensor the trie has at most
+sum |supp e| + r_H nodes: straightforward and silo entries of level c share
+one padding node, and layered entries share one chain of null indices.
 
 The e-adjacency tensor of an hb-graph contributes one canonical entry per
 hb-edge.  Its key is the edge's runs, read in order from its support (kept in
-universe order), followed by the closed-form null-vertex padding runs of
+universe order), followed by the closed-form null-vertex padding run of
 ``transform.padding``, whose indices lie above every vertex: a concatenation,
-with no merge, no sort and no uniform hb-graph built.  The entry's value is the paper's
+merged only where the padding continues the edge's last run, with no sort
+and no uniform hb-graph built.  So a key holds at most |supp e| + 1 runs
+under every approach; a layered entry of level c pads with the one run
+(n + c, 1, r_H - c).  The entry's value is the paper's
 
     w * (product of the multiplicities' factorials) / (r_H - 1)!
 
@@ -50,7 +58,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -76,23 +84,35 @@ from .transform import (
     padding,
 )
 
+# a key: canonical runs (first index, multiplicity, count) (module docstring)
+Runs = tuple[tuple[int, int, int], ...]
+# a dense key: the nondecreasing index tuple of an entry
+Key = tuple[int, ...]
+# a key's public form: ((index, multiplicity), ...), one pair per index
+Pairs = tuple[tuple[int, int], ...]
+
 # the most records a full COO export expands to
 MAX_FULL_RECORDS = 10**7
 # the log-gammas of a smaller order stay far inside the float range
 _FLOAT_ORDER = 2**1000
 
 
-def _multinomial(counts: Iterable[int]) -> int:
-    """(m_1 + ... + m_k)! / (m_1! ... m_k!) as the product of the binomials
-    C(m_1 + ... + m_j, m_j), whose cost follows the size of the result, not r!."""
+def _multinomial(runs: Runs) -> int:
+    """(m_1 + ... + m_k)! / (m_1! ... m_k!) of the multiplicities of ``runs``,
+    as the product of the binomials C(m_1 + ... + m_j, m_j), whose cost follows
+    the size of the result, not r!.  A run of c indices at multiplicity m
+    multiplies in t! / ((t - c m)! m!^c) at once, t the multiplicities up to
+    its end."""
     total, result = 0, 1
-    for m in counts:
-        total += m
-        result *= math.comb(total, m)
+    for _, m, c in runs:
+        total += c * m
+        result *= (
+            math.comb(total, m) if c == 1 else math.perm(total, c * m) // math.factorial(m) ** c
+        )
     return result
 
 
-def _log10_multinomial(runs: Iterable[tuple[int, int]], r: int) -> float:
+def _log10_multinomial(runs: Runs, r: int) -> float:
     """A lower bound on log10 of the multinomial of ``runs``, whose
     multiplicities sum to r, less a margin of one digit, from log-gammas
     alone: they lose 10^-12 of lgamma(r + 1), far above their float error.
@@ -100,7 +120,7 @@ def _log10_multinomial(runs: Iterable[tuple[int, int]], r: int) -> float:
     if r >= _FLOAT_ORDER:
         return -math.inf
     top = math.lgamma(r + 1)
-    rest = math.fsum(math.lgamma(m + 1) for _, m in runs)
+    rest = math.fsum(c * math.lgamma(m + 1) for _, m, c in runs)
     return (top - rest - 1e-12 * top) / math.log(10) - 1
 
 
@@ -121,48 +141,95 @@ def _denominators_too_long(t: "SymTensor", digits: int) -> bool:
     )
 
 
-def _share(runs: Iterable[tuple[int, int]], value: Fraction, r: int) -> Rational:
+def _share(runs: Runs, value: Fraction, r: int) -> Rational:
     """The stored share of an entry of value ``value`` (module docstring)."""
-    return as_rational(value * _multinomial(m for _, m in runs) / r)
+    return as_rational(value * _multinomial(runs) / r)
 
 
-def _value(runs: Iterable[tuple[int, int]], share: Rational, r: int) -> Rational:
+def _value(runs: Runs, share: Rational, r: int) -> Rational:
     """The value of an entry stored as ``share``: share * r / multinomial."""
-    return as_rational(Fraction(share * r, _multinomial(m for _, m in runs)))
+    return as_rational(Fraction(share * r, _multinomial(runs)))
 
 
-def _runs(key: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """Run-length form of a nondecreasing index tuple."""
-    return tuple(Counter(key).items())
+def _merged(runs: Iterable) -> Runs:
+    """Ascending runs in canonical form: a run that continues the one before
+    it at the same multiplicity joins it."""
+    out = [(0, 0, 0)]  # no run continues this one: indices start at 1
+    for run in runs:
+        first, m, c = out[-1]
+        if run[:2] == (first + c, m):
+            run = first, m, c + run[2]
+            out.pop()
+        out.append(run)
+    return tuple(out[1:])
 
 
-def _dense(runs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-    """Nondecreasing index tuple of a run-length key."""
-    return tuple(chain.from_iterable([(i,) * m for i, m in runs]))
+def _runs(key: Key) -> Runs:
+    """Canonical runs of a nondecreasing index tuple."""
+    return _merged((i, m, 1) for i, m in Counter(key).items())
+
+
+def _pairs(runs: Runs) -> Pairs:
+    """((index, multiplicity), ...), one pair per index of ``runs``."""
+    return tuple([(i, m) for first, m, c in runs for i in range(first, first + c)])
+
+
+def _dense(runs: Runs) -> Key:
+    """Nondecreasing index tuple of a run key."""
+    return tuple(chain.from_iterable([(i,) * m for i, m in _pairs(runs)]))
+
+
+def _shown(runs: Runs) -> str:
+    """A key for a message: each run as index^multiplicity, a run of c > 1
+    indices as first^multiplicity*c, the first eight of them."""
+    shown = " ".join(f"{i}^{m}" + f"*{c}" * (c > 1) for i, m, c in runs[:8])
+    return shown + f" ... ({len(runs)} runs)" * (len(runs) > 8)
+
+
+def _order(runs: Runs) -> list:
+    """A sort key under which canonical run keys of one order sort as their
+    dense keys do, in O(runs).
+
+    Runs (first, -multiplicity) compare as dense keys do at their first index.
+    Of two runs that share it, the shorter one of c indices is followed by its
+    key's next run, which by maximality is either a gap or index first + c at
+    another multiplicity: the shorter run sorts first exactly when that next
+    multiplicity is higher ("up"), whatever the longer run's count.  So a run
+    reads (first, -multiplicity, False, c) when up and (first,
+    -multiplicity, True, -c) otherwise.
+    """
+    return [
+        (i, -m, not (up := j == i + c and n > m), c if up else -c)
+        for (i, m, c), (j, n, _) in zip(runs, runs[1:] + ((0, 0, 0),))
+    ]
 
 
 def _trie(entries: Iterable, at: Mapping[int, int]) -> tuple[list, int, list]:
-    """The (run-length key, share) ``entries`` as a trie of their runs, read
-    in descending index order so that entries share their high-index suffixes.
+    """The (run key, share) ``entries`` as a trie of their indices, read in
+    descending index order so that entries share their high-index suffixes.
 
     Returns (nodes, inner, shares).  The root is node 0; node k >= 1 is
-    nodes[k - 1] = (k, parent, at[index], multiplicity).  The ``inner`` nodes,
-    those with children, come first, each after its parent, and the leaves
-    after them.  shares[k] is the share of the entry that ends at node k (0
-    where none does).
+    nodes[k - 1] = (k, parent, at[index], multiplicity), one node per index of
+    a run.  The ``inner`` nodes, those with children, come first, each after
+    its parent, and the leaves after them.  shares[k] is the share of the
+    entry that ends at node k (0 where none does).
     """
-    children: list[dict] = [{}]  # node -> {(index, multiplicity): child}
+    # a child is keyed by the int m * stride + i of its (index, multiplicity):
+    # a tuple per index would wake the garbage collector, at twice the cost
+    stride = max(at, default=0) + 1
+    children = [{}]  # node -> {m * stride + index: child}
     made = [(0, 0, 0)]  # node -> (parent, at[index], multiplicity), in creation order
     ends = {}
     for runs, share in entries:
         k = 0
-        for run in reversed(runs):
-            child = children[k].get(run)
-            if child is None:
-                child = children[k][run] = len(made)
-                children.append({})
-                made.append((k, at[run[0]], run[1]))
-            k = child
+        for first, m, c in reversed(runs):
+            for i in range(first + c - 1, first - 1, -1):
+                child = children[k].get(key := m * stride + i)
+                if child is None:
+                    child = children[k][key] = len(made)
+                    children.append({})
+                    made.append((k, at[i], m))
+                k = child
         ends[k] = share
     # a stable sort keeps the creation order, parents first, in each group
     order = sorted(range(1, len(made)), key=lambda k: not children[k])
@@ -202,7 +269,7 @@ def _contract(nodes: Sequence, inner: int, shares: Sequence, x: Sequence, y: lis
     return y
 
 
-def _distinct_permutations(key: tuple[int, ...]):
+def _distinct_permutations(key: Key):
     """Distinct permutations of a sorted index tuple, lexicographically."""
     perm = list(key)
     while True:
@@ -224,7 +291,7 @@ class SymTensor:
 
     __slots__ = ("_order", "_dim", "_entries", "_rows")
 
-    def __init__(self, order: int, dim: int, entries: Mapping[tuple[int, ...], Rational]):
+    def __init__(self, order: int, dim: int, entries: Mapping[Key, Rational]):
         if order < 1:
             raise DomainError("tensor order must be >= 1")
         if dim < 0:
@@ -247,15 +314,15 @@ class SymTensor:
 
     @classmethod
     def _from_shares(cls, order: int, dim: int, shares: Iterable) -> "SymTensor":
-        """Tensor of the nonzero (run-length key, share) pairs built in this module."""
+        """Tensor of the nonzero (canonical run key, share) pairs built in this module."""
         t = object.__new__(cls)
         t._build(order, dim, shares)
         return t
 
     def _build(self, order: int, dim: int, shares: Iterable) -> None:
-        """The one builder: store the (run-length key, share) pairs in canonical
-        order, in which runs as (index, -multiplicity) sort as dense keys do."""
-        canonical = dict(sorted(shares, key=lambda e: [(i, -m) for i, m in e[0]]))
+        """The one builder: store the (run key, share) pairs in canonical
+        order, that of the dense keys (``_order``)."""
+        canonical = dict(sorted(shares, key=lambda e: _order(e[0])))
         for name, value in zip(self.__slots__, (order, dim, canonical, None)):
             object.__setattr__(self, name, value)
 
@@ -271,7 +338,7 @@ class SymTensor:
         return self._dim
 
     @property
-    def entries(self) -> Mapping[tuple[int, ...], Rational]:
+    def entries(self) -> Mapping[Key, Rational]:
         return dict(self.canonical_items())
 
     def __eq__(self, other) -> bool:
@@ -292,13 +359,13 @@ class SymTensor:
     def canonical_count(self) -> int:
         return len(self._entries)
 
-    def canonical_items(self) -> list[tuple[tuple[int, ...], Rational]]:
-        return [(_dense(runs), value) for runs, value in self.entries_rle()]
+    def canonical_items(self) -> list[tuple[Key, Rational]]:
+        return [(_dense(runs), _value(runs, s, self._order)) for runs, s in self._entries.items()]
 
-    def entries_rle(self) -> list[tuple[tuple[tuple[int, int], ...], Rational]]:
-        """((index, multiplicity), ...) and value per canonical entry, in
-        canonical order."""
-        return [(runs, _value(runs, s, self._order)) for runs, s in self._entries.items()]
+    def entries_rle(self) -> list[tuple[Pairs, Rational]]:
+        """((index, multiplicity), ...), one pair per index, and value per
+        canonical entry, in canonical order."""
+        return [(_pairs(runs), _value(runs, s, self._order)) for runs, s in self._entries.items()]
 
     def get(self, idx: Sequence[int]) -> Rational:
         """Logical entry for any index permutation; zero when absent."""
@@ -313,7 +380,7 @@ class SymTensor:
 
     def logical_nonzero_count(self) -> int:
         """Number of nonzero positions in the full symmetric expansion."""
-        return sum(_multinomial(m for _, m in runs) for runs in self._entries)
+        return sum(map(_multinomial, self._entries))
 
     def total_sum(self) -> Rational:
         """Sum over all logical entries: r times the summed shares."""
@@ -330,13 +397,15 @@ class SymTensor:
         return list(self._row_vector())
 
     def _row_vector(self) -> tuple[Rational, ...]:
-        """The row sums, made in one pass over the entries on first use."""
+        """The row sums, made on first use in one pass over the runs, into a
+        difference array that a run of c indices changes at both ends."""
         if self._rows is None:
-            sums = [0] * self._dim
+            steps = [0] * (self._dim + 2)  # steps[i]: row i less row i - 1
             for runs, share in self._entries.items():
-                for i, m in runs:
-                    sums[i - 1] += share * m
-            object.__setattr__(self, "_rows", tuple(map(as_rational, sums)))
+                for i, m, c in runs:
+                    steps[i] += share * m
+                    steps[i + c] -= share * m
+            object.__setattr__(self, "_rows", tuple(map(as_rational, accumulate(steps[1:-1]))))
         return self._rows
 
     def apply(self, x: Sequence) -> list:
@@ -348,13 +417,13 @@ class SymTensor:
 
     def polynomial(self) -> "HbPolynomial":
         """Homogeneous polynomial P(z) = sum a_{i_1..i_r} z_{i_1}..z_{i_r}: one
-        monomial per entry, keyed by its runs, whose multinomial(m) logical
-        entries sum to r * share."""
+        monomial per entry, keyed by its (index, exponent) pairs, whose
+        multinomial(m) logical entries sum to r * share."""
         r = self._order
-        monomials = {runs: as_rational(r * share) for runs, share in self._entries.items()}
+        monomials = {_pairs(runs): as_rational(r * share) for runs, share in self._entries.items()}
         return HbPolynomial(degree=r, dim=self._dim, monomials=monomials)
 
-    def export_coo(self, mode: str = "canonical") -> list[tuple[tuple[int, ...], Rational]]:
+    def export_coo(self, mode: str = "canonical") -> list[tuple[Key, Rational]]:
         """COO records, either one per canonical entry or fully expanded.
 
         Full mode emits every distinct index permutation and refuses, before
@@ -386,14 +455,14 @@ class SymTensor:
 
 class HbPolynomial(NamedTuple):
     """Polynomial attached to a tensor, as monomial -> coefficient, each
-    monomial the runs ((index, exponent), ...) of a tensor key."""
+    monomial the pairs ((index, exponent), ...) of a tensor key."""
 
     degree: int
     dim: int
-    monomials: Mapping[tuple[tuple[int, int], ...], Rational]
+    monomials: Mapping[Pairs, Rational]
 
     def evaluate(self, z: Sequence) -> Rational:
-        """P(z) as an ``as_rational`` number, at O(sum of the monomials' runs)."""
+        """P(z) as an ``as_rational`` number, at O(sum of the monomials' pairs)."""
         if len(z) != self.dim:
             raise DimensionMismatch(f"vector length {len(z)} != dim {self.dim}")
         return as_rational(
@@ -404,15 +473,15 @@ class HbPolynomial(NamedTuple):
 # -- constructions ----------------------------------------------------------
 
 
-def _indexed(a: Multiset) -> tuple[tuple[int, int], ...]:
-    """Run-length tensor key ((1-based universe position, multiplicity), ...)
-    of a natural multiset, ascending as its support is kept in universe order."""
+def _indexed(a: Multiset) -> Runs:
+    """Canonical run key of a natural multiset over its 1-based universe
+    positions, ascending as its support is kept in universe order."""
     mult = a.mult
     if not a.natural:
         x = next(x for x, v in mult.items() if not isinstance(v, int))
         raise NotNatural(f"non-integer multiplicity for {x!r}")
     position = a.universe.position
-    return tuple([(position[x] + 1, v) for x, v in mult.items()])
+    return _merged([(position[x] + 1, v, 1) for x, v in mult.items()])
 
 
 def mset_hypermatrix(a: Multiset, normalized: bool) -> SymTensor:
@@ -426,8 +495,8 @@ def mset_hypermatrix(a: Multiset, normalized: bool) -> SymTensor:
     runs = _indexed(a)
     if not runs:
         raise EmptyMultiset("hypermatrix representation of an empty multiset")
-    r = sum(m for _, m in runs)
-    share = 1 if normalized else as_rational(Fraction(_multinomial(m for _, m in runs), r))
+    r = a.m_cardinality()
+    share = 1 if normalized else as_rational(Fraction(_multinomial(runs), r))
     return SymTensor._from_shares(r, len(a.universe), [(runs, share)])
 
 
@@ -457,9 +526,10 @@ def uniform_tensor(h: HbGraph) -> SymTensor:
     return SymTensor._from_shares(k, h.n, [(_indexed(e), 1) for e in h.edges])
 
 
-def _edge_keys(h: HbGraph, approach: str, r_h: int) -> list[tuple[tuple[int, int], ...]]:
-    """Each hb-edge's e-adjacency key, in edge order: its runs, then its padding's."""
-    return [_indexed(e) + padding(approach, h.n, r_h, e.m_cardinality()) for e in h.edges]
+def _edge_keys(h: HbGraph, approach: str, r_h: int) -> list[Runs]:
+    """Each hb-edge's canonical e-adjacency key, in edge order: its runs, then
+    its padding run, which joins the last of them where it continues it."""
+    return [_merged(_indexed(e) + padding(approach, h.n, r_h, e.m_cardinality())) for e in h.edges]
 
 
 def e_adjacency_tensor(
@@ -506,16 +576,18 @@ def _check_trace(t: SymTensor, trace: UniformisationTrace) -> int:
     return n
 
 
-def _level_weights(t: SymTensor, trace: UniformisationTrace) -> list[Rational]:
-    """Item j (0..r_H): the summed shares of the entries at level j (module
-    docstring), the summed weight W_j of the m-cardinality-j hb-edges, as
-    ``as_rational`` numbers.  The one level computation: ``edge_distribution``
-    and ``verify`` read it."""
+def _level_weights(t: SymTensor, trace: UniformisationTrace) -> dict[int, Rational]:
+    """{j: the summed shares of the entries at level j} (module docstring),
+    ascending over the levels where that sum is nonzero, in O(runs): the
+    summed weight W_j of the m-cardinality-j hb-edges, as ``as_rational``
+    numbers.  The one level computation: ``edge_distribution`` and ``verify``
+    read it."""
     n = _check_trace(t, trace)
-    levels = [0] * (trace.r_h + 1)
+    levels = Counter()
     for runs, share in t._entries.items():
-        levels[sum(m for i, m in runs if i <= n)] += share
-    return list(map(as_rational, levels))
+        # a run may cross from the original vertices into the null ones
+        levels[sum(m * min(c, n + 1 - i) for i, m, c in runs if i <= n)] += share
+    return {j: as_rational(levels[j]) for j in sorted(levels) if levels[j]}
 
 
 def edge_distribution(
@@ -542,8 +614,8 @@ def edge_distribution(
     n = t.dim - trace.n_a
     for runs in t._entries:
         if runs[0][0] > n:
-            raise TraceMismatch(f"entry {_dense(runs)} has no original-vertex index")
-    return {c: w for c, w in enumerate(levels) if w}
+            raise TraceMismatch(f"entry {_shown(runs)} has no original-vertex index")
+    return levels
 
 
 def reconstruct_edges(
@@ -558,9 +630,10 @@ def reconstruct_edges(
     n = _check_trace(t, trace)
     family = []
     for runs in t._entries:
-        edge = {i: m for i, m in runs if i <= n}
+        # the original-vertex part of each run, which may run on past n
+        edge = {i: m for first, m, c in runs for i in range(first, n + 1)[:c]}
         if not edge:
-            raise TraceMismatch(f"entry {_dense(runs)} has no original-vertex index")
+            raise TraceMismatch(f"entry {_shown(runs)} has no original-vertex index")
         family.append(edge)
     return family
 

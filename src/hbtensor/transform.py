@@ -3,21 +3,25 @@
 Uniformisation pads every hb-edge to the m-range r_H with null vertices so
 that all edges share the same m-cardinality.  For an edge of m-cardinality c
 over n original vertices, ``padding`` gives the closed form of each
-approach as ascending (index, multiplicity) runs; null tensor indices follow
-the original ones, so the runs extend the edge's own tensor key:
+approach as one run (first index, multiplicity, count): ``count``
+consecutive null indices from ``first``, each at ``multiplicity``.  Null
+tensor indices follow the original ones, so the run extends the edge's own
+tensor key:
 
 * ``straightforward``: one shared null vertex ``__N1`` (index n+1) with
-  multiplicity r_H - c.
+  multiplicity r_H - c, the run (n+1, r_H - c, 1).
 * ``silo``: the per-cardinality null vertex ``__Nc`` (index n+c) with
-  multiplicity r_H - c; nothing when c = r_H.
+  multiplicity r_H - c, the run (n+c, r_H - c, 1).
 * ``layered``: the cumulative null vertices ``__Lc`` .. ``__L{r_H-1}``
-  (indices n+c .. n+r_H-1), each once.
+  (indices n+c .. n+r_H-1), each once, the run (n+c, 1, r_H - c).
+
+An edge already at m-cardinality r_H gets no run.
 
 These are what the paper's compositions of ``decompose``, ``dilatation``,
 ``y_complement``, ``vertex_increase`` and ``merge`` produce; ``uniformize``
 and the tensor constructions apply the closed form directly.  Every output
 edge carries the dilatation weight c_r = r_H / r of its level.  Output edge
-i is input edge i followed by its padding runs: the tensor forgets edge
+i is input edge i followed by its padding: the tensor forgets edge
 order, so ``uniformize`` keeps the input order rather than the level order
 the composition yields.  The returned trace stores only the approach and
 r_H; the null vertices are a closed form in (approach, r_H), derived by
@@ -153,21 +157,22 @@ def _uniformisation_trace(h: HbGraph, approach: str) -> UniformisationTrace:
     return UniformisationTrace(approach, h.m_range())
 
 
-def padding(approach: str, n: int, r_h: int, c: int) -> tuple[tuple[int, int], ...]:
-    """The null-vertex runs ((index, multiplicity), ...) that pad an edge of
-    m-cardinality c, in ascending index order.
+def padding(approach: str, n: int, r_h: int, c: int) -> tuple[tuple[int, int, int], ...]:
+    """The null-vertex padding of an edge of m-cardinality c, as a tuple of
+    at most one run (first index, multiplicity, count): ``count`` consecutive
+    indices from ``first``, each at ``multiplicity`` (module docstring).
 
     The indices are those of the e-adjacency tensor (n original vertices
-    first, 1-based), so the runs follow any original-vertex key; an edge
+    first, 1-based), so the run follows any original-vertex key; an edge
     already at m-cardinality r_H gets none.
     """
     if c == r_h:
         return ()
     if approach == STRAIGHTFORWARD:
-        return ((n + 1, r_h - c),)
+        return ((n + 1, r_h - c, 1),)
     if approach == SILO:
-        return ((n + c, r_h - c),)
-    return tuple([(i, 1) for i in range(n + c, n + r_h)])
+        return ((n + c, r_h - c, 1),)
+    return ((n + c, 1, r_h - c),)
 
 
 def uniformize(h: HbGraph, approach: str) -> tuple[HbGraph, UniformisationTrace]:
@@ -190,7 +195,8 @@ def uniformize(h: HbGraph, approach: str) -> tuple[HbGraph, UniformisationTrace]
         counts = e.mult
         c = e.m_cardinality()
         # tensor index j names vertex j of the padded vertex list
-        counts.update((vertices[j - 1], m) for j, m in padding(approach, h.n, trace.r_h, c))
+        for first, m, k in padding(approach, h.n, trace.r_h, c):
+            counts.update((vertices[j - 1], m) for j in range(first, first + k))
         edges.append(Multiset(vertices, counts))
         weights.append(Fraction(trace.r_h, c))
     return HbGraph(vertices, edges, weights), trace

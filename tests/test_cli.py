@@ -4,6 +4,7 @@ import argparse
 import json
 import os
 import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -166,6 +167,45 @@ def test_value_too_long_to_print_is_refused_before_it_is_built(tmp_path):
     run, _ = tensor(10**5, "str")
     assert run.returncode == 0 and run.stderr == ""
     assert (tmp_path / "t.coo").read_text(encoding="utf-8").endswith(" 1/99999\n")
+
+
+def test_verify_at_r_h_10_9_runs_in_o_of_the_entries(tmp_path):
+    """Straightforward {a^(10^9)}, {a, b}: two entries of at most two runs,
+    dimension 3 and two levels, so no stage allocates per level or index.
+    The child gets a 1 GiB address space, so an O(r_H) stage fails fast."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    path = tmp_path / "huge.json"
+    edges = [{"mult": {"a": 10**9}}, {"mult": {"a": 1, "b": 1}}]
+    path.write_text(dumps({"vertices": ["a", "b"], "edges": edges}))
+    env = {**os.environ, "PYTHONPATH": str(Path(hbtensor.__file__).parents[1])}
+    start = time.perf_counter()
+    run = subprocess.run(
+        [sys.executable, "-m", "hbtensor.cli", "verify", str(path), "--approach", "str",
+         "--seed", "7"],
+        capture_output=True, text=True, env=env, timeout=60, preexec_fn=cap,
+    )
+    seconds = time.perf_counter() - start
+    assert (run.returncode, run.stderr) == (0, "")
+    report = json.loads(run.stdout)
+    assert report["passed"] is True and all(report["checks"].values())
+    assert report["bound"]["r_h"] == 10**9 and report["bound"]["within_bound"] is True
+    assert seconds < 10
+
+
+@pytest.mark.parametrize(
+    "exc, expected",
+    [(MemoryError(), "MemoryError"), (RuntimeError("no luck"), "RuntimeError: no luck")],
+)
+def test_an_internal_error_exits_4_naming_its_type(demo_file, monkeypatch, capsys, exc, expected):
+    def fail(path):
+        raise exc
+
+    monkeypatch.setattr(hbtensor.io, "load_hbgraph", fail)
+    assert main(["info", demo_file]) == 4
+    assert capsys.readouterr().err == f"internal error: {expected}\n"
 
 
 def test_weight_too_large_for_a_float_exits_3(tmp_path, capsys):

@@ -3,11 +3,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hbtensor import (
     APPROACHES,
@@ -41,9 +42,14 @@ from hbtensor import tensor as tensor_module
 from hbtensor.tensor import (
     MAX_FULL_RECORDS,
     _dense,
+    _edge_keys,
     _level_weights,
     _log10_multinomial,
     _multinomial,
+    _order,
+    _pairs,
+    _runs,
+    _shown,
 )
 from hbtensor.transform import LAYERED, SILO, STRAIGHTFORWARD, UniformisationTrace, padding
 from randgen import random_hbgraph, random_hypergraph
@@ -334,25 +340,27 @@ def test_export_full_refuses_a_huge_entry_before_counting(monkeypatch):
 
 def test_log10_multinomial_is_a_lower_bound_less_one_digit():
     rng = random.Random(101)
-    cases = [[(1, 1), (2, 1), (3, 10**20 - 2)], [(1, 10**15), (2, 3)], [(1, 1)] * 20]
+    cases = [[(1, 1, 1), (2, 1, 1), (3, 10**20 - 2, 1)], [(1, 10**15, 1), (2, 3, 1)]]
+    cases += [[(1, 1, 1)] * 20, [(1, 1, 20)], [(1, 2, 1), (2, 1, 500), (502, 3, 7)]]
     for _ in range(200):
         top = rng.choice([3, 300, 3000])
-        cases.append([(i, rng.randint(1, top)) for i in range(rng.randint(1, 5))])
+        count = rng.randint(1, 5)
+        cases.append([(i, rng.randint(1, top), rng.randint(1, 3)) for i in range(count)])
     for runs in cases:
-        r = sum(m for _, m in runs)
-        exact = math.log10(_multinomial(m for _, m in runs))
+        r = sum(m * c for _, m, c in runs)
+        exact = math.log10(_multinomial(runs))
         bound = _log10_multinomial(runs, r)
         assert bound <= exact - 1
         if r < 10**5:  # the float error is negligible here
             assert bound > exact - 1 - 1e-6
-    assert _log10_multinomial([(1, 1), (2, 2**1000 - 1)], 2**1000) == -math.inf
+    assert _log10_multinomial([(1, 1, 1), (2, 2**1000 - 1, 1)], 2**1000) == -math.inf
 
 
 def _perms_first(counts: dict[int, int]) -> dict[int, int]:
     """Reference: index i -> number of distinct index permutations that start
     with i, multinomial(counts) * counts[i] / r, exact in integers."""
     r = sum(counts.values())
-    total = _multinomial(counts.values())
+    total = _multinomial([(i, mu, 1) for i, mu in counts.items()])
     return {i: total * mu // r for i, mu in counts.items()}
 
 
@@ -369,10 +377,12 @@ def test_perms_first_identity():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(0, 40), max_size=8))
-def test_multinomial_matches_factorial_formula(counts):
+@given(st.lists(st.tuples(st.integers(0, 40), st.integers(1, 5)), max_size=8))
+def test_multinomial_matches_factorial_formula(runs):
+    """Runs (first, m, c) of c indices at multiplicity m each."""
+    counts = [m for m, c in runs for _ in range(c)]
     expected = math.factorial(sum(counts)) // math.prod(map(math.factorial, counts))
-    assert _multinomial(counts) == expected
+    assert _multinomial([(0, m, c) for m, c in runs]) == expected
 
 
 def test_distribution(demo):
@@ -421,8 +431,24 @@ def test_distribution_checks_the_entries():
                 edge_distribution(t, trace, wrong)
         null = t.dim  # a null index under every approach
         extra = SymTensor(t.order, t.dim, {**t.entries, (null,) * t.order: 1})
-        with pytest.raises(TraceMismatch, match=rf"entry \({null}, {null}\) has no original-vertex"):
+        with pytest.raises(TraceMismatch, match=rf"entry {null}\^2 has no original-vertex"):
             edge_distribution(extra, trace, 3)
+
+
+def test_a_key_prints_as_runs_capped():
+    """Messages print a key's runs, i^m and a run of c indices as i^m*c, at
+    most eight of them, so no message builds an r_H-index tuple."""
+    h = HbGraph.from_dicts(("a", "b"), [{"a": 10**5}, {"a": 1, "b": 1}])
+    t, trace = e_adjacency_tensor(h, LAYERED)
+    null = ((3, 2, 1), (4, 1, 10**5 - 2))  # null indices 3..dim, summing to r_H
+    bad = SymTensor._from_shares(t.order, t.dim, [*t._entries.items(), (null, 1)])
+    message = rf"^entry 3\^2 4\^1\*{10**5 - 2} has no original-vertex index$"
+    with pytest.raises(TraceMismatch, match=message):
+        reconstruct_edges(bad, trace)
+    with pytest.raises(TraceMismatch, match=message):
+        edge_distribution(bad, trace, 3)
+    many = tuple((2 * k + 1, 1, 1) for k in range(20))
+    assert _shown(many) == " ".join(f"{2 * k + 1}^1" for k in range(8)) + " ... (20 runs)"
 
 
 def test_reconstruction(demo):
@@ -673,8 +699,12 @@ def test_trie_apply_and_size_on_e_adjacency_tensors_hypothesis(h, rng):
             assert expected == dense_apply(t, x)
         # straightforward and silo entries of a level share their padding
         # node, and layered entries one chain of null indices
-        nodes, _, _ = tensor_module._trie(t._entries.items(), {i: i for i in range(1, t.dim + 1)})
-        assert len(nodes) <= supports + trace.r_h
+        at = {i: i for i in range(1, t.dim + 1)}
+        trie = tensor_module._trie(t._entries.items(), at)
+        assert len(trie[0]) <= supports + trace.r_h
+        # one node per index: the trie of the keys expanded to one run per index
+        expanded = [(tuple((i, m, 1) for i, m in _pairs(k)), s) for k, s in t._entries.items()]
+        assert tensor_module._trie(expanded, at) == trie
 
 
 # -- one share per entry against the per-index formulas it replaced ---------
@@ -727,7 +757,7 @@ def perms_first_levels(t: SymTensor, trace: UniformisationTrace, total_edges: in
     n = t.dim - trace.n_a
     for key in t.entries:
         if key[0] > n:
-            raise TraceMismatch(f"entry {key} has no original-vertex index")
+            raise TraceMismatch(f"entry {_shown(_runs(key))} has no original-vertex index")
     if trace.approach == STRAIGHTFORWARD:
         below = perms_first_level_weights(t, trace)
     else:
@@ -755,9 +785,9 @@ def follows_number_rule(x) -> bool:
 
 def check_number_contract(t: SymTensor, trace: UniformisationTrace, rng: random.Random):
     numbers = [*t.row_sums(), *map(t.row_sum, range(1, t.dim + 1)), t.total_sum()]
-    for runs, value in t.entries_rle():
-        numbers += [value, t.get(_dense(runs))]
-    numbers += [value for _, value in t.canonical_items()]
+    for key, value in t.canonical_items():
+        numbers += [value, t.get(key)]
+    numbers += [value for _, value in t.entries_rle()]
     numbers += t.entries.values()
     numbers += [t.get([rng.randint(1, t.dim) for _ in range(t.order)]) for _ in range(5)]
     poly = t.polynomial()
@@ -838,7 +868,7 @@ def test_shares_match_perms_first_on_e_adjacency_tensors():
             h = HbGraph(h.vertices, h.edges, weights=[weights[k % 3 - 1]() for _ in h.edges])
         degrees = [sum(h.weight(i) * e.multiplicity(v) for i, e in enumerate(h.edges))
                    for v in h.vertices]
-        by_level = [0] * (h.m_range() + 1)
+        by_level = Counter()
         for i, e in enumerate(h.edges):
             by_level[e.m_cardinality()] += h.weight(i)
         for approach in APPROACHES:
@@ -848,13 +878,14 @@ def test_shares_match_perms_first_on_e_adjacency_tensors():
             # one level rule for every approach, against the paper's per-approach rules
             levels = _level_weights(t, trace)
             assert levels == by_level
+            below = [levels.get(j, 0) for j in range(1, trace.r_h)]
             if approach == STRAIGHTFORWARD:
-                assert levels[1:-1] == perms_first_level_weights(t, trace)
+                assert below == perms_first_level_weights(t, trace)
             else:
-                assert levels[1:-1] == null_row_level_weights(t, trace)
+                assert below == null_row_level_weights(t, trace)
 
 
-# -- concatenated run keys against the dict-merge-sort keys they replaced ----
+# -- range-run keys against the (index, multiplicity) keys they replaced ----
 
 
 def reference_padding(approach: str, n: int, r_h: int, c: int) -> dict[int, int]:
@@ -870,10 +901,44 @@ def reference_padding(approach: str, n: int, r_h: int, c: int) -> dict[int, int]
 
 def reference_key(h: HbGraph, e: Multiset, approach: str, r_h: int) -> tuple:
     """Reference: an index dict of the edge, merged with its padding dict and
-    sorted into runs."""
+    sorted into (index, multiplicity) pairs."""
     counts = {h.vertex_index(x) + 1: m for x, m in e.mult.items()}
     counts.update(reference_padding(approach, h.n, r_h, sum(counts.values())))
     return tuple(sorted(counts.items()))
+
+
+def two_run_padding(approach: str, n: int, r_h: int, c: int) -> tuple:
+    """Reference: the padding as (index, multiplicity) runs, one per null index."""
+    if c == r_h:
+        return ()
+    if approach == STRAIGHTFORWARD:
+        return ((n + 1, r_h - c),)
+    if approach == SILO:
+        return ((n + c, r_h - c),)
+    return tuple([(i, 1) for i in range(n + c, n + r_h)])
+
+
+def two_run_key(h: HbGraph, e: Multiset, approach: str, r_h: int) -> tuple:
+    """Reference: the (index, multiplicity) key of an hb-edge, one pair per
+    index, its own pairs in support order then its padding's, concatenated."""
+    own = tuple((h.vertex_index(x) + 1, m) for x, m in e.mult.items())
+    return own + two_run_padding(approach, h.n, r_h, e.m_cardinality())
+
+
+def two_run_order(pairs: tuple) -> list:
+    """Reference: the sort key of (index, multiplicity) keys, as dense keys sort."""
+    return [(i, -m) for i, m in pairs]
+
+
+def is_canonical(runs: tuple) -> bool:
+    """Runs (first, multiplicity, count) that ascend, none empty, and are
+    maximal: no run continues the one before it at the same multiplicity."""
+    if not all(m >= 1 and c >= 1 for _, m, c in runs):
+        return False
+    return all(
+        j >= i + c and not (j == i + c and mj == m)
+        for (i, m, c), (j, mj, _) in zip(runs, runs[1:])
+    )
 
 
 def test_padding_runs_ascend_above_the_original_vertices():
@@ -882,26 +947,94 @@ def test_padding_runs_ascend_above_the_original_vertices():
             for r_h in range(1, 41):
                 for c in range(1, r_h + 1):
                     runs = padding(approach, n, r_h, c)
-                    indices = [i for i, _ in runs]
-                    assert indices == sorted(set(indices))
-                    assert all(i > n and m > 0 for i, m in runs)
-                    assert dict(runs) == reference_padding(approach, n, r_h, c)
+                    assert len(runs) == (c < r_h) and is_canonical(runs)
+                    assert all(i > n for i, _, _ in runs)
+                    assert _pairs(runs) == two_run_padding(approach, n, r_h, c)
+                    assert dict(_pairs(runs)) == reference_padding(approach, n, r_h, c)
 
 
-@settings(max_examples=60, deadline=None)
+# the keys where a padding run continues the edge's last run, or vertex runs join
+MERGE_CASES = [
+    # layered level 1 on vertex n at multiplicity 1: (2, 1, 1) and (3, 1, 2) join
+    HbGraph.from_dicts(("a", "b"), [{"b": 1}, {"a": 3}]),
+    # silo at r_H = 2: {b} pads with (n + 1, 1, 1), which continues b
+    HbGraph.from_dicts(("a", "b"), [{"b": 1}, {"a": 1, "b": 1}]),
+    # straightforward: {a, b^2} at r_H = 5 pads with (n + 1, 2, 1), continuing b^2
+    HbGraph.from_dicts(("a", "b"), [{"a": 1, "b": 2}, {"a": 5}]),
+    # consecutive vertices at one multiplicity, weighted
+    HbGraph.from_dicts(("a", "b", "c"), [{"a": 2, "b": 2, "c": 2}, {"b": 1}], [2, Fraction(1, 3)]),
+]
+
+
+@settings(max_examples=80, deadline=None)
 @given(weighted_hbgraphs(), st.booleans())
+@example(MERGE_CASES[0], False)
+@example(MERGE_CASES[1], False)
+@example(MERGE_CASES[2], True)
+@example(MERGE_CASES[3], True)
 def test_e_adjacency_keys_match_dict_merge_sort_hypothesis(h, weighted):
+    """Keys, shares and entry order against the (index, multiplicity) keys the
+    range runs replaced, and those against the dict-merge-sort keys."""
     if not weighted:
         h = HbGraph(h.vertices, h.edges)
     r_h = h.m_range()
+    supports = sum(len(e.support()) for e in h.edges)
     for approach in APPROACHES:
         t, _ = e_adjacency_tensor(h, approach)
-        expected = {reference_key(h, e, approach, r_h): h.weight(i) for i, e in enumerate(h.edges)}
-        assert t._entries == expected
-        assert list(t._entries) == sorted(expected, key=_dense)
+        expected = {two_run_key(h, e, approach, r_h): h.weight(i) for i, e in enumerate(h.edges)}
+        assert list(expected) == [reference_key(h, e, approach, r_h) for e in h.edges]
+        assert {_pairs(key): share for key, share in t._entries.items()} == expected
+        assert [_pairs(key) for key in t._entries] == sorted(expected, key=two_run_order)
+        assert all(is_canonical(key) and _runs(_dense(key)) == key for key in t._entries)
+        assert sum(map(len, t._entries)) <= supports + h.p
+        assert list(t._entries) == sorted(_edge_keys(h, approach, r_h), key=_dense)
     for e in h.edges:
-        key = reference_key(h, e, STRAIGHTFORWARD, e.m_cardinality())
-        assert mset_hypermatrix(e, normalized=True)._entries == {key: 1}
+        key = two_run_key(h, e, STRAIGHTFORWARD, e.m_cardinality())
+        (runs, share), = mset_hypermatrix(e, normalized=True)._entries.items()
+        assert (_pairs(runs), share) == (key, 1) and is_canonical(runs)
+
+
+def test_merge_cases_join_their_runs():
+    """The keys of ``MERGE_CASES``, in canonical order, per approach."""
+    keys = {
+        approach: [list(e_adjacency_tensor(h, approach)[0]._entries) for h in MERGE_CASES]
+        for approach in APPROACHES
+    }
+    assert keys[LAYERED][0] == [((1, 3, 1),), ((2, 1, 3),)]
+    assert keys[SILO][1] == [((1, 1, 2),), ((2, 1, 2),)]
+    assert keys[STRAIGHTFORWARD][2] == [((1, 5, 1),), ((1, 1, 1), (2, 2, 2))]
+    assert keys[STRAIGHTFORWARD][3] == [((1, 2, 3),), ((2, 1, 1), (4, 5, 1))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(1, 6), min_size=12, max_size=12), max_size=8))
+def test_run_order_sorts_as_dense_keys_hypothesis(keys):
+    """``_order`` of canonical runs against the dense keys' own order, at
+    order 12 over 6 indices, where runs of several indices are common."""
+    dense = sorted({tuple(sorted(k)) for k in keys})
+    assert all(_dense(_runs(k)) == k for k in dense)
+    # from the reverse order, so that a key tying two dense keys would show
+    assert sorted(reversed(dense), key=lambda k: _order(_runs(k))) == dense
+
+
+def test_layered_build_and_reconstruction_at_large_r_h_stay_small():
+    """A layered entry pads with one run, so building the tensor of
+    {a^(10^5)}, {a, b}, its levels, verify's key check and the reconstruction
+    allocate O(sum |supp e| + p), not O(r_H): one run, not 10^5 pairs."""
+    h = HbGraph.from_dicts(("a", "b"), [{"a": 10**5}, {"a": 1, "b": 1}])
+    tracemalloc.start()
+    try:
+        t, trace = e_adjacency_tensor(h, LAYERED)
+        levels = _level_weights(t, trace)
+        same = Counter(t._entries) == Counter(_edge_keys(h, LAYERED, trace.r_h))
+        family = reconstruct_edges(t, trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert same and levels == {10**5: 1, 2: 1}
+    assert family == [{1: 10**5}, {1: 1, 2: 1}]
+    assert list(t._entries) == [((1, 10**5, 1),), ((1, 1, 2), (4, 1, 10**5 - 2))]
 
 
 def test_non_natural_key_names_the_element():

@@ -275,7 +275,11 @@ def assert_matches_reference(h: HbGraph) -> None:
         r_h = trace.r_h
         for edge, source, w in zip(uni.edges, h.edges, uni.weights, strict=True):
             c = source.m_cardinality()
-            nulls = [(uni.vertices[j - 1], m) for j, m in padding(approach, h.n, r_h, c)]
+            nulls = [
+                (uni.vertices[j - 1], m)
+                for first, m, k in padding(approach, h.n, r_h, c)
+                for j in range(first, first + k)
+            ]
             assert list(edge.mult.items()) == list(source.mult.items()) + nulls
             assert w == Fraction(r_h, c)
         # the composition yields level order: equal after the stable sort
