@@ -80,9 +80,9 @@ def cmd_info(args) -> int:
     isolated = h.isolated_vertices()
     lines.append("isolated: " + (" ".join(map(_cell, isolated)) if isolated else "none"))
     lines.append("vertex m-degree degree max-mult")
-    for v in h.vertices:
+    for v, m_degree in zip(h.vertices, degrees):
         lines.append(
-            f"{_cell(v)} {io.format_rational(h.m_degree(v))} {h.degree(v)}"
+            f"{_cell(v)} {io.format_rational(m_degree)} {h.degree(v)}"
             f" {io.format_rational(h.max_multiplicity(v))}"
         )
     _emit("\n".join(lines) + "\n", args.out)
@@ -109,7 +109,7 @@ def cmd_tensor(args) -> int:
     h = io.load_hbgraph(args.input)
     tensor, trace = e_adjacency_tensor(h, args.approach)
     # built before any file is opened, so a refused expansion writes neither file
-    coo = io.tensor_to_coo(tensor, "full" if args.full else "canonical")
+    coo = io.tensor_to_coo(tensor, full=args.full)
     Path(args.out).write_text(coo, encoding="utf-8")
     io.dump_trace(trace, args.out + ".trace.json")
     return 0

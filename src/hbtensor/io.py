@@ -183,14 +183,15 @@ def incidence_csv(h: HbGraph) -> str:
 # -- tensor ------------------------------------------------------------------
 
 
-def tensor_to_coo(t: SymTensor, mode: str = "canonical") -> str:
-    """COO text of ``t``.  A value whose denominator the printer would refuse
-    is refused before any value is built, where the log-gammas tell."""
+def tensor_to_coo(t: SymTensor, full: bool = False) -> str:
+    """COO text of ``t``, one record per canonical entry, or per distinct
+    permutation when ``full``.  A value whose denominator the printer would
+    refuse is refused before any value is built, where the log-gammas tell."""
     from .tensor import _denominators_too_long
 
     if _denominators_too_long(t, _MAX_DIGITS):
         raise DomainError(_CANNOT_PRINT)
-    records = t.export_coo(mode)
+    records = t.full_items() if full else t.canonical_items()
     lines = [f"# order={t.order} dim={t.dim} entries={len(records)}"]
     for key, value in records:
         lines.append(" ".join(str(i) for i in key) + " " + format_rational(value))

@@ -5,15 +5,16 @@ index multiset, as runs (first, multiplicity, count): ``count`` consecutive
 indices from ``first``, each taken ``multiplicity`` times.  A key's runs
 ascend and are maximal (no run continues the one before it at the same
 multiplicity), so the runs are a function of the dense nondecreasing index
-tuple alone, which appears only at the API boundary (``_dense``;
-``entries_rle`` and ``polynomial`` give one (index, multiplicity) pair per
-index).  Entries are kept in canonical order, that of the dense keys, and
-every permutation of an entry's indices denotes the same logical entry.
+tuple alone.  A tensor hands out one dense view, ``canonical_items`` (and
+its expansion ``full_items``), and one run view, ``polynomial``, keyed by the
+runs themselves.  Entries are kept in canonical order, that of the dense
+keys, and every permutation of an entry's indices denotes the same logical
+entry.
 Each entry is stored as its exact share, a * multinomial(m) / r for value a
 and multiplicities m (an int when integral): multinomial(m) * m_i / r of its
 permutations start with i, so it adds share * m_i to row i and r * share to
 the total.  The value a is computed only where it leaves the tensor: in
-``get``, ``entries_rle`` and ``canonical_items``.  Every exact number the
+``get``, ``canonical_items`` and ``full_items``.  Every exact number the
 tensor returns (values, row sums, the total, the polynomial's coefficients
 and values) follows ``mset.as_rational``: an int when integral, a
 ``Fraction`` otherwise.  Before a writer builds a value,
@@ -22,7 +23,7 @@ alone.  Sorting, row sums, levels, multinomials and reconstruction read a
 run whole, so they cost O(runs) per entry, not O(indices).
 
 The tensor's polynomial is P(x) = r * sum of share * prod x_j^{m_j}, and
-``polynomial`` keys its monomials by the entries' (index, exponent) pairs.
+``polynomial`` keys its monomials by the entries' run keys.
 The contraction A x^{r-1} is (1/r) times the gradient of P, so it reads the
 shares alone.  One kernel serves both the exact ``apply`` and the float power
 iteration of ``spectral``: the entries' indices, inserted in descending
@@ -88,8 +89,6 @@ from .transform import (
 Runs = tuple[tuple[int, int, int], ...]
 # a dense key: the nondecreasing index tuple of an entry
 Key = tuple[int, ...]
-# a key's public form: ((index, multiplicity), ...), one pair per index
-Pairs = tuple[tuple[int, int], ...]
 
 # the most records a full COO export expands to
 MAX_FULL_RECORDS = 10**7
@@ -169,14 +168,9 @@ def _runs(key: Key) -> Runs:
     return _merged((i, m, 1) for i, m in Counter(key).items())
 
 
-def _pairs(runs: Runs) -> Pairs:
-    """((index, multiplicity), ...), one pair per index of ``runs``."""
-    return tuple([(i, m) for first, m, c in runs for i in range(first, first + c)])
-
-
 def _dense(runs: Runs) -> Key:
     """Nondecreasing index tuple of a run key."""
-    return tuple(chain.from_iterable([(i,) * m for i, m in _pairs(runs)]))
+    return tuple(chain.from_iterable([(i,) * m for j, m, c in runs for i in range(j, j + c)]))
 
 
 def _shown(runs: Runs) -> str:
@@ -287,7 +281,10 @@ def _distinct_permutations(key: Key):
 
 
 class SymTensor:
-    """Immutable sparse symmetric hypermatrix with exact rational entries."""
+    """Immutable sparse symmetric hypermatrix with exact rational entries.
+
+    Values leave it through ``get``, ``canonical_items`` and ``full_items``;
+    row sums, the total, ``apply`` and ``polynomial`` read the shares."""
 
     __slots__ = ("_order", "_dim", "_entries", "_rows")
 
@@ -337,10 +334,6 @@ class SymTensor:
     def dim(self) -> int:
         return self._dim
 
-    @property
-    def entries(self) -> Mapping[Key, Rational]:
-        return dict(self.canonical_items())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymTensor):
             return NotImplemented
@@ -361,11 +354,6 @@ class SymTensor:
 
     def canonical_items(self) -> list[tuple[Key, Rational]]:
         return [(_dense(runs), _value(runs, s, self._order)) for runs, s in self._entries.items()]
-
-    def entries_rle(self) -> list[tuple[Pairs, Rational]]:
-        """((index, multiplicity), ...), one pair per index, and value per
-        canonical entry, in canonical order."""
-        return [(_pairs(runs), _value(runs, s, self._order)) for runs, s in self._entries.items()]
 
     def get(self, idx: Sequence[int]) -> Rational:
         """Logical entry for any index permutation; zero when absent."""
@@ -417,24 +405,20 @@ class SymTensor:
 
     def polynomial(self) -> "HbPolynomial":
         """Homogeneous polynomial P(z) = sum a_{i_1..i_r} z_{i_1}..z_{i_r}: one
-        monomial per entry, keyed by its (index, exponent) pairs, whose
-        multinomial(m) logical entries sum to r * share."""
+        monomial per entry, keyed by its run key, whose multinomial(m)
+        logical entries sum to r * share."""
         r = self._order
-        monomials = {_pairs(runs): as_rational(r * share) for runs, share in self._entries.items()}
+        monomials = {runs: as_rational(r * share) for runs, share in self._entries.items()}
         return HbPolynomial(degree=r, dim=self._dim, monomials=monomials)
 
-    def export_coo(self, mode: str = "canonical") -> list[tuple[Key, Rational]]:
-        """COO records, either one per canonical entry or fully expanded.
+    def full_items(self) -> list[tuple[Key, Rational]]:
+        """Every distinct index permutation of every entry, with its value.
 
-        Full mode emits every distinct index permutation and refuses, before
-        expanding anything, to emit more than ``MAX_FULL_RECORDS`` records:
-        at once, from its log-gammas, if one entry has more than
-        10 ``MAX_FULL_RECORDS`` permutations, and otherwise from their count.
+        Refuses, before expanding anything, to return more than
+        ``MAX_FULL_RECORDS`` records: at once, from its log-gammas, if one
+        entry has more than 10 ``MAX_FULL_RECORDS`` permutations, and
+        otherwise from their count.
         """
-        if mode == "canonical":
-            return self.canonical_items()
-        if mode != "full":
-            raise DomainError(f"unknown export mode {mode!r}")
         limit = math.log10(MAX_FULL_RECORDS)
         if any(_log10_multinomial(runs, self._order) > limit for runs in self._entries):
             raise DomainError(
@@ -455,18 +439,23 @@ class SymTensor:
 
 class HbPolynomial(NamedTuple):
     """Polynomial attached to a tensor, as monomial -> coefficient, each
-    monomial the pairs ((index, exponent), ...) of a tensor key."""
+    monomial a tensor's run key: runs (first, exponent, count) of ``count``
+    consecutive indices, each at that exponent."""
 
     degree: int
     dim: int
-    monomials: Mapping[Pairs, Rational]
+    monomials: Mapping[Runs, Rational]
 
     def evaluate(self, z: Sequence) -> Rational:
-        """P(z) as an ``as_rational`` number, at O(sum of the monomials' pairs)."""
+        """P(z) as an ``as_rational`` number, at O(sum of the monomials'
+        indices), one power per run."""
         if len(z) != self.dim:
             raise DimensionMismatch(f"vector length {len(z)} != dim {self.dim}")
         return as_rational(
-            sum(c * math.prod(z[i - 1] ** e for i, e in runs) for runs, c in self.monomials.items())
+            sum(
+                c * math.prod(math.prod(z[i - 1 : i - 1 + k]) ** m for i, m, k in runs)
+                for runs, c in self.monomials.items()
+            )
         )
 
 
@@ -642,12 +631,9 @@ def reconstruct_hbgraph(
     t: SymTensor, trace: UniformisationTrace, vertices: Sequence[str]
 ) -> HbGraph:
     """Rebuild the (unweighted) hb-graph from a tensor and its trace."""
-    n = _check_trace(t, trace)
+    family = reconstruct_edges(t, trace)
+    n = t.dim - trace.n_a
     if len(vertices) != n:
         raise TraceMismatch(f"expected {n} vertex names, got {len(vertices)}")
     vs = Universe(vertices)
-    edges = [
-        Multiset(vs, {vs[i - 1]: m for i, m in family.items()})
-        for family in reconstruct_edges(t, trace)
-    ]
-    return HbGraph(vs, edges)
+    return HbGraph(vs, [Multiset(vs, {vs[i - 1]: m for i, m in e.items()}) for e in family])

@@ -124,7 +124,7 @@ def test_tensor_coo_round_trip(demo, tmp_path):
 
 def test_tensor_coo_full_mode_reimports(demo):
     t, _ = e_adjacency_tensor(demo, "straightforward")
-    text = tensor_to_coo(t, mode="full")
+    text = tensor_to_coo(t, full=True)
     assert tensor_from_coo(text) == t
 
 

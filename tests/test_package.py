@@ -5,6 +5,7 @@ import importlib
 import os
 import subprocess
 import sys
+import tokenize
 import types
 from pathlib import Path
 
@@ -38,6 +39,18 @@ HOMES = {
     ),
 }
 PUBLIC = sorted(name for names in HOMES.values() for name in names.split())
+
+# the public attributes of ``SymTensor``: one dense view, ``canonical_items``
+# (expanded by ``full_items``), and one run view, ``polynomial``
+SYMTENSOR = (
+    "apply canonical_count canonical_items dim full_items get logical_nonzero_count"
+    " order polynomial row_sum row_sums total_sum"
+)
+
+# past about this many parser tokens, compiling a module peaks about 0.23 MiB
+# higher, and every run that imports the module (``tensor`` and ``verify``
+# import the most) pays that in peak RSS
+MAX_MODULE_TOKENS = 4096
 
 # what each verb loads of the package, beyond ``hbtensor`` itself
 BASE = {"cli", "errors", "hbgraph", "io", "mset"}
@@ -169,3 +182,22 @@ def test_names_and_submodules_resolve_in_a_fresh_interpreter():
     )
     run = _python("-c", probe)
     assert (run.returncode, run.stdout, run.stderr) == (0, "0.1.0\n", "")
+
+
+def test_symtensor_public_surface():
+    from hbtensor import SymTensor
+
+    assert [name for name in dir(SymTensor) if not name.startswith("_")] == SYMTENSOR.split()
+
+
+def test_every_module_stays_under_the_compile_peak_step():
+    """Parser tokens per module: ``tokenize`` tokens less comments, blank
+    lines and the encoding and end markers."""
+    skipped = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING, tokenize.ENDMARKER}
+    sizes = {}
+    for path in sorted(Path(hbtensor.__file__).parent.glob("*.py")):
+        with path.open("rb") as source:
+            tokens = tokenize.tokenize(source.readline)
+            sizes[path.name] = sum(token.type not in skipped for token in tokens)
+    assert len(sizes) >= 10
+    assert max(sizes.values()) < MAX_MODULE_TOKENS, sizes

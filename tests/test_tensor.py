@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 import tracemalloc
 from collections import Counter
@@ -47,7 +48,6 @@ from hbtensor.tensor import (
     _log10_multinomial,
     _multinomial,
     _order,
-    _pairs,
     _runs,
     _shown,
 )
@@ -265,7 +265,7 @@ def test_polynomial(demo):
     assert poly.evaluate([0] * t.dim) == 0
     single = HbGraph.from_dicts(("v1", "v2"), [{"v1": 2, "v2": 1}])
     p = elementary_tensor(single).polynomial()
-    assert p.monomials == {((1, 2), (2, 1)): 3}
+    assert p.monomials == {((1, 2, 1), (2, 1, 1)): 3}
     assert p.evaluate([1, 1]) == 3
     for h in small_instances(count=3, seed=41):
         t, _ = e_adjacency_tensor(h, "layered")
@@ -274,9 +274,16 @@ def test_polynomial(demo):
         brute = sum((v * math.prod(z[j - 1] for j in idx) for idx, v in dense_tuples(t)), Fraction(0))
         assert poly.evaluate(z) == brute
         # one monomial per entry, keyed by the entry's own runs
-        assert list(poly.monomials) == [runs for runs, _ in t.entries_rle()]
+        assert list(poly.monomials) == list(t._entries)
     with pytest.raises(DimensionMismatch):
         poly.evaluate([1])
+    # a layered monomial at r_H = 10**6 holds its edge's runs and one padding run
+    h = HbGraph.from_dicts(("a", "b"), [{"a": 10**6}, {"a": 1, "b": 1}])
+    t, _ = e_adjacency_tensor(h, LAYERED)
+    poly = t.polynomial()
+    assert list(poly.monomials) == list(t._entries)
+    assert [len(runs) for runs in poly.monomials] == [1, 2]
+    assert poly.evaluate([1] * t.dim) == t.total_sum() == 2 * 10**6
 
 
 def test_weights_scale_linearly(demo):
@@ -295,17 +302,16 @@ def test_weights_scale_linearly(demo):
         assert scaled.total_sum() == sum(Fraction(trace.r_h) * w for w in weights)
 
 
-def test_export_coo(demo, monkeypatch):
+def test_full_items(demo, monkeypatch):
     t, _ = e_adjacency_tensor(demo, "silo")
-    canonical = t.export_coo("canonical")
-    assert len(canonical) == 4
-    full = t.export_coo("full")
+    assert len(t.canonical_items()) == 4
+    full = t.full_items()
     assert len(full) == t.logical_nonzero_count()
     assert len(full) == 30 + 20 + 30 + 5
     counted = Counter(idx for idx, _ in full)
     assert all(c == 1 for c in counted.values())
     empty = SymTensor(order=2, dim=3, entries={})
-    assert empty.export_coo("full") == []
+    assert empty.full_items() == []
     # one edge of 11 distinct vertices has 11! > MAX_FULL_RECORDS logical
     # entries; the export is refused before any permutation is made
     names = tuple("abcdefghijk")
@@ -313,19 +319,19 @@ def test_export_coo(demo, monkeypatch):
     assert math.factorial(11) > MAX_FULL_RECORDS
     monkeypatch.setattr(tensor_module, "_distinct_permutations", None)
     with pytest.raises(DomainError, match=f"would emit 39916800 records .limit {MAX_FULL_RECORDS}"):
-        wide.export_coo("full")
+        wide.full_items()
 
 
 def test_export_full_is_sorted_distinct_permutations():
     for key in [(1,), (1, 1), (1, 2), (1, 1, 2), (1, 2, 3), (1, 1, 2, 2, 3), (2, 2, 2, 4)]:
         t = SymTensor(order=len(key), dim=4, entries={key: 1})
-        perms = [idx for idx, _ in t.export_coo("full")]
+        perms = [idx for idx, _ in t.full_items()]
         assert perms == sorted(set(itertools.permutations(key)))
 
 
 def test_export_full_at_large_order():
     t, _ = e_adjacency_tensor(HbGraph.from_dicts(("a",), [{"a": 3000}]), "silo")
-    assert t.export_coo("full") == [((1,) * 3000, Fraction(3000))]
+    assert t.full_items() == [((1,) * 3000, Fraction(3000))]
 
 
 def test_export_full_refuses_a_huge_entry_before_counting(monkeypatch):
@@ -335,7 +341,7 @@ def test_export_full_refuses_a_huge_entry_before_counting(monkeypatch):
     t, _ = e_adjacency_tensor(h, LAYERED)
     monkeypatch.setattr(tensor_module, "_multinomial", None)
     with pytest.raises(DomainError, match=f"more than {10 * MAX_FULL_RECORDS} records"):
-        t.export_coo("full")
+        t.full_items()
 
 
 def test_log10_multinomial_is_a_lower_bound_less_one_digit():
@@ -430,7 +436,7 @@ def test_distribution_checks_the_entries():
             with pytest.raises(TraceMismatch, match=message):
                 edge_distribution(t, trace, wrong)
         null = t.dim  # a null index under every approach
-        extra = SymTensor(t.order, t.dim, {**t.entries, (null,) * t.order: 1})
+        extra = SymTensor(t.order, t.dim, {**dict(t.canonical_items()), (null,) * t.order: 1})
         with pytest.raises(TraceMismatch, match=rf"entry {null}\^2 has no original-vertex"):
             edge_distribution(extra, trace, 3)
 
@@ -466,6 +472,18 @@ def test_reconstruction(demo):
         assert rebuilt.edge_counter() == demo.edge_counter()
 
 
+def test_reconstruct_hbgraph_checks_the_trace_once(demo, monkeypatch):
+    t, trace = e_adjacency_tensor(demo, "silo")
+    checks, check = [], tensor_module._check_trace
+    monkeypatch.setattr(tensor_module, "_check_trace", lambda *a: checks.append(a) or check(*a))
+    reconstruct_hbgraph(t, trace, demo.vertices)
+    assert len(checks) == 1
+    with pytest.raises(TraceMismatch, match="^expected 7 vertex names, got 2$"):
+        reconstruct_hbgraph(t, trace, demo.vertices[:2])
+    with pytest.raises(TraceMismatch, match="^trace r_H 4 != tensor order 5$"):
+        reconstruct_hbgraph(t, trace._replace(r_h=4), demo.vertices)
+
+
 def test_hypergraph_tensor_constants():
     uniform = HbGraph.from_dicts(
         ("a", "b", "c"), [{"a": 1, "b": 1, "c": 1}, {"a": 1, "b": 1}]
@@ -489,11 +507,12 @@ def test_hypergraph_matches_silo():
         via_silo, trace_silo = e_adjacency_tensor(hg, "silo")
         assert direct == via_silo
         assert trace_direct == trace_silo
-        assert direct.entries == hypergraph_formula(hg)
+        assert dict(direct.canonical_items()) == hypergraph_formula(hg)
         assert direct.dim == hg.n + hg.m_range() - 1
         weights = [Fraction(k + 2, 3) for k in range(hg.p)]
         weighted = HbGraph(hg.vertices, hg.edges, weights)
-        assert hypergraph_tensor(weighted)[0].entries == hypergraph_formula(weighted)
+        direct, _ = hypergraph_tensor(weighted)
+        assert dict(direct.canonical_items()) == hypergraph_formula(weighted)
 
 
 def test_cooper_dutle_reduction():
@@ -525,10 +544,13 @@ def test_symtensor_validation():
     assert t.canonical_count() == 0
 
 
-def test_entries_rle(demo):
+def test_run_keys_hold_shares(demo):
+    """The entry (3, 5, 5, 10, 10) of value 1/6 is stored under its runs with
+    share 1/6 * 5!/(2! 2!) / 5 = 1, its monomial's coefficient 5 * share."""
     t, _ = e_adjacency_tensor(demo, "silo")
-    rle = dict(t.entries_rle())
-    assert rle[((3, 1), (5, 2), (10, 2))] == Fraction(1, 6)
+    runs = ((3, 1, 1), (5, 2, 1), (10, 2, 1))
+    assert t._entries[runs] == 1 and t.polynomial().monomials[runs] == 5
+    assert ((3, 5, 5, 10, 10), Fraction(1, 6)) in t.canonical_items()
 
 
 # -- run-length storage against a dense-key reference -------------------------
@@ -544,9 +566,6 @@ class DenseTensor:
 
     def canonical_items(self):
         return sorted(self.entries.items())
-
-    def entries_rle(self):
-        return [(tuple(sorted(Counter(k).items())), v) for k, v in self.canonical_items()]
 
     def get(self, idx):
         return self.entries.get(tuple(sorted(idx)), Fraction(0))
@@ -577,12 +596,30 @@ class DenseTensor:
         return out
 
     def polynomial(self):
-        """Runs ((index, exponent), ...) -> summed logical entries of the full expansion."""
+        """Runs of each permutation's (index, exponent) pairs -> summed logical
+        entries of the full expansion, in canonical order."""
         monomials = {}
         for perm, v in self.full():
-            runs = tuple(sorted(Counter(perm).items()))
+            runs = pair_runs(sorted(Counter(perm).items()))
             monomials[runs] = monomials.get(runs, Fraction(0)) + v
         return monomials
+
+
+def pairs(runs: tuple) -> tuple:
+    """Reference: one (index, multiplicity) pair per index of ``runs``."""
+    return tuple((i, m) for first, m, c in runs for i in range(first, first + c))
+
+
+def pair_runs(items: list) -> tuple:
+    """Reference: ascending (index, multiplicity) pairs joined into maximal
+    runs (first, multiplicity, count), one pair at a time."""
+    runs = []
+    for i, m in items:
+        if runs and (runs[-1][0] + runs[-1][2], runs[-1][1]) == (i, m):
+            runs[-1] = (runs[-1][0], m, runs[-1][2] + 1)
+        else:
+            runs.append((i, m, 1))
+    return tuple(runs)
 
 
 def random_dense_entries(rng: random.Random, order: int, dim: int) -> dict:
@@ -594,9 +631,7 @@ def random_dense_entries(rng: random.Random, order: int, dim: int) -> dict:
 
 
 def check_against_dense(t: SymTensor, ref: DenseTensor, rng: random.Random) -> None:
-    assert t.entries == ref.entries
     assert t.canonical_items() == ref.canonical_items()
-    assert t.entries_rle() == ref.entries_rle()
     assert t.canonical_count() == len(ref.entries)
     for key, value in ref.canonical_items():
         perm = list(key)
@@ -611,9 +646,10 @@ def check_against_dense(t: SymTensor, ref: DenseTensor, rng: random.Random) -> N
     assert t.logical_nonzero_count() == ref.logical_nonzero_count()
     x = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(t.dim)]
     assert t.apply(x) == ref.apply(x)
-    assert t.export_coo("full") == ref.full()
+    assert t.full_items() == ref.full()
     poly = t.polynomial()
-    assert (poly.degree, poly.dim, poly.monomials) == (t.order, t.dim, ref.polynomial())
+    assert (poly.degree, poly.dim) == (t.order, t.dim)
+    assert list(poly.monomials.items()) == list(ref.polynomial().items())
     # the same entries, given densely in reverse order, make an equal tensor
     twin = SymTensor(t.order, t.dim, dict(reversed(ref.canonical_items())))
     assert twin == t and hash(twin) == hash(t)
@@ -641,7 +677,7 @@ def test_rle_storage_matches_dense_reference_seeded():
             h = HbGraph(h.vertices, h.edges, weights=[rng.randint(1, 4) for _ in h.edges])
         for approach in APPROACHES:
             t, _ = e_adjacency_tensor(h, approach)
-            check_against_dense(t, DenseTensor(t.order, t.dim, t.entries), rng)
+            check_against_dense(t, DenseTensor(t.order, t.dim, dict(t.canonical_items())), rng)
 
 
 @st.composite
@@ -668,9 +704,11 @@ def perms_first_apply(t: SymTensor, x) -> list[Fraction]:
     """Reference: value * perms_first(i) * prod_j x_j^(m_j - [j = i]) for every
     entry and every index i of its runs."""
     out = [Fraction(0)] * t.dim
-    for runs, value in t.entries_rle():
-        for i, perms in _perms_first(dict(runs)).items():
-            out[i - 1] += value * perms * math.prod(x[j - 1] ** (m - (j == i)) for j, m in runs)
+    for key, value in t.canonical_items():
+        counts = Counter(key)
+        for i, perms in _perms_first(counts).items():
+            powers = (x[j - 1] ** (m - (j == i)) for j, m in counts.items())
+            out[i - 1] += value * perms * math.prod(powers)
     return out
 
 
@@ -703,8 +741,25 @@ def test_trie_apply_and_size_on_e_adjacency_tensors_hypothesis(h, rng):
         trie = tensor_module._trie(t._entries.items(), at)
         assert len(trie[0]) <= supports + trace.r_h
         # one node per index: the trie of the keys expanded to one run per index
-        expanded = [(tuple((i, m, 1) for i, m in _pairs(k)), s) for k, s in t._entries.items()]
+        expanded = [(tuple((i, m, 1) for i, m in pairs(k)), s) for k, s in t._entries.items()]
         assert tensor_module._trie(expanded, at) == trie
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_hbgraphs(), st.randoms(use_true_random=False))
+@example(HbGraph.from_dicts(("a", "b"), [{"a": 9}, {"a": 1, "b": 2}], [Fraction(1, 3), 3]),
+         random.Random(0))
+def test_euler_identity_on_e_adjacency_tensors_hypothesis(h, rng):
+    """P(z) = sum_j z_j (A z^{r-1})_j exactly: P is homogeneous of degree r,
+    and the contraction is (1/r) times its gradient.  Layered keys pad with a
+    run of r_H - c indices, so the run-keyed ``evaluate`` reads runs of
+    count > 1."""
+    for approach in APPROACHES:
+        t, _ = e_adjacency_tensor(h, approach)
+        poly = t.polynomial()
+        assert list(poly.monomials) == list(t._entries)
+        z = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(t.dim)]
+        assert poly.evaluate(z) == sum(map(operator.mul, z, t.apply(z)))
 
 
 # -- one share per entry against the per-index formulas it replaced ---------
@@ -713,8 +768,8 @@ def test_trie_apply_and_size_on_e_adjacency_tensors_hypothesis(h, rng):
 def perms_first_row_sums(t: SymTensor) -> list[Fraction]:
     """Reference: value * perms_first(i) for every entry and every index i."""
     sums = [Fraction(0)] * t.dim
-    for runs, value in t.entries_rle():
-        counts = dict(runs)
+    for key, value in t.canonical_items():
+        counts = Counter(key)
         for i, perms in _perms_first(counts).items():
             sums[i - 1] += value * perms
     return sums
@@ -725,8 +780,8 @@ def perms_first_level_weights(t: SymTensor, trace: UniformisationTrace) -> list:
     split by null multiplicity r_H - j, level j read as acc[j] / (r_H - j)."""
     r_h, null = trace.r_h, t.dim - trace.n_a + 1
     acc = [Fraction(0)] * r_h
-    for runs, value in t.entries_rle():
-        mult = dict(runs)
+    for key, value in t.canonical_items():
+        mult = Counter(key)
         if 0 < mult.get(null, 0) < r_h:
             acc[r_h - mult[null]] += value * _perms_first(mult)[null]
     return [acc[j] / (r_h - j) for j in range(1, r_h)]
@@ -755,7 +810,7 @@ def perms_first_levels(t: SymTensor, trace: UniformisationTrace, total_edges: in
             f" hb-edge ({total_edges})"
         )
     n = t.dim - trace.n_a
-    for key in t.entries:
+    for key, _ in t.canonical_items():
         if key[0] > n:
             raise TraceMismatch(f"entry {_shown(_runs(key))} has no original-vertex index")
     if trace.approach == STRAIGHTFORWARD:
@@ -787,8 +842,6 @@ def check_number_contract(t: SymTensor, trace: UniformisationTrace, rng: random.
     numbers = [*t.row_sums(), *map(t.row_sum, range(1, t.dim + 1)), t.total_sum()]
     for key, value in t.canonical_items():
         numbers += [value, t.get(key)]
-    numbers += [value for _, value in t.entries_rle()]
-    numbers += t.entries.values()
     numbers += [t.get([rng.randint(1, t.dim) for _ in range(t.order)]) for _ in range(5)]
     poly = t.polynomial()
     numbers += poly.monomials.values()
@@ -949,8 +1002,8 @@ def test_padding_runs_ascend_above_the_original_vertices():
                     runs = padding(approach, n, r_h, c)
                     assert len(runs) == (c < r_h) and is_canonical(runs)
                     assert all(i > n for i, _, _ in runs)
-                    assert _pairs(runs) == two_run_padding(approach, n, r_h, c)
-                    assert dict(_pairs(runs)) == reference_padding(approach, n, r_h, c)
+                    assert pairs(runs) == two_run_padding(approach, n, r_h, c)
+                    assert dict(pairs(runs)) == reference_padding(approach, n, r_h, c)
 
 
 # the keys where a padding run continues the edge's last run, or vertex runs join
@@ -983,15 +1036,15 @@ def test_e_adjacency_keys_match_dict_merge_sort_hypothesis(h, weighted):
         t, _ = e_adjacency_tensor(h, approach)
         expected = {two_run_key(h, e, approach, r_h): h.weight(i) for i, e in enumerate(h.edges)}
         assert list(expected) == [reference_key(h, e, approach, r_h) for e in h.edges]
-        assert {_pairs(key): share for key, share in t._entries.items()} == expected
-        assert [_pairs(key) for key in t._entries] == sorted(expected, key=two_run_order)
+        assert {pairs(key): share for key, share in t._entries.items()} == expected
+        assert [pairs(key) for key in t._entries] == sorted(expected, key=two_run_order)
         assert all(is_canonical(key) and _runs(_dense(key)) == key for key in t._entries)
         assert sum(map(len, t._entries)) <= supports + h.p
         assert list(t._entries) == sorted(_edge_keys(h, approach, r_h), key=_dense)
     for e in h.edges:
         key = two_run_key(h, e, STRAIGHTFORWARD, e.m_cardinality())
         (runs, share), = mset_hypermatrix(e, normalized=True)._entries.items()
-        assert (_pairs(runs), share) == (key, 1) and is_canonical(runs)
+        assert (pairs(runs), share) == (key, 1) and is_canonical(runs)
 
 
 def test_merge_cases_join_their_runs():

@@ -293,7 +293,7 @@ def assert_matches_reference(h: HbGraph) -> None:
         t, t_trace = e_adjacency_tensor(h, approach)
         assert t_trace == expected_trace
         assert (t.order, t.dim) == (expected_trace.r_h, expected.n)
-        assert t.entries == tensor_from_uniform(expected, expected_trace, h)
+        assert dict(t.canonical_items()) == tensor_from_uniform(expected, expected_trace, h)
 
 
 def test_uniformize_matches_paper_composition_seeded(demo):
