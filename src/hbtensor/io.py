@@ -194,7 +194,7 @@ def tensor_to_coo(t: SymTensor, full: bool = False) -> str:
     records = t.full_items() if full else t.canonical_items()
     lines = [f"# order={t.order} dim={t.dim} entries={len(records)}"]
     for key, value in records:
-        lines.append(" ".join(str(i) for i in key) + " " + format_rational(value))
+        lines.append(" ".join([str(i) for i in key]) + " " + format_rational(value))
     return "\n".join(lines) + "\n"
 
 

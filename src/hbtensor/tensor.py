@@ -7,9 +7,11 @@ ascend and are maximal (no run continues the one before it at the same
 multiplicity), so the runs are a function of the dense nondecreasing index
 tuple alone.  A tensor hands out one dense view, ``canonical_items`` (and
 its expansion ``full_items``), and one run view, ``polynomial``, keyed by the
-runs themselves.  Entries are kept in canonical order, that of the dense
-keys, and every permutation of an entry's indices denotes the same logical
-entry.
+runs themselves.  Being canonical is a property of each key, not an order
+among entries: entries are kept in the order they come (edge order from the
+constructions, record order from the COO reader), and only
+``canonical_items`` sorts, by dense key.  Every permutation of an entry's
+indices denotes the same logical entry.
 Each entry is stored as its exact share, a * multinomial(m) / r for value a
 and multiplicities m (an int when integral): multinomial(m) * m_i / r of its
 permutations start with i, so it adds share * m_i to row i and r * share to
@@ -19,8 +21,8 @@ tensor returns (values, row sums, the total, the polynomial's coefficients
 and values) follows ``mset.as_rational``: an int when integral, a
 ``Fraction`` otherwise.  Before a writer builds a value,
 ``_denominators_too_long`` bounds its denominator's digits from log-gammas
-alone.  Sorting, row sums, levels, multinomials and reconstruction read a
-run whole, so they cost O(runs) per entry, not O(indices).
+alone.  Row sums, levels, multinomials and reconstruction read a run whole,
+so they cost O(runs) per entry, not O(indices).
 
 The tensor's polynomial is P(x) = r * sum of share * prod x_j^{m_j}, and
 ``polynomial`` keys its monomials by the entries' run keys.
@@ -180,24 +182,6 @@ def _shown(runs: Runs) -> str:
     return shown + f" ... ({len(runs)} runs)" * (len(runs) > 8)
 
 
-def _order(runs: Runs) -> list:
-    """A sort key under which canonical run keys of one order sort as their
-    dense keys do, in O(runs).
-
-    Runs (first, -multiplicity) compare as dense keys do at their first index.
-    Of two runs that share it, the shorter one of c indices is followed by its
-    key's next run, which by maximality is either a gap or index first + c at
-    another multiplicity: the shorter run sorts first exactly when that next
-    multiplicity is higher ("up"), whatever the longer run's count.  So a run
-    reads (first, -multiplicity, False, c) when up and (first,
-    -multiplicity, True, -c) otherwise.
-    """
-    return [
-        (i, -m, not (up := j == i + c and n > m), c if up else -c)
-        for (i, m, c), (j, n, _) in zip(runs, runs[1:] + ((0, 0, 0),))
-    ]
-
-
 def _trie(entries: Iterable, at: Mapping[int, int]) -> tuple[list, int, list]:
     """The (run key, share) ``entries`` as a trie of their indices, read in
     descending index order so that entries share their high-index suffixes.
@@ -317,10 +301,8 @@ class SymTensor:
         return t
 
     def _build(self, order: int, dim: int, shares: Iterable) -> None:
-        """The one builder: store the (run key, share) pairs in canonical
-        order, that of the dense keys (``_order``)."""
-        canonical = dict(sorted(shares, key=lambda e: _order(e[0])))
-        for name, value in zip(self.__slots__, (order, dim, canonical, None)):
+        """The one builder: store the (run key, share) pairs in the order given."""
+        for name, value in zip(self.__slots__, (order, dim, dict(shares), None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -344,7 +326,7 @@ class SymTensor:
         )
 
     def __hash__(self) -> int:
-        return hash((self._order, self._dim, tuple(self._entries.items())))
+        return hash((self._order, self._dim, frozenset(self._entries.items())))
 
     def __repr__(self) -> str:
         return f"SymTensor(order={self._order}, dim={self._dim}, nnz={len(self._entries)})"
@@ -353,7 +335,9 @@ class SymTensor:
         return len(self._entries)
 
     def canonical_items(self) -> list[tuple[Key, Rational]]:
-        return [(_dense(runs), _value(runs, s, self._order)) for runs, s in self._entries.items()]
+        """(dense key, value) per entry, in the dense keys' order."""
+        r = self._order
+        return sorted((_dense(runs), _value(runs, s, r)) for runs, s in self._entries.items())
 
     def get(self, idx: Sequence[int]) -> Rational:
         """Logical entry for any index permutation; zero when absent."""
@@ -613,8 +597,9 @@ def reconstruct_edges(
     """Delete null-vertex indices from every canonical entry.
 
     Returns the recovered edge family as multiplicity mappings over the
-    original vertex indices (1-based), sorted by canonical key.  Edge order
-    within the original family is not recoverable.
+    original vertex indices (1-based), in entry order: the input edge order
+    for a tensor built from an hb-graph, the record order for one read from
+    COO.
     """
     n = _check_trace(t, trace)
     family = []

@@ -47,7 +47,6 @@ from hbtensor.tensor import (
     _level_weights,
     _log10_multinomial,
     _multinomial,
-    _order,
     _runs,
     _shown,
 )
@@ -472,6 +471,17 @@ def test_reconstruction(demo):
         assert rebuilt.edge_counter() == demo.edge_counter()
 
 
+def test_reconstruction_keeps_the_edge_order():
+    """Entries stay in edge order, so the reconstruction is the input
+    hb-graph itself, edge order included, under every approach."""
+    rng = random.Random(29)
+    for _ in range(40):
+        h = random_hbgraph(rng, p_max=8)
+        for approach in APPROACHES:
+            t, trace = e_adjacency_tensor(h, approach)
+            assert reconstruct_hbgraph(t, trace, h.vertices) == HbGraph(h.vertices, h.edges)
+
+
 def test_reconstruct_hbgraph_checks_the_trace_once(demo, monkeypatch):
     t, trace = e_adjacency_tensor(demo, "silo")
     checks, check = [], tensor_module._check_trace
@@ -597,7 +607,7 @@ class DenseTensor:
 
     def polynomial(self):
         """Runs of each permutation's (index, exponent) pairs -> summed logical
-        entries of the full expansion, in canonical order."""
+        entries of the full expansion."""
         monomials = {}
         for perm, v in self.full():
             runs = pair_runs(sorted(Counter(perm).items()))
@@ -649,7 +659,7 @@ def check_against_dense(t: SymTensor, ref: DenseTensor, rng: random.Random) -> N
     assert t.full_items() == ref.full()
     poly = t.polynomial()
     assert (poly.degree, poly.dim) == (t.order, t.dim)
-    assert list(poly.monomials.items()) == list(ref.polynomial().items())
+    assert poly.monomials == ref.polynomial()
     # the same entries, given densely in reverse order, make an equal tensor
     twin = SymTensor(t.order, t.dim, dict(reversed(ref.canonical_items())))
     assert twin == t and hash(twin) == hash(t)
@@ -1026,8 +1036,9 @@ MERGE_CASES = [
 @example(MERGE_CASES[2], True)
 @example(MERGE_CASES[3], True)
 def test_e_adjacency_keys_match_dict_merge_sort_hypothesis(h, weighted):
-    """Keys, shares and entry order against the (index, multiplicity) keys the
-    range runs replaced, and those against the dict-merge-sort keys."""
+    """Keys, shares and edge order against the (index, multiplicity) keys the
+    range runs replaced, and those against the dict-merge-sort keys; the
+    dense view alone sorts."""
     if not weighted:
         h = HbGraph(h.vertices, h.edges)
     r_h = h.m_range()
@@ -1037,10 +1048,12 @@ def test_e_adjacency_keys_match_dict_merge_sort_hypothesis(h, weighted):
         expected = {two_run_key(h, e, approach, r_h): h.weight(i) for i, e in enumerate(h.edges)}
         assert list(expected) == [reference_key(h, e, approach, r_h) for e in h.edges]
         assert {pairs(key): share for key, share in t._entries.items()} == expected
-        assert [pairs(key) for key in t._entries] == sorted(expected, key=two_run_order)
+        assert [pairs(key) for key in t._entries] == list(expected)
+        dense_order = [pairs(_runs(key)) for key, _ in t.canonical_items()]
+        assert dense_order == sorted(expected, key=two_run_order)
         assert all(is_canonical(key) and _runs(_dense(key)) == key for key in t._entries)
         assert sum(map(len, t._entries)) <= supports + h.p
-        assert list(t._entries) == sorted(_edge_keys(h, approach, r_h), key=_dense)
+        assert list(t._entries) == _edge_keys(h, approach, r_h)
     for e in h.edges:
         key = two_run_key(h, e, STRAIGHTFORWARD, e.m_cardinality())
         (runs, share), = mset_hypermatrix(e, normalized=True)._entries.items()
@@ -1048,26 +1061,18 @@ def test_e_adjacency_keys_match_dict_merge_sort_hypothesis(h, weighted):
 
 
 def test_merge_cases_join_their_runs():
-    """The keys of ``MERGE_CASES``, in canonical order, per approach."""
+    """The keys of ``MERGE_CASES``, in edge order, per approach."""
     keys = {
         approach: [list(e_adjacency_tensor(h, approach)[0]._entries) for h in MERGE_CASES]
         for approach in APPROACHES
     }
-    assert keys[LAYERED][0] == [((1, 3, 1),), ((2, 1, 3),)]
-    assert keys[SILO][1] == [((1, 1, 2),), ((2, 1, 2),)]
-    assert keys[STRAIGHTFORWARD][2] == [((1, 5, 1),), ((1, 1, 1), (2, 2, 2))]
+    assert keys[LAYERED][0] == [((2, 1, 3),), ((1, 3, 1),)]
+    assert keys[SILO][1] == [((2, 1, 2),), ((1, 1, 2),)]
+    assert keys[STRAIGHTFORWARD][2] == [((1, 1, 1), (2, 2, 2)), ((1, 5, 1),)]
     assert keys[STRAIGHTFORWARD][3] == [((1, 2, 3),), ((2, 1, 1), (4, 5, 1))]
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.lists(st.integers(1, 6), min_size=12, max_size=12), max_size=8))
-def test_run_order_sorts_as_dense_keys_hypothesis(keys):
-    """``_order`` of canonical runs against the dense keys' own order, at
-    order 12 over 6 indices, where runs of several indices are common."""
-    dense = sorted({tuple(sorted(k)) for k in keys})
-    assert all(_dense(_runs(k)) == k for k in dense)
-    # from the reverse order, so that a key tying two dense keys would show
-    assert sorted(reversed(dense), key=lambda k: _order(_runs(k))) == dense
+    # the dense view sorts: {b} pads to (2, 3, 4), after (1, 1, 1) of {a^3}
+    t, _ = e_adjacency_tensor(MERGE_CASES[0], LAYERED)
+    assert t.canonical_items() == [((1, 1, 1), 3), ((2, 3, 4), Fraction(1, 2))]
 
 
 def test_layered_build_and_reconstruction_at_large_r_h_stay_small():
