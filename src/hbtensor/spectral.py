@@ -14,10 +14,14 @@ straightforward ((r_H - c) W_c) and layered (W_c), and the maximum of
 (r_H - c) W_c for silo; but a tensor read from a file may pad an entry with
 another level's null vertex, and only the row scan stays right there.
 
-The power iteration below, run over the nonzero rows only through the
-tensor's contraction kernel (``tensor._contract``, O(trie nodes) per step, at
-most sum |supp e| + r_H on an e-adjacency tensor), gives a lower estimate of the
-largest H-eigenvalue, so the bound can be checked empirically.  When its
+The power iteration below, run over the twin classes of the nonzero rows
+through the tensor's contraction kernel (``tensor._contract``, O(trie nodes)
+per step, at most sum |supp e| + r_H on an e-adjacency tensor, and on a
+layered one sum |supp e| plus one per level below r_H that occurs), gives a
+lower estimate of the largest H-eigenvalue, so the bound can be checked
+empirically.  Twins are indices that every entry holds at one multiplicity
+or not at all, such as the null vertices between two levels of a layered
+padding: the iteration keeps one coordinate per class of them.  When its
 steps shrink by a steady ratio rho, one slow mode is left, and an Aitken-type
 extrapolation step (Kamvar, Haveliwala, Manning and Golub, 2003) jumps to
 that mode's limit.
@@ -27,11 +31,15 @@ from __future__ import annotations
 
 import math
 import random
-from typing import NamedTuple
+from bisect import bisect_left
+from collections import Counter, defaultdict
+from itertools import accumulate, compress, repeat
+from operator import not_, sub
+from typing import Iterable, NamedTuple
 
 from .errors import DomainError
 from .mset import Rational
-from .tensor import SymTensor, _check_trace, _contract, _trie
+from .tensor import Runs, SymTensor, _check_trace, _contract, _trie
 from .transform import UniformisationTrace
 
 # the power iteration stops once no coordinate moves by this much in a step
@@ -65,6 +73,91 @@ def spectral_bound(t: SymTensor, trace: UniformisationTrace) -> SpectralBoundRep
     delta_star = max(rows[n:], default=0)
     bound = max(delta, delta_star) + trace.r_h
     return SpectralBoundReport(trace.approach, trace.r_h, delta, delta_star, bound)
+
+
+def _twin_classes(keys: Iterable[Runs]) -> tuple[list[int], list[int], dict]:
+    """The twin classes of the indices that occur in the run ``keys``, in
+    index order, in O(runs) and a sort of the distinct run boundaries.
+
+    With the support renumbered in order, a class is a maximal range of
+    coordinates that no run boundary splits, once the runs of one key that
+    the renumbering makes adjacent at one multiplicity are merged: indices
+    that every key holds at one multiplicity or not at all.  Between two
+    consecutive boundaries (the first index of a run, and the one after its
+    last) the indices either all occur, a piece, or none do, a gap.  Keys
+    are maximal, so two pieces that meet differ in some key.  Two that a gap
+    parts are twins when every key that holds the index before the gap
+    resumes after it at the same multiplicity, and no other key starts there.
+
+    Returns each class's first index and size, and, for the classes of more
+    than one index, {the first index of each of their pieces: (the class's
+    first index, its size, the index after the piece)}.
+    """
+    keys = list(keys)
+    starts = Counter(first for runs in keys for first, _, _ in runs)  # index -> run count
+    ends = defaultdict(list)  # index -> the keys that hold the index before it
+    for k, runs in enumerate(keys):
+        for first, _, c in runs:
+            ends[first + c].append(k)
+    points = sorted(starts.keys() | ends.keys())
+    # depth: the runs over the range from each point to the next
+    depth = list(accumulate(map(sub, map(starts.__getitem__, points),
+                                map(len, map(ends.get, points, repeat(()))))))
+    firsts = list(compress(points, depth))  # the pieces: [firsts[j], stops[j])
+    stops = list(compress(points[1:], depth))
+    sizes = list(map(sub, stops, firsts))
+    # the gap at points[k], the g-th, comes before piece k - g
+    gaps = compress(range(len(points) - 1), map(not_, depth))
+    joins = set()  # the pieces that are twins of the piece before their gap
+    for g, k in enumerate(gaps):
+        before, after = ends[points[k]], points[k + 1]
+        if starts[after] == len(before) and all(_resumes(keys[e], after) for e in before):
+            joins.add(k - g)
+    if not joins and len(sizes) == sum(sizes):
+        return firsts, sizes, {}
+    classes, heads = {}, []  # class first index -> size; each piece's class
+    for j, (first, size) in enumerate(zip(firsts, sizes)):
+        if j not in joins:
+            head = first
+            classes[head] = 0
+        classes[head] += size
+        heads.append(head)
+    pieces = {
+        first: (head, classes[head], stop)
+        for first, stop, head in zip(firsts, stops, heads)
+        if classes[head] > 1
+    }
+    return list(classes), list(classes.values()), pieces
+
+
+def _resumes(runs: Runs, i: int) -> bool:
+    """Whether a run of ``runs`` starts at index i, at the multiplicity of
+    the run before it."""
+    j = bisect_left(runs, (i,))
+    return j < len(runs) and runs[j][0] == i and runs[j][1] == runs[j - 1][1]
+
+
+def _class_key(runs: Runs, pieces: dict, piece_firsts: list[int]) -> Runs:
+    """``runs`` with each class of twins (``_twin_classes``) that they hold
+    as one run (f, m s, 1), f the class's first index and s its size: a key
+    holds every index of a class at one multiplicity m, or none.
+    ``piece_firsts`` lists the first indices of the classes' ``pieces`` in
+    order."""
+    key = []
+    for first, m, c in runs:
+        end = first + c
+        lo, hi = bisect_left(piece_firsts, first), bisect_left(piece_firsts, end)
+        for piece in piece_firsts[lo:hi]:
+            head, size, stop = pieces[piece]
+            if piece > first:
+                key.append((first, m, piece - first))
+            # a class whose pieces a gap parts is met again in the next run
+            if not key or key[-1][0] != head:
+                key.append((head, m * size, 1))
+            first = stop
+        if first < end:
+            key.append((first, m, end - first))
+    return tuple(key)
 
 
 def estimate_max_eigenvalue(
@@ -108,9 +201,20 @@ def estimate_max_eigenvalue(
     with lambda != 0, since lambda x_i^{r-1} = (A x^{r-1})_i = 0.  Iterated,
     it would only decay by a factor (lambda + 1)^{-1/(r-1)} per step from a
     start near 1, and hold the convergence test open for about
-    23 (r - 1) / ln(lambda + 1) steps at ``_TOL`` = 1e-10.  The seeded start is
-    drawn for the support coordinates alone, in index order, so on a tensor
-    whose every index occurs the iteration is the full-dimension one.
+    23 (r - 1) / ln(lambda + 1) steps at ``_TOL`` = 1e-10.
+
+    Its coordinates are the twin classes of the support (``_twin_classes``):
+    the maximal ranges of consecutive support indices that every entry holds
+    at one multiplicity or not at all, found in O(runs).  Swapping two twins
+    leaves the tensor unchanged, so an iterate equal on a class stays so, and
+    one coordinate x_t stands for the s_t indices of class t, its weight.  A
+    run over a class is one trie node of exponent m s_t, so the contraction
+    gives y_t, the summed rows of the class; a member's row is y_t / s_t, and
+    the quotient sum_t x_t y_t / sum_t s_t x_t^r is the one over every index.
+    The stop test and the step ratios read one value per class.  The seeded
+    start draws one value per class, in index order, so on a tensor without
+    twins the iteration is the one over the support, value for value, and
+    on a tensor whose every index occurs, the full-dimension one.
 
     The contraction reads the float shares only, so large multiplicities
     cost no large multinomial; an entry share or a contraction that no float
@@ -124,18 +228,22 @@ def estimate_max_eigenvalue(
     if not shares:
         return PowerIterationResult(value=0.0, converged=True, iterations=0)
     r = t.order
-    # the support, renumbered in order: index i -> coordinate k; each index
-    # of a run is its own coordinate
-    support = {i for runs in shares for first, _, c in runs for i in range(first, first + c)}
-    at = {i: k for k, i in enumerate(sorted(support))}
-    d = len(at)
-    nodes, inner, exact = _trie(shares.items(), at)
+    # coordinate t: the twin class of sizes[t] indices from firsts[t] on; a
+    # key over a class of twins holds it as one run
+    firsts, sizes, pieces = _twin_classes(shares)
+    d = len(firsts)
+    entries = shares.items()
+    if pieces:
+        piece_firsts = list(pieces)
+        entries = [(_class_key(runs, pieces, piece_firsts), s) for runs, s in entries]
+    nodes, inner, exact = _trie(entries, dict(zip(firsts, range(d))))
     try:
-        floats = [float(s) for s in exact]
+        floats = list(map(float, exact))
     except OverflowError:
         raise DomainError("power iteration: an entry share is too large for a float") from None
 
     def contract(x: list[float]) -> list[float]:
+        """y_t: the summed rows (A x^{r-1})_i of the members i of class t."""
         y = _contract(nodes, inner, floats, x, [0.0] * d)
         if not math.isfinite(sum(y)):
             raise DomainError("power iteration: the contraction exceeds the float range")
@@ -151,6 +259,8 @@ def estimate_max_eigenvalue(
     before = gap = ratio = None  # the iterate before x, the length of the step to x, its rho
     for used in range(1, iterations + 1):
         y = contract(x)
+        if pieces:  # a member's row
+            y = [yt / s for yt, s in zip(y, sizes)]
         nxt = [(yi + xi**k) ** root for xi, yi in zip(x, y)]
         # the largest coordinate of x is 1.0, so top >= 1
         top = max(nxt)
@@ -177,5 +287,5 @@ def estimate_max_eigenvalue(
         ratio = rho
 
     y = contract(x)
-    rayleigh = sum(xi * yi for xi, yi in zip(x, y)) / sum(xi**r for xi in x)
+    rayleigh = sum(xi * yi for xi, yi in zip(x, y)) / sum(s * xi**r for s, xi in zip(sizes, x))
     return PowerIterationResult(rayleigh, converged and rayleigh > 0.0, used)

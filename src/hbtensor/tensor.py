@@ -209,16 +209,17 @@ def _trie(entries: Iterable, at: Mapping[int, int]) -> tuple[list, int, list]:
                     made.append((k, at[i], m))
                 k = child
         ends[k] = share
-    # a stable sort keeps the creation order, parents first, in each group
-    order = sorted(range(1, len(made)), key=lambda k: not children[k])
+    # each group keeps the creation order, parents first
+    inner = [k for k in range(1, len(made)) if children[k]]
+    order = inner + [k for k in range(1, len(made)) if not children[k]]
     number = [0] * len(made)
     for pos, k in enumerate(order, 1):
         number[k] = pos
-    nodes = [(number[k], number[made[k][0]], *made[k][1:]) for k in order]
+    nodes = [(number[k], number[p], j, m) for k in order for p, j, m in [made[k]]]
     shares = [0] * len(made)
     for k, share in ends.items():
         shares[number[k]] = share
-    return nodes, sum(map(bool, children[1:])), shares
+    return nodes, len(inner), shares
 
 
 def _contract(nodes: Sequence, inner: int, shares: Sequence, x: Sequence, y: list) -> list:

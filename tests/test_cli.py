@@ -355,13 +355,26 @@ def test_verify_bound_option_is_gone(demo_file, capsys):
 
 
 def test_verify_zero_estimate_is_not_converged(tmp_path, capsys):
-    path = tmp_path / "big_and_small.json"
+    # layered: b is no twin of the null vertices once {b^2} is an edge too
     edges = [{"mult": {"a": 10000}}, {"mult": {"a": 1, "b": 1}}]
-    path.write_text(dumps({"vertices": ["a", "b"], "edges": edges}), encoding="utf-8")
-    for approach, seed in (("str", "3"), ("lay", "0")):
+    for approach, seed, more in (("str", "3", []), ("lay", "3", [{"mult": {"b": 2}}])):
+        path = tmp_path / f"big_and_small_{approach}.json"
+        graph = {"vertices": ["a", "b"], "edges": edges + more}
+        path.write_text(dumps(graph), encoding="utf-8")
         assert main(["verify", str(path), "--approach", approach, "--seed", seed]) == 0
         report = json.loads(capsys.readouterr().out)["bound"]
         assert report["empirical_lambda"] == 0.0 and report["converged"] is False
+
+
+def test_verify_layered_padding_is_one_coordinate(tmp_path, capsys):
+    # b and the 999 998 null vertices of its padding are twins: the estimator
+    # iterates on two coordinates, where the subtensor on {a} has radius 10^6
+    path = tmp_path / "big_and_small.json"
+    edges = [{"mult": {"a": 10**6}}, {"mult": {"a": 1, "b": 1}}]
+    path.write_text(dumps({"vertices": ["a", "b"], "edges": edges}), encoding="utf-8")
+    assert main(["verify", str(path), "--approach", "lay", "--seed", "7"]) == 0
+    report = json.loads(capsys.readouterr().out)["bound"]
+    assert report["empirical_lambda"] == 1000000.0 and report["converged"] is True
 
 
 def test_verify_corrupted_tensor(demo_file, tmp_path, capsys):

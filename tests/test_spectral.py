@@ -22,6 +22,7 @@ from hbtensor import (
 from hbtensor.cli import main
 from hbtensor.errors import DomainError
 from hbtensor.io import dumps, tensor_from_coo, tensor_to_coo
+from hbtensor.spectral import _class_key, _twin_classes
 from hbtensor.tensor import _contract, _trie
 from randgen import random_hbgraph
 from test_tensor import weighted_hbgraphs
@@ -161,7 +162,7 @@ def test_zero_estimate_is_never_converged():
         h = HbGraph.from_dicts(("a", "b"), [{"a": m}, {"a": 1, "b": 1}])
         for approach in APPROACHES:
             t, _ = e_adjacency_tensor(h, approach)
-            for seed in range(5):
+            for seed in range(10):
                 result = estimate_max_eigenvalue(t, seed=seed)
                 assert not (result.converged and result.value < m)
                 zeros += result.value == 0.0
@@ -192,12 +193,29 @@ def test_trace_mismatch(demo):
 # -- the estimator against the iteration it replaced -------------------------
 
 
+def dense_twin_classes(t: SymTensor, indices) -> list[list[int]]:
+    """Reference: the maximal runs of consecutive ``indices`` whose (entry,
+    multiplicity) columns are identical, read off the dense keys."""
+    columns = {i: [] for i in indices}
+    for e, (key, _) in enumerate(t.canonical_items()):
+        for i, m in Counter(key).items():
+            columns[i].append((e, m))
+    classes = []
+    for i in indices:
+        if classes and columns[classes[-1][-1]] == columns[i]:
+            classes[-1].append(i)
+        else:
+            classes.append([i])
+    return classes
+
+
 def reference_estimate(
     t: SymTensor, iterations: int, tol: float = 1e-10, seed=None, full: bool = False
 ):
     """The dense-key power iteration with its own contraction plan, changed only
-    to take the quotient from the last iterate and, unless ``full``, to run on
-    the indices that occur in some entry, renumbered in order."""
+    to take the quotient from the last iterate, to draw its start once per
+    twin class (``dense_twin_classes``) in index order and, unless ``full``,
+    to run on the indices that occur in some entry, renumbered in order."""
     entries = [(key, float(v)) for key, v in t.canonical_items()]
     r = t.order
     indices = range(1, t.dim + 1) if full else sorted({i for key, _ in entries for i in key})
@@ -228,7 +246,11 @@ def reference_estimate(
         return y
 
     rng = random.Random(seed)
-    x = [rng.uniform(0.5, 1.5) for _ in range(d)]
+    x = [0.0] * d
+    for members in dense_twin_classes(t, indices):
+        start = rng.uniform(0.5, 1.5)
+        for i in members:
+            x[at[i]] = start
     top = max(x)
     x = [xi / top for xi in x]
     converged = False
@@ -320,6 +342,58 @@ def test_estimate_ignores_isolated_vertices(demo):
             for seed in (0, 1):
                 expected = estimate_max_eigenvalue(t, seed=seed)
                 assert estimate_max_eigenvalue(t_padded, seed=seed) == expected
+
+
+def test_an_isolated_vertex_between_twins_does_not_part_them():
+    # a and b lie in the same entries at one multiplicity; the renumbering of
+    # the support makes them adjacent around the isolated vertex x
+    edges = [{"a": 1, "b": 1, "c": 1}, {"c": 2}]
+    h = HbGraph.from_dicts(("a", "b", "c"), edges)
+    parted = HbGraph.from_dicts(("a", "x", "b", "c"), edges)
+    for approach in APPROACHES:
+        t, _ = e_adjacency_tensor(h, approach)
+        t_parted, _ = e_adjacency_tensor(parted, approach)
+        firsts, sizes, _ = _twin_classes(t_parted._entries)
+        assert (firsts[0], sizes[0]) == (1, 2)
+        assert _twin_classes(t._entries)[1] == sizes
+        for seed in range(4):
+            expected = estimate_max_eigenvalue(t, seed=seed)
+            assert estimate_max_eigenvalue(t_parted, seed=seed) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_hbgraphs(), st.integers(0, 99))
+def test_twin_classes_and_their_iteration_hypothesis(h, seed):
+    """The classes are the dense columns' runs, a key holds each class in one
+    trie node, and the estimate is the reference iteration's."""
+    levels = {e.m_cardinality() for e in h.edges}
+    supports = sum(len(e.support()) for e in h.edges)
+    for approach in APPROACHES:
+        t, trace = e_adjacency_tensor(h, approach)
+        support = sorted({i for key, _ in t.canonical_items() for i in key})
+        classes = dense_twin_classes(t, support)
+        firsts, sizes, pieces = _twin_classes(t._entries)
+        assert (firsts, sizes) == ([c[0] for c in classes], [len(c) for c in classes])
+        if max(sizes) == 1:
+            assert len(firsts) == len(support) and not pieces
+        if approach == "layered":
+            nulls = sum(first > h.n for first in firsts)
+            assert nulls <= sum(c < trace.r_h for c in levels)
+        at = dict(zip(firsts, range(len(firsts))))
+        keys = [_class_key(runs, pieces, list(pieces)) if pieces else runs for runs in t._entries]
+        for key in keys:
+            path = [at[i] for first, _, c in key for i in range(first, first + c)]
+            assert path == sorted(set(path))  # one node per class
+            assert sum(m * c for _, m, c in key) == t.order
+        # a layered tensor's null chain has at most one node per level below r_H
+        nulls = sum(c < trace.r_h for c in levels) if approach == "layered" else trace.r_h
+        assert len(_trie(zip(keys, t._entries.values()), at)[0]) <= supports + nulls
+        if t.order < 2:
+            continue
+        result = estimate_max_eigenvalue(t, iterations=1_000, seed=seed)
+        value, converged, _ = reference_estimate(t, 1_000, seed=seed)
+        if result.converged and converged:
+            assert math.isclose(result.value, value, rel_tol=1e-9)
 
 
 def highmult_shaped(rng: random.Random) -> HbGraph:
