@@ -21,7 +21,8 @@ layered one sum |supp e| plus one per level below r_H that occurs), gives a
 lower estimate of the largest H-eigenvalue, so the bound can be checked
 empirically.  Twins are indices that every entry holds at one multiplicity
 or not at all, such as the null vertices between two levels of a layered
-padding: the iteration keeps one coordinate per class of them.  When its
+padding: the iteration keeps one coordinate per class of them, and the trie
+one node per piece of a class, so no key is rewritten.  When its
 steps shrink by a steady ratio rho, one slow mode is left, and an Aitken-type
 extrapolation step (Kamvar, Haveliwala, Manning and Golub, 2003) jumps to
 that mode's limit.
@@ -75,7 +76,7 @@ def spectral_bound(t: SymTensor, trace: UniformisationTrace) -> SpectralBoundRep
     return SpectralBoundReport(trace.approach, trace.r_h, delta, delta_star, bound)
 
 
-def _twin_classes(keys: Iterable[Runs]) -> tuple[list[int], list[int], dict]:
+def _twin_classes(keys: Iterable[Runs]) -> tuple[list[int], dict]:
     """The twin classes of the indices that occur in the run ``keys``, in
     index order, in O(runs) and a sort of the distinct run boundaries.
 
@@ -89,9 +90,8 @@ def _twin_classes(keys: Iterable[Runs]) -> tuple[list[int], list[int], dict]:
     parts are twins when every key that holds the index before the gap
     resumes after it at the same multiplicity, and no other key starts there.
 
-    Returns each class's first index and size, and, for the classes of more
-    than one index, {the first index of each of their pieces: (the class's
-    first index, its size, the index after the piece)}.
+    Returns each class's size, and ``tensor._trie``'s piece map: {the last
+    index of each piece: (its class's number, the piece's size)}.
     """
     keys = list(keys)
     starts = Counter(first for runs in keys for first, _, _ in runs)  # index -> run count
@@ -103,9 +103,8 @@ def _twin_classes(keys: Iterable[Runs]) -> tuple[list[int], list[int], dict]:
     # depth: the runs over the range from each point to the next
     depth = list(accumulate(map(sub, map(starts.__getitem__, points),
                                 map(len, map(ends.get, points, repeat(()))))))
-    firsts = list(compress(points, depth))  # the pieces: [firsts[j], stops[j])
-    stops = list(compress(points[1:], depth))
-    sizes = list(map(sub, stops, firsts))
+    firsts = compress(points, depth)  # the pieces: [first, stop)
+    stops = compress(points[1:], depth)
     # the gap at points[k], the g-th, comes before piece k - g
     gaps = compress(range(len(points) - 1), map(not_, depth))
     joins = set()  # the pieces that are twins of the piece before their gap
@@ -113,21 +112,13 @@ def _twin_classes(keys: Iterable[Runs]) -> tuple[list[int], list[int], dict]:
         before, after = ends[points[k]], points[k + 1]
         if starts[after] == len(before) and all(_resumes(keys[e], after) for e in before):
             joins.add(k - g)
-    if not joins and len(sizes) == sum(sizes):
-        return firsts, sizes, {}
-    classes, heads = {}, []  # class first index -> size; each piece's class
-    for j, (first, size) in enumerate(zip(firsts, sizes)):
+    sizes, at = [], {}
+    for j, (first, stop) in enumerate(zip(firsts, stops)):
         if j not in joins:
-            head = first
-            classes[head] = 0
-        classes[head] += size
-        heads.append(head)
-    pieces = {
-        first: (head, classes[head], stop)
-        for first, stop, head in zip(firsts, stops, heads)
-        if classes[head] > 1
-    }
-    return list(classes), list(classes.values()), pieces
+            sizes.append(0)
+        sizes[-1] += stop - first
+        at[stop - 1] = len(sizes) - 1, stop - first
+    return sizes, at
 
 
 def _resumes(runs: Runs, i: int) -> bool:
@@ -135,29 +126,6 @@ def _resumes(runs: Runs, i: int) -> bool:
     the run before it."""
     j = bisect_left(runs, (i,))
     return j < len(runs) and runs[j][0] == i and runs[j][1] == runs[j - 1][1]
-
-
-def _class_key(runs: Runs, pieces: dict, piece_firsts: list[int]) -> Runs:
-    """``runs`` with each class of twins (``_twin_classes``) that they hold
-    as one run (f, m s, 1), f the class's first index and s its size: a key
-    holds every index of a class at one multiplicity m, or none.
-    ``piece_firsts`` lists the first indices of the classes' ``pieces`` in
-    order."""
-    key = []
-    for first, m, c in runs:
-        end = first + c
-        lo, hi = bisect_left(piece_firsts, first), bisect_left(piece_firsts, end)
-        for piece in piece_firsts[lo:hi]:
-            head, size, stop = pieces[piece]
-            if piece > first:
-                key.append((first, m, piece - first))
-            # a class whose pieces a gap parts is met again in the next run
-            if not key or key[-1][0] != head:
-                key.append((head, m * size, 1))
-            first = stop
-        if first < end:
-            key.append((first, m, end - first))
-    return tuple(key)
 
 
 def estimate_max_eigenvalue(
@@ -207,10 +175,14 @@ def estimate_max_eigenvalue(
     the maximal ranges of consecutive support indices that every entry holds
     at one multiplicity or not at all, found in O(runs).  Swapping two twins
     leaves the tensor unchanged, so an iterate equal on a class stays so, and
-    one coordinate x_t stands for the s_t indices of class t, its weight.  A
-    run over a class is one trie node of exponent m s_t, so the contraction
-    gives y_t, the summed rows of the class; a member's row is y_t / s_t, and
-    the quotient sum_t x_t y_t / sum_t s_t x_t^r is the one over every index.
+    one coordinate x_t stands for the s_t indices of class t, its weight.
+    ``tensor._trie`` walks each run piece by piece: a piece of s indices of
+    class t, held at multiplicity m, is one node of exponent m s on x_t (a
+    class that a gap parts, such as b and the padding in layered {a^M},
+    {a, b}, is a node per piece), so the contraction gives y_t, the summed
+    rows of the class.  A member's row is y_t / s_t, divided out on the
+    classes of more than one index only, and the quotient
+    sum_t x_t y_t / sum_t s_t x_t^r is the one over every index.
     The stop test and the step ratios read one value per class.  The seeded
     start draws one value per class, in index order, so on a tensor without
     twins the iteration is the one over the support, value for value, and
@@ -228,15 +200,11 @@ def estimate_max_eigenvalue(
     if not shares:
         return PowerIterationResult(value=0.0, converged=True, iterations=0)
     r = t.order
-    # coordinate t: the twin class of sizes[t] indices from firsts[t] on; a
-    # key over a class of twins holds it as one run
-    firsts, sizes, pieces = _twin_classes(shares)
-    d = len(firsts)
-    entries = shares.items()
-    if pieces:
-        piece_firsts = list(pieces)
-        entries = [(_class_key(runs, pieces, piece_firsts), s) for runs, s in entries]
-    nodes, inner, exact = _trie(entries, dict(zip(firsts, range(d))))
+    # coordinate j: the twin class of sizes[j] indices, one trie node per piece
+    sizes, at = _twin_classes(shares)
+    d = len(sizes)
+    twins = [(j, s) for j, s in enumerate(sizes) if s > 1]
+    nodes, inner, exact = _trie(shares.items(), at)
     try:
         floats = list(map(float, exact))
     except OverflowError:
@@ -259,8 +227,8 @@ def estimate_max_eigenvalue(
     before = gap = ratio = None  # the iterate before x, the length of the step to x, its rho
     for used in range(1, iterations + 1):
         y = contract(x)
-        if pieces:  # a member's row
-            y = [yt / s for yt, s in zip(y, sizes)]
+        for j, s in twins:  # a member's row
+            y[j] /= s
         nxt = [(yi + xi**k) ** root for xi, yi in zip(x, y)]
         # the largest coordinate of x is 1.0, so top >= 1
         top = max(nxt)

@@ -32,10 +32,11 @@ iteration of ``spectral``: the entries' indices, inserted in descending
 order, form a trie that shares their common high-index suffixes, the
 null-vertex padding above all, and one forward pass (prefix products) and one
 backward pass (reverse-mode derivative) over its nodes give every row, in
-O(nodes) operations with no division and no multinomial.  Each index is its
-own node, so on an e-adjacency tensor the trie has at most
-sum |supp e| + r_H nodes: straightforward and silo entries of level c share
-one padding node, and layered entries share one chain of null indices.
+O(nodes) operations with no division and no multinomial.  A run is one node
+per piece (``_trie``); each index is a piece of ``apply``, so on an
+e-adjacency tensor the trie has at most sum |supp e| + r_H nodes:
+straightforward and silo entries of level c share one padding node, and
+layered entries share one chain of null indices.
 
 The e-adjacency tensor of an hb-graph contributes one canonical entry per
 hb-edge.  Its key is the edge's runs, read in order from its support (kept in
@@ -182,32 +183,37 @@ def _shown(runs: Runs) -> str:
     return shown + f" ... ({len(runs)} runs)" * (len(runs) > 8)
 
 
-def _trie(entries: Iterable, at: Mapping[int, int]) -> tuple[list, int, list]:
+def _trie(entries: Iterable, at: Mapping[int, tuple[int, int]]) -> tuple[list, int, list]:
     """The (run key, share) ``entries`` as a trie of their indices, read in
     descending index order so that entries share their high-index suffixes.
 
-    Returns (nodes, inner, shares).  The root is node 0; node k >= 1 is
-    nodes[k - 1] = (k, parent, at[index], multiplicity), one node per index of
-    a run.  The ``inner`` nodes, those with children, come first, each after
-    its parent, and the leaves after them.  shares[k] is the share of the
-    entry that ends at node k (0 where none does).
+    ``at`` maps the last index of each piece, s consecutive indices that a
+    run holds all or none of, to (j, s): in a run of multiplicity m the
+    piece is one node of coordinate j and exponent m s.  Returns (nodes,
+    inner, shares).  The root is node 0; node k >= 1 is nodes[k - 1] =
+    (k, parent, j, exponent).  The ``inner`` nodes, those with children, come
+    first, each after its parent, and the leaves after them.  shares[k] is
+    the share of the entry that ends at node k (0 where none does).
     """
-    # a child is keyed by the int m * stride + i of its (index, multiplicity):
-    # a tuple per index would wake the garbage collector, at twice the cost
+    # a child is keyed by the int m * stride + i of its (multiplicity, piece):
+    # a tuple per piece would wake the garbage collector, at twice the cost
     stride = max(at, default=0) + 1
-    children = [{}]  # node -> {m * stride + index: child}
-    made = [(0, 0, 0)]  # node -> (parent, at[index], multiplicity), in creation order
+    children = [{}]  # node -> {m * stride + i: child}
+    made = [(0, 0, 0)]  # node -> (parent, j, exponent), in creation order
     ends = {}
     for runs, share in entries:
         k = 0
         for first, m, c in reversed(runs):
-            for i in range(first + c - 1, first - 1, -1):
+            i = first + c - 1
+            while i >= first:
+                j, s = at[i]
                 child = children[k].get(key := m * stride + i)
                 if child is None:
                     child = children[k][key] = len(made)
                     children.append({})
-                    made.append((k, at[i], m))
+                    made.append((k, j, m * s))
                 k = child
+                i -= s
         ends[k] = share
     # each group keeps the creation order, parents first
     inner = [k for k in range(1, len(made)) if children[k]]
@@ -385,7 +391,7 @@ class SymTensor:
         """Left contraction (A x^{r-1})_i over all dimensions (module docstring)."""
         if len(x) != self._dim:
             raise DimensionMismatch(f"vector length {len(x)} != dim {self._dim}")
-        at = {i: i - 1 for i in range(1, self._dim + 1)}
+        at = {i: (i - 1, 1) for i in range(1, self._dim + 1)}
         return _contract(*_trie(self._entries.items(), at), x, [Fraction(0)] * self._dim)
 
     def polynomial(self) -> "HbPolynomial":

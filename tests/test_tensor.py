@@ -747,7 +747,7 @@ def test_trie_apply_and_size_on_e_adjacency_tensors_hypothesis(h, rng):
             assert expected == dense_apply(t, x)
         # straightforward and silo entries of a level share their padding
         # node, and layered entries one chain of null indices
-        at = {i: i for i in range(1, t.dim + 1)}
+        at = {i: (i, 1) for i in range(1, t.dim + 1)}
         trie = tensor_module._trie(t._entries.items(), at)
         assert len(trie[0]) <= supports + trace.r_h
         # one node per index: the trie of the keys expanded to one run per index
