@@ -17,7 +17,8 @@ Each verb imports only the modules it runs, so a start-up compiles no more of
 the package than it needs.  ``info``, ``dual`` and ``export`` load ``cli``,
 ``errors``, ``mset``, ``hbgraph`` and ``io``; ``paths`` adds ``paths``;
 ``uniformize`` adds ``transform``; ``tensor`` adds ``transform`` and
-``tensor``; ``verify`` adds ``spectral`` as well.
+``tensor``; ``verify`` adds ``spectral`` as well.  No verb loads ``algebra``.
+A run that names a verb builds only that verb's subparser.
 """
 
 from __future__ import annotations
@@ -200,7 +201,11 @@ def cmd_export(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every verb, or, when ``verb`` names one, a parser whose
+    one subparser is that verb's: argparse looks up every parser's strings in
+    gettext, a search of the locale directories each time.  Either parses an
+    argument list that starts with ``verb`` alike, and prints the same."""
     parser = argparse.ArgumentParser(
         prog="hbtensor",
         description="Hyper-bag-graph metrics, uniformisation and e-adjacency tensors.",
@@ -208,47 +213,53 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def add(name, fn, **kwargs):
+        # the verb's subparser, or None when another verb is being built
+        if verb not in (None, name):
+            sub.choices[name] = None  # named in the usage; argv[0] never chooses it
+            return None
         p = sub.add_parser(name, **kwargs)
         p.add_argument("input", help="hb-graph JSON file")
         p.set_defaults(fn=fn)
         return p
 
-    p = add("info", cmd_info, help="print structural metrics")
-    p.add_argument("--out")
+    if p := add("info", cmd_info, help="print structural metrics"):
+        p.add_argument("--out")
 
-    p = add("dual", cmd_dual, help="write the dual hb-graph")
-    p.add_argument("--out")
+    if p := add("dual", cmd_dual, help="write the dual hb-graph"):
+        p.add_argument("--out")
 
-    p = add("uniformize", cmd_uniformize, help="m-uniformize the hb-graph")
-    p.add_argument("--approach", type=_approach, required=True)
-    p.add_argument("--out")
+    if p := add("uniformize", cmd_uniformize, help="m-uniformize the hb-graph"):
+        p.add_argument("--approach", type=_approach, required=True)
+        p.add_argument("--out")
 
-    p = add("tensor", cmd_tensor, help="build the e-adjacency tensor")
-    p.add_argument("--approach", type=_approach, required=True)
-    p.add_argument("--full", action="store_true")
-    p.add_argument("--out", required=True)
+    if p := add("tensor", cmd_tensor, help="build the e-adjacency tensor"):
+        p.add_argument("--approach", type=_approach, required=True)
+        p.add_argument("--full", action="store_true")
+        p.add_argument("--out", required=True)
 
-    p = add("verify", cmd_verify, help="run the exact structural checks")
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--approach", type=_approach)
-    source.add_argument("--from-tensor", dest="from_tensor")
-    p.add_argument("--seed", type=int, default=0)
+    if p := add("verify", cmd_verify, help="run the exact structural checks"):
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--approach", type=_approach)
+        source.add_argument("--from-tensor", dest="from_tensor")
+        p.add_argument("--seed", type=int, default=0)
 
-    p = add("paths", cmd_paths, help="distance, components, diameter")
-    p.add_argument("--pair", nargs=2, metavar=("FROM", "TO"))
-    p.add_argument("--components", action="store_true")
-    p.add_argument("--diameter", action="store_true")
-    p.add_argument("--out")
+    if p := add("paths", cmd_paths, help="distance, components, diameter"):
+        p.add_argument("--pair", nargs=2, metavar=("FROM", "TO"))
+        p.add_argument("--components", action="store_true")
+        p.add_argument("--diameter", action="store_true")
+        p.add_argument("--out")
 
-    p = add("export", cmd_export, help="export incidence CSV or hb-graph JSON")
-    p.add_argument("--format", choices=("json", "csv"), required=True)
-    p.add_argument("--out")
+    if p := add("export", cmd_export, help="export incidence CSV or hb-graph JSON"):
+        p.add_argument("--format", choices=("json", "csv"), required=True)
+        p.add_argument("--out")
 
-    return parser
+    # no verb of that name: every verb, for argparse's own help or error
+    return parser if verb in (None, *sub.choices) else build_parser()
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(*argv[:1]).parse_args(argv)
     try:
         return args.fn(args)
     except ParseError as exc:

@@ -14,12 +14,13 @@ multiplicity cost O(degree) per vertex and the order O(n + sum of degrees).
 A hypergraph is an hb-graph whose multiplicities are in {0, 1}, so the
 derived hypergraphs (the support hypergraph, the numbered-copy hypergraph)
 are ``HbGraph``s too, and every hb-graph, path and tensor function takes them.
+The operations derived from hb-graphs that no command-line verb runs, the
+2-section, the hb-sum and the directness test, live in ``algebra``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -290,35 +291,3 @@ class HbGraph:
         self._check_edge(i)
         self._check_edge(j)
         return bool(set(self._edges[i].support()) & set(self._edges[j].support()))
-
-
-def two_section(h: HbGraph) -> tuple[tuple[str, str], ...]:
-    """Edges of the 2-section graph: pairs co-occurring in some hb-edge's support.
-
-    Undirected, deduplicated, no self-loops; pairs and the result follow the
-    vertex-list order, which every support already keeps.
-    """
-    position = h.vertices.position
-    pairs = set()
-    for e in h.edges:
-        pairs.update(combinations(e.support(), 2))
-    return tuple(sorted(pairs, key=lambda uv: (position[uv[0]], position[uv[1]])))
-
-
-def hb_sum(*graphs: HbGraph) -> HbGraph:
-    """Sum of hb-graphs: ordered union of the vertex sets, concatenated edge
-    families; weighted (default weight 1) when any summand is."""
-    vertices = Universe(dict.fromkeys(v for h in graphs for v in h.vertices))
-    edges = [Multiset(vertices, e.mult) for h in graphs for e in h.edges]
-    weights = None
-    if any(h.weights is not None for h in graphs):
-        weights = [h.weight(i) for h in graphs for i in range(h.p)]
-    return HbGraph(vertices, edges, weights)
-
-
-def is_direct(h1: HbGraph, h2: HbGraph) -> bool:
-    """True iff summing creates no repeated-edge pair across the two families."""
-    total = hb_sum(h1, h2)
-    first = total.edges[: h1.p]
-    second = total.edges[h1.p :]
-    return not (set(first) & set(second))

@@ -25,7 +25,8 @@ alone.  Row sums, levels, multinomials and reconstruction read a run whole,
 so they cost O(runs) per entry, not O(indices).
 
 The tensor's polynomial is P(x) = r * sum of share * prod x_j^{m_j}, and
-``polynomial`` keys its monomials by the entries' run keys.
+``polynomial`` keys its monomials by the entries' run keys; the polynomial
+type, ``HbPolynomial``, and its construction live in ``algebra``.
 The contraction A x^{r-1} is (1/r) times the gradient of P, so it reads the
 shares alone.  One kernel serves both the exact ``apply`` and the float power
 iteration of ``spectral``: the entries' indices, inserted in descending
@@ -55,6 +56,12 @@ then sum_e w_e m_e(v_i) and the total r_H sum_e w_e (Cooper and Dutle's
 degree normalisation for k-uniform hypergraphs), and under every approach an
 entry's level, the summed multiplicity of its original-vertex indices, is its
 hb-edge's m-cardinality.
+
+This module is the verbs' core: the symmetric tensor, the e-adjacency
+tensor, its levels and its reconstructed edge family.  The paper's other
+tensors (the multiset hypermatrix, the elementary, uniform and hypergraph
+tensors), the hb-edge distribution and the reconstructed hb-graph are built
+from the same keys in ``algebra``, which no verb imports.
 """
 
 from __future__ import annotations
@@ -63,30 +70,18 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, chain
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DimensionMismatch,
     DomainError,
-    EmptyEdge,
-    EmptyEdgeFamily,
-    EmptyMultiset,
     IndexOutOfRange,
-    NotAHypergraph,
     NotNatural,
-    NotUniform,
-    RepeatedEdges,
     TraceMismatch,
 )
 from .hbgraph import HbGraph
-from .mset import Multiset, Rational, Universe, as_rational
-from .transform import (
-    APPROACHES,
-    SILO,
-    UniformisationTrace,
-    _uniformisation_trace,
-    padding,
-)
+from .mset import Multiset, Rational, as_rational
+from .transform import APPROACHES, UniformisationTrace, _uniformisation_trace, padding
 
 # a key: canonical runs (first index, multiplicity, count) (module docstring)
 Runs = tuple[tuple[int, int, int], ...]
@@ -397,10 +392,11 @@ class SymTensor:
     def polynomial(self) -> "HbPolynomial":
         """Homogeneous polynomial P(z) = sum a_{i_1..i_r} z_{i_1}..z_{i_r}: one
         monomial per entry, keyed by its run key, whose multinomial(m)
-        logical entries sum to r * share."""
-        r = self._order
-        monomials = {runs: as_rational(r * share) for runs, share in self._entries.items()}
-        return HbPolynomial(degree=r, dim=self._dim, monomials=monomials)
+        logical entries sum to r * share.  Built in ``algebra``, which no
+        command-line verb loads."""
+        from .algebra import _polynomial
+
+        return _polynomial(self)
 
     def full_items(self) -> list[tuple[Key, Rational]]:
         """Every distinct index permutation of every entry, with its value.
@@ -428,28 +424,6 @@ class SymTensor:
         ]
 
 
-class HbPolynomial(NamedTuple):
-    """Polynomial attached to a tensor, as monomial -> coefficient, each
-    monomial a tensor's run key: runs (first, exponent, count) of ``count``
-    consecutive indices, each at that exponent."""
-
-    degree: int
-    dim: int
-    monomials: Mapping[Runs, Rational]
-
-    def evaluate(self, z: Sequence) -> Rational:
-        """P(z) as an ``as_rational`` number, at O(sum of the monomials'
-        indices), one power per run."""
-        if len(z) != self.dim:
-            raise DimensionMismatch(f"vector length {len(z)} != dim {self.dim}")
-        return as_rational(
-            sum(
-                c * math.prod(math.prod(z[i - 1 : i - 1 + k]) ** m for i, m, k in runs)
-                for runs, c in self.monomials.items()
-            )
-        )
-
-
 # -- constructions ----------------------------------------------------------
 
 
@@ -462,48 +436,6 @@ def _indexed(a: Multiset) -> Runs:
         raise NotNatural(f"non-integer multiplicity for {x!r}")
     position = a.universe.position
     return _merged([(position[x] + 1, v, 1) for x, v in mult.items()])
-
-
-def mset_hypermatrix(a: Multiset, normalized: bool) -> SymTensor:
-    """Hypermatrix representation of a natural multiset.
-
-    Unnormalized: value 1 on every permutation of the support indices taken
-    with their multiplicities (share multinomial / r).  Normalized: value
-    (prod of multiplicity factorials) / (r-1)! on the same tuples (share 1),
-    which makes the logical total equal the m-cardinality r.
-    """
-    runs = _indexed(a)
-    if not runs:
-        raise EmptyMultiset("hypermatrix representation of an empty multiset")
-    r = a.m_cardinality()
-    share = 1 if normalized else as_rational(Fraction(_multinomial(runs), r))
-    return SymTensor._from_shares(r, len(a.universe), [(runs, share)])
-
-
-def elementary_tensor(h: HbGraph) -> SymTensor:
-    """Normalized adjacency hypermatrix of a single-edge hb-graph."""
-    if h.p != 1:
-        raise DomainError("elementary hb-graph must have exactly one hb-edge")
-    return mset_hypermatrix(h.edges[0], normalized=True)
-
-
-def uniform_tensor(h: HbGraph) -> SymTensor:
-    """Adjacency hypermatrix of a k-m-uniform hb-graph (sum of elementary ones).
-
-    Weights are ignored; the weighted variant is the e-adjacency tensor.
-    """
-    if not h.edges:
-        raise EmptyEdgeFamily("uniform tensor needs at least one hb-edge")
-    if not h.is_natural():
-        raise NotNatural("uniform tensor needs integer multiplicities")
-    if not h.no_repeated_edges():
-        raise RepeatedEdges("uniform tensor forbids repeated hb-edges")
-    k = h.m_range()
-    if k != h.m_corange():
-        raise NotUniform("hb-edges have differing m-cardinalities")
-    if k == 0:
-        raise EmptyEdge("uniform tensor forbids empty hb-edges")
-    return SymTensor._from_shares(k, h.n, [(_indexed(e), 1) for e in h.edges])
 
 
 def _edge_keys(h: HbGraph, approach: str, r_h: int) -> list[Runs]:
@@ -526,19 +458,6 @@ def e_adjacency_tensor(
     trace = _uniformisation_trace(h, approach)
     shares = zip(_edge_keys(h, approach, trace.r_h), map(h.weight, range(h.p)))
     return SymTensor._from_shares(trace.r_h, h.n + trace.n_a, shares), trace
-
-
-def hypergraph_tensor(hg: HbGraph) -> tuple[SymTensor, UniformisationTrace]:
-    """e-adjacency tensor of a hypergraph (all multiplicities in {0, 1}).
-
-    This is the silo construction on {0, 1} inputs: a hyperedge of
-    cardinality k gets the index multiset of its vertices plus the null index
-    (n+k) repeated k_max - k times, with value (k_max - k)! / (k_max - 1)!.
-    """
-    for e in hg.edges:
-        if any(v != 1 for v in e.mult.values()):
-            raise NotAHypergraph("hyperedges must have multiplicities in {0, 1}")
-    return e_adjacency_tensor(hg, SILO)
 
 
 # -- information retrieval ---------------------------------------------------
@@ -570,34 +489,6 @@ def _level_weights(t: SymTensor, trace: UniformisationTrace) -> dict[int, Ration
     return {j: as_rational(levels[j]) for j in sorted(levels) if levels[j]}
 
 
-def edge_distribution(
-    t: SymTensor, trace: UniformisationTrace, total_edges: int
-) -> dict[int, Rational]:
-    """The hb-edge distribution {c: W_c} at every level c whose W_c is
-    nonzero, read off the tensor's entries and the trace alone, top level
-    included.
-
-    W_c is the summed weight of the m-cardinality-c hb-edges: their number
-    when the graph is unweighted, the exact summed weight otherwise (edges
-    ``{a}``, ``{a, b²}``, ``{c, d²}`` of weights 2, 1, 1 give ``{1: 2, 3: 2}``).
-    ``total_edges`` only checks the tensor: an e-adjacency tensor holds one
-    canonical entry per hb-edge, and each entry has an original-vertex index,
-    so ``TraceMismatch`` is raised for another entry count or an entry of
-    level 0.
-    """
-    levels = _level_weights(t, trace)
-    if t.canonical_count() != total_edges:
-        raise TraceMismatch(
-            f"tensor holds {t.canonical_count()} canonical entries, not one per"
-            f" hb-edge ({total_edges})"
-        )
-    n = t.dim - trace.n_a
-    for runs in t._entries:
-        if runs[0][0] > n:
-            raise TraceMismatch(f"entry {_shown(runs)} has no original-vertex index")
-    return levels
-
-
 def reconstruct_edges(
     t: SymTensor, trace: UniformisationTrace
 ) -> list[dict[int, int]]:
@@ -617,15 +508,3 @@ def reconstruct_edges(
             raise TraceMismatch(f"entry {_shown(runs)} has no original-vertex index")
         family.append(edge)
     return family
-
-
-def reconstruct_hbgraph(
-    t: SymTensor, trace: UniformisationTrace, vertices: Sequence[str]
-) -> HbGraph:
-    """Rebuild the (unweighted) hb-graph from a tensor and its trace."""
-    family = reconstruct_edges(t, trace)
-    n = t.dim - trace.n_a
-    if len(vertices) != n:
-        raise TraceMismatch(f"expected {n} vertex names, got {len(vertices)}")
-    vs = Universe(vertices)
-    return HbGraph(vs, [Multiset(vs, {vs[i - 1]: m for i, m in e.items()}) for e in family])

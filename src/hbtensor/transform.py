@@ -1,4 +1,4 @@
-"""Elementary hb-graph operations and m-uniformisation.
+"""m-uniformisation in closed form.
 
 Uniformisation pads every hb-edge to the m-range r_H with null vertices so
 that all edges share the same m-cardinality.  For an edge of m-cardinality c
@@ -18,8 +18,9 @@ tensor key:
 An edge already at m-cardinality r_H gets no run.
 
 These are what the paper's compositions of ``decompose``, ``dilatation``,
-``y_complement``, ``vertex_increase`` and ``merge`` produce; ``uniformize``
-and the tensor constructions apply the closed form directly.  Every output
+``y_complement``, ``vertex_increase`` and ``merge`` produce; those
+elementary operations live in ``algebra``, and ``uniformize`` and the tensor
+constructions apply the closed form directly.  Every output
 edge carries the dilatation weight c_r = r_H / r of its level.  Output edge
 i is input edge i followed by its padding: the tensor forgets edge
 order, so ``uniformize`` keeps the input order rather than the level order
@@ -31,19 +32,18 @@ r_H; the null vertices are a closed form in (approach, r_H), derived by
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .errors import (
     DomainError,
     EmptyEdge,
     EmptyEdgeFamily,
-    NonPositiveC,
     NotNatural,
     RepeatedEdges,
     VertexCollision,
 )
-from .hbgraph import HbGraph, hb_sum
-from .mset import Multiset, Rational, Universe, as_rational
+from .hbgraph import HbGraph
+from .mset import Multiset, Universe
 
 STRAIGHTFORWARD = "straightforward"
 SILO = "silo"
@@ -71,75 +71,6 @@ class UniformisationTrace(NamedTuple):
         """Null-vertex ids in tensor-index order: item k-1 has index n+k."""
         prefix = "__L" if self.approach == LAYERED else "__N"
         return tuple(f"{prefix}{k}" for k in range(1, self.n_a + 1))
-
-
-def canonical_weighting(h: HbGraph) -> HbGraph:
-    """Set every edge weight to 1."""
-    return HbGraph(h.vertices, h.edges, [1] * h.p)
-
-
-def dilatation(h: HbGraph, c: Rational) -> HbGraph:
-    """Multiply all edge weights by the constant c > 0."""
-    c = as_rational(c)
-    if c <= 0:
-        raise NonPositiveC(f"dilatation constant must be positive, got {c}")
-    return HbGraph(h.vertices, h.edges, [h.weight(i) * c for i in range(h.p)])
-
-
-def _with_vertex(h: HbGraph, y: str, multiplicity) -> HbGraph:
-    """Append vertex y to every edge e with multiplicity ``multiplicity(e)``."""
-    vertices = Universe(h.vertices + (y,))
-    edges = [Multiset(vertices, {**e.mult, y: multiplicity(e)}) for e in h.edges]
-    return HbGraph(vertices, edges, h.weights)
-
-
-def y_complement(h: HbGraph, y: str) -> HbGraph:
-    """Append vertex y to every edge with multiplicity r_H - m-cardinality."""
-    if y in h.vertices.position:
-        raise VertexCollision(y)
-    if not h.is_natural():
-        raise NotNatural("y-complement needs integer multiplicities")
-    if not h.edges:
-        raise EmptyEdgeFamily("y-complement needs at least one hb-edge")
-    r_h = h.m_range()
-    return _with_vertex(h, y, lambda e: r_h - e.m_cardinality())
-
-
-def vertex_increase(h: HbGraph, y: str, alpha: int) -> HbGraph:
-    """Append vertex y to every edge with the fixed multiplicity alpha."""
-    if y in h.vertices.position:
-        raise VertexCollision(y)
-    if not isinstance(alpha, int) or alpha < 1:
-        raise DomainError(f"alpha must be a positive integer, got {alpha!r}")
-    return _with_vertex(h, y, lambda e: alpha)
-
-
-def merge(family: Iterable[HbGraph]) -> HbGraph:
-    """Concatenate edge families over the ordered union of the vertex sets
-    (the hb-sum of the family)."""
-    return hb_sum(*family)
-
-
-def decompose(h: HbGraph) -> tuple[HbGraph, ...]:
-    """Split into sub-hb-graphs by m-cardinality.
-
-    Position r - 1 of the result holds the r-m-uniform part (possibly with an
-    empty edge family); concatenating all parts recovers the input up to edge
-    order within levels.
-    """
-    if not h.is_natural():
-        raise NotNatural("decomposition needs integer multiplicities")
-    if h.has_empty_edges():
-        raise EmptyEdge("decomposition forbids empty hb-edges")
-    if not h.edges:
-        return ()
-    r_h = h.m_range()
-    levels = []
-    for r in range(1, r_h + 1):
-        picked = [i for i, e in enumerate(h.edges) if e.m_cardinality() == r]
-        weights = [h.weight(i) for i in picked] if h.weights is not None else None
-        levels.append(HbGraph(h.vertices, [h.edges[i] for i in picked], weights))
-    return tuple(levels)
 
 
 def _uniformisation_trace(h: HbGraph, approach: str) -> UniformisationTrace:

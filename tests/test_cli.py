@@ -658,6 +658,48 @@ def test_readme_command_line_names_every_option_and_no_other():
     assert declared - named == set(), "declared, not named in the README"
 
 
+
+def _subparsers(parser) -> dict:
+    (verbs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return verbs.choices
+
+
+def test_a_named_verb_builds_only_its_own_subparser():
+    every = list(_subparsers(build_parser()))
+    assert every == ["info", "dual", "uniformize", "tensor", "verify", "paths", "export"]
+    for verb in every:
+        choices = _subparsers(build_parser(verb))
+        # every verb is still a choice, for the usage line
+        assert list(choices) == every
+        assert [name for name, parser in choices.items() if parser] == [verb]
+    for word in ("-h", "badverb", "--", "-x"):
+        assert all(_subparsers(build_parser(word)).values()), word
+
+
+@pytest.mark.parametrize("args", [
+    ["-h"],
+    ["verify", "-h"],
+    ["badverb", "x"],
+    ["info"],
+    ["verify", "x.json", "--approach", "zzz"],
+    ["info", "x.json", "--bogus"],
+    ["-x", "info", "x.json"],
+    [],
+], ids=lambda args: " ".join(args) or "no arguments")
+def test_the_verb_parser_prints_what_the_full_parser_prints(args, monkeypatch, capsys):
+    """``main`` builds only the named verb's subparser; help, usage errors and
+    exit codes read as the full parser's."""
+
+    def run():
+        with pytest.raises(SystemExit) as exc:
+            main(list(args))
+        return exc.value.code, *capsys.readouterr()
+
+    ours = run()
+    monkeypatch.setattr(hbtensor.cli, "build_parser", lambda *verb: build_parser())
+    assert ours == run()
+    assert ours[0] == (0 if "-h" in args else 2)
+
 def test_approach_full_name_and_prefix_agree(demo_file, tmp_path):
     for name in ("straightforward", "silo", "layered"):
         outputs = []

@@ -1,0 +1,130 @@
+"""The scale ladder: every verb on one input at r_H = 10^6 and 10^9, with an
+exit-code contract.
+
+The input is {a^M}, {a, b}: two hb-edges, so every cost beyond a constant
+is a cost in r_H = M.  Each cell runs the command line in a child process
+with a 1 GiB address space, 100 MiB of file size and a wall-time limit, and
+must exit 0-3: a result, a failed check, a parse error or a refusal.  An exit
+3 must name the quantity it refused.  An exit 4 (an internal error such as
+``MemoryError``) breaks the contract.
+
+The cells that exit 4 today are strict xfails, each marked with the ROADMAP
+item that fixes it, so the change that makes such a cell pass must drop its
+mark.  ``verify --from-tensor`` is a cell wherever ``tensor`` writes a file:
+at M = 10^9 no approach does (straightforward and silo exit 4, layered exits
+3), so that rung has no such cell until ROADMAP item 8 lands.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import re
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import hbtensor
+
+M6, M9 = 10**6, 10**9
+APPROACHES = ("str", "sil", "lay")
+# the cells that exit 4 with ``internal error: MemoryError`` today, by the
+# ROADMAP item that fixes each
+EXITS_4 = {
+    (M9, "tensor", "str"): "item 8",
+    (M9, "tensor", "sil"): "item 8",
+    (M9, "uniformize", "sil"): "item 4",
+    (M9, "uniformize", "lay"): "item 4",
+    (M9, "verify", "sil"): "item 14",
+    (M9, "verify", "lay"): "item 14",
+}
+# a refusal names what it refused: a message with its size or its limit
+REFUSAL = re.compile(r"error: [^\n]*\d[^\n]*\n")
+SECONDS = 60
+
+
+def _cells():
+    for m, rung in ((M6, "1e6"), (M9, "1e9")):
+        yield pytest.param(m, "info", None, id=f"{rung}-info")
+        yield pytest.param(m, "paths", None, id=f"{rung}-paths")
+        for verb in ("uniformize", "tensor", "verify"):
+            for approach in APPROACHES:
+                marks = ()
+                if (m, verb, approach) in EXITS_4:
+                    reason = f"exits 4 with MemoryError; ROADMAP {EXITS_4[m, verb, approach]}"
+                    marks = pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)
+                yield pytest.param(m, verb, approach, marks=marks, id=f"{rung}-{verb}-{approach}")
+    # where ``tensor`` writes a file
+    for approach in ("str", "sil"):
+        yield pytest.param(M6, "from-tensor", approach, id=f"1e6-verify-from-tensor-{approach}")
+
+
+def _limits():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+    resource.setrlimit(resource.RLIMIT_FSIZE, (100 * 2**20, 100 * 2**20))
+
+
+class Ladder:
+    """Runs the command line on the ladder's inputs under the limits, once
+    per argument list, so a ``--from-tensor`` cell reuses the ``tensor`` run
+    that wrote its file."""
+
+    def __init__(self, root: Path):
+        self.root = root
+        self.runs = {}
+        for m in (M6, M9):
+            edges = [{"mult": {"a": m}}, {"mult": {"a": 1, "b": 1}}]
+            self.graph(m).write_text(json.dumps({"vertices": ["a", "b"], "edges": edges}))
+
+    def graph(self, m: int) -> Path:
+        return self.root / f"g{m}.json"
+
+    def tensor(self, m: int, approach: str) -> Path:
+        return self.root / f"t{m}{approach}.coo"
+
+    def run(self, *args: str) -> subprocess.CompletedProcess:
+        if args not in self.runs:
+            env = {**os.environ, "PYTHONPATH": str(Path(hbtensor.__file__).parents[1])}
+            # stdout to a file, so that the file-size limit bounds it too
+            stdout = self.root / "stdout"
+            with stdout.open("wb") as out:
+                self.runs[args] = subprocess.run(
+                    [sys.executable, "-m", "hbtensor.cli", *args], stdout=out,
+                    stderr=subprocess.PIPE, text=True, env=env, cwd=self.root,
+                    timeout=SECONDS, preexec_fn=_limits,
+                )
+            stdout.unlink()
+        return self.runs[args]
+
+    def cell(self, m: int, verb: str, approach: str | None) -> subprocess.CompletedProcess:
+        graph = str(self.graph(m))
+        if verb in ("info", "paths"):
+            return self.run(verb, graph)
+        if verb == "from-tensor":
+            assert self.run(*self._tensor_args(m, approach)).returncode == 0
+            return self.run("verify", graph, "--from-tensor", str(self.tensor(m, approach)))
+        if verb == "tensor":
+            return self.run(*self._tensor_args(m, approach))
+        return self.run(verb, graph, "--approach", approach)
+
+    def _tensor_args(self, m: int, approach: str) -> tuple[str, ...]:
+        out = str(self.tensor(m, approach))
+        return "tensor", str(self.graph(m)), "--approach", approach, "--out", out
+
+
+@pytest.fixture(scope="module")
+def ladder(tmp_path_factory) -> Ladder:
+    return Ladder(tmp_path_factory.mktemp("ladder"))
+
+
+@pytest.mark.parametrize("m, verb, approach", _cells())
+def test_scale_ladder_exits_0_to_3(ladder, m, verb, approach):
+    run = ladder.cell(m, verb, approach)
+    assert run.returncode in (0, 1, 2, 3), run.stderr
+    if run.returncode == 3:
+        assert REFUSAL.fullmatch(run.stderr), run.stderr
+    if run.returncode == 0:
+        assert run.stderr == ""

@@ -15,28 +15,24 @@ import hbtensor
 
 # the 62 public names of the package root, by the module that defines each
 HOMES = {
+    "algebra": (
+        "HbPolynomial LARGE MPath STRICT canonical_weighting count_paths decompose dilatation"
+        " edge_distribution elementary_tensor hb_sum hypergraph_tensor interior_choices"
+        " is_direct merge mset_hypermatrix reconstruct_hbgraph two_section uniform_tensor"
+        " validate_path vertex_increase y_complement"
+    ),
     "errors": (
         "DimensionMismatch DomainError EmptyEdge EmptyEdgeFamily EmptyMultiset"
         " HbTensorError IndexOutOfRange InvalidPath NonPositiveC NotAHypergraph"
         " NotNatural NotUniform ParseError RepeatedEdges TraceMismatch"
         " UniverseMismatch UnknownEdge UnknownVertex VertexCollision"
     ),
-    "hbgraph": "HbGraph IncidenceMatrix hb_sum is_direct two_section",
+    "hbgraph": "HbGraph IncidenceMatrix",
     "mset": "Multiset NumberedCopySet",
-    "paths": (
-        "LARGE STRICT MPath connected_components count_paths diameter distance"
-        " interior_choices is_connected validate_path"
-    ),
+    "paths": "connected_components diameter distance is_connected",
     "spectral": "PowerIterationResult SpectralBoundReport estimate_max_eigenvalue spectral_bound",
-    "tensor": (
-        "HbPolynomial SymTensor e_adjacency_tensor edge_distribution elementary_tensor"
-        " hypergraph_tensor mset_hypermatrix reconstruct_edges reconstruct_hbgraph"
-        " uniform_tensor"
-    ),
-    "transform": (
-        "APPROACHES LAYERED SILO STRAIGHTFORWARD UniformisationTrace canonical_weighting"
-        " decompose dilatation merge uniformize vertex_increase y_complement"
-    ),
+    "tensor": "SymTensor e_adjacency_tensor reconstruct_edges",
+    "transform": "APPROACHES LAYERED SILO STRAIGHTFORWARD UniformisationTrace uniformize",
 }
 PUBLIC = sorted(name for names in HOMES.values() for name in names.split())
 
