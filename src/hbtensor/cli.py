@@ -24,8 +24,10 @@ A run that names a verb builds only that verb's subparser.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
+import os
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -278,5 +280,28 @@ def main(argv=None) -> int:
         return 4
 
 
+def run() -> None:
+    """The process entry, for ``python -m hbtensor.cli`` and the ``hbtensor``
+    script: ``main()`` with the cyclic GC off, then a flush of standard output
+    and error and ``os._exit``, which skips the interpreter's teardown.
+
+    A run makes about a hundred cyclic objects, however large its input, so a
+    collection during it finds next to nothing; and the teardown (modules,
+    ``site``'s preloads, the heap) frees memory the process is about to give
+    back whole.  Every file a verb writes is closed before ``main()`` returns,
+    so what is left to save is the two standard streams.  A ``SystemExit`` or
+    other exception out of ``main()``, and a flush that fails (a closed pipe),
+    take the interpreter's usual exit.  ``main()`` itself leaves the GC and
+    the process alone, for callers in the same process."""
+    gc.disable()
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        raise SystemExit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
+import random
 import re
 import resource
 import shlex
@@ -16,6 +18,7 @@ import pytest
 import hbtensor
 from hbtensor.cli import build_parser, main
 from hbtensor.io import dumps, load_trace
+from randgen import random_edge
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_DEMO = Path(__file__).parent / "golden" / "demo"
@@ -788,3 +791,138 @@ def test_export_full_at_large_order(tmp_path):
     header, record = out.read_text(encoding="utf-8").splitlines()
     assert header == "# order=3000 dim=3000 entries=1"
     assert record == " ".join(["1"] * 3000) + " 3000"
+
+
+SRC = str(Path(hbtensor.__file__).parents[1])
+
+# (exit code, argv) of each case the process entry must run as ``main`` does;
+# the files are those ``_parity_inputs`` writes
+PARITY_CASES = {
+    "info": (0, ["info", "demo.json"]),
+    "tensor": (0, ["tensor", "demo.json", "--approach", "sil", "--out", "t.coo"]),
+    "verify": (0, ["verify", "demo.json", "--approach", "lay", "--seed", "7"]),
+    "tampered tensor": (1, ["verify", "demo.json", "--from-tensor", "tampered.coo"]),
+    "unreadable json": (2, ["info", "deep.json"]),
+    "usage error": (2, ["verify", "demo.json", "--approach", "zzz"]),
+    "help": (0, ["-h"]),
+    "not natural": (3, ["tensor", "half.json", "--approach", "sil", "--out", "h.coo"]),
+}
+
+
+def _parity_inputs(root: Path) -> None:
+    (root / "demo.json").write_text(dumps(DEMO_OBJ), encoding="utf-8")
+    (root / "deep.json").write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    half = {"vertices": ["a", "b"], "edges": [{"mult": {"a": "1/2"}}, {"mult": {"b": 1}}]}
+    (root / "half.json").write_text(dumps(half), encoding="utf-8")
+    tampered = root / "tampered.coo"
+    assert main(["tensor", str(root / "demo.json"), "--approach", "sil", "--out", str(tampered)]) == 0
+    lines = tampered.read_text(encoding="utf-8").splitlines()
+    lines[1] = lines[1].rsplit(" ", 1)[0] + " 9/2"
+    tampered.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _files(root: Path) -> dict:
+    return {path.name: path.read_bytes() for path in sorted(root.iterdir())}
+
+
+@pytest.mark.parametrize("stream", ["file", "pipe"])
+@pytest.mark.parametrize("case", PARITY_CASES)
+def test_the_process_entry_runs_as_main(case, stream, tmp_path, monkeypatch, capsys):
+    """``python -m hbtensor.cli`` (``run``: GC off, flush, ``os._exit``) prints,
+    exits and writes what an in-process ``main`` does, to a file or a pipe."""
+    code, argv = PARITY_CASES[case]
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its help to the terminal
+    inner, child = tmp_path / "main", tmp_path / "run"
+    for root in (inner, child):
+        root.mkdir()
+        _parity_inputs(root)
+    capsys.readouterr()
+    monkeypatch.chdir(inner)
+    try:
+        got = main(list(argv))
+    except SystemExit as exc:
+        got = exc.code
+    assert got == code and gc.isenabled()
+    expected = (code, *capsys.readouterr(), _files(inner))
+
+    command = [sys.executable, "-m", "hbtensor.cli", *argv]
+    # buffered streams, as an installed script has them: the flush in ``run`` holds the output
+    env = {**os.environ, "PYTHONPATH": SRC, "PYTHONUNBUFFERED": ""}
+    if stream == "pipe":
+        run = subprocess.run(command, capture_output=True, cwd=child, env=env)
+        out, err = run.stdout, run.stderr
+    else:
+        with open(tmp_path / "out", "wb") as out_file, open(tmp_path / "err", "wb") as err_file:
+            run = subprocess.run(command, stdout=out_file, stderr=err_file, cwd=child, env=env)
+        out, err = (tmp_path / "out").read_bytes(), (tmp_path / "err").read_bytes()
+    assert (run.returncode, out.decode(), err.decode(), _files(child)) == expected
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_the_process_entry_on_a_closed_pipe_exits_as_the_interpreter_does(
+    demo_file, unbuffered
+):
+    """A write or flush to a pipe nobody reads fails: ``main`` reports a write
+    error (exit 2); a flush in ``run`` falls back to the interpreter's exit,
+    which reports the failed flush of standard output (exit 120)."""
+    env = {**os.environ, "PYTHONPATH": SRC, "PYTHONUNBUFFERED": unbuffered}
+    interpreter_exit = "import sys; from hbtensor.cli import main; raise SystemExit(main())"
+    outcomes = []
+    for entry in (["-m", "hbtensor.cli"], ["-c", interpreter_exit]):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            run = subprocess.run(
+                [sys.executable, *entry, "info", demo_file],
+                stdout=write, stderr=subprocess.PIPE, env=env,
+            )
+        finally:
+            os.close(write)
+        outcomes.append((run.returncode, run.stderr))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == (2 if unbuffered else 120)
+
+
+def _disjoint_copies(copies: int, n: int = 40, p: int = 40) -> dict:
+    """A seeded natural hb-graph of ``p`` distinct edges, ``copies`` times over
+    disjoint vertex sets."""
+    rng = random.Random(5)
+    vertices = [f"v{i + 1}" for i in range(n)]
+    edges, seen = [], set()
+    while len(edges) < p:
+        edge = random_edge(rng, vertices, 4)
+        if (key := frozenset(edge.items())) not in seen:
+            seen.add(key)
+            edges.append(edge)
+    return {
+        "vertices": [f"{v}.{k}" for k in range(copies) for v in vertices],
+        "edges": [
+            {"mult": {f"{v}.{k}": m for v, m in edge.items()}}
+            for k in range(copies) for edge in edges
+        ],
+    }
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--approach", "sil"],
+    ["tensor", "--approach", "lay", "--out", "t.coo"],
+], ids=lambda args: " ".join(args[:3]))
+def test_a_run_leaves_no_more_cycles_on_a_larger_input(args, tmp_path, monkeypatch, capsys):
+    """The process entry turns the cyclic GC off: what a run leaves for it
+    (about a hundred objects today) must not grow with the input."""
+    monkeypatch.chdir(tmp_path)
+    was_enabled = gc.isenabled()
+    collected = []
+    try:
+        for copies in (1, 4):
+            path = tmp_path / f"g{copies}.json"
+            path.write_text(dumps(_disjoint_copies(copies)), encoding="utf-8")
+            gc.collect()
+            gc.disable()
+            assert main([args[0], str(path), *args[1:]]) == 0
+            collected.append(gc.collect())
+            capsys.readouterr()
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert collected[1] <= collected[0], collected

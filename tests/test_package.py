@@ -98,6 +98,17 @@ def test_imports_are_standard_library_only():
     assert not outside
 
 
+def test_console_script_takes_the_process_entry():
+    # ``run``, not ``main``: the installed ``hbtensor`` ends as ``python -m hbtensor.cli`` does
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).parent.parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts == {"hbtensor": "hbtensor.cli:run"}
+    from hbtensor.cli import run
+
+    assert callable(run)
+
+
 def test_cli_import_loads_no_code_introspection_modules():
     # what a fresh interpreter loads for the CLI, less what ``site`` preloaded
     probe = (
