@@ -22,7 +22,10 @@ lower estimate of the largest H-eigenvalue, so the bound can be checked
 empirically.  Twins are indices that every entry holds at one multiplicity
 or not at all, such as the null vertices between two levels of a layered
 padding: the iteration keeps one coordinate per class of them, and the trie
-one node per piece of a class, so no key is rewritten.  When its
+one node per piece of a class, so no key is rewritten.  A piece, a range
+that no run boundary splits, joins the class of the piece before it across a
+gap of unused indices when the runs that end before the gap start again after
+it, at the same multiplicities.  When its
 steps shrink by a steady ratio rho, one slow mode is left, and an Aitken-type
 extrapolation step (Kamvar, Haveliwala, Manning and Golub, 2003) jumps to
 that mode's limit.
@@ -32,10 +35,8 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
-from collections import Counter, defaultdict
-from itertools import accumulate, compress, repeat
-from operator import not_, sub
+from collections import defaultdict
+from itertools import islice
 from typing import Iterable, NamedTuple
 
 from .errors import DomainError
@@ -69,9 +70,9 @@ def spectral_bound(t: SymTensor, trace: UniformisationTrace) -> SpectralBoundRep
     """Exact bound max(Delta, Delta*) + r_H from the tensor's row sums; a
     maximum over no rows is 0."""
     n = _check_trace(t, trace)
-    rows = t.row_sums()
-    delta = max(rows[:n], default=0)
-    delta_star = max(rows[n:], default=0)
+    rows = t._row_vector()  # the cached tuple, read in place
+    delta = max(islice(rows, n), default=0)
+    delta_star = max(islice(rows, n, None), default=0)
     bound = max(delta, delta_star) + trace.r_h
     return SpectralBoundReport(trace.approach, trace.r_h, delta, delta_star, bound)
 
@@ -87,45 +88,34 @@ def _twin_classes(keys: Iterable[Runs]) -> tuple[list[int], dict]:
     consecutive boundaries (the first index of a run, and the one after its
     last) the indices either all occur, a piece, or none do, a gap.  Keys
     are maximal, so two pieces that meet differ in some key.  Two that a gap
-    parts are twins when every key that holds the index before the gap
-    resumes after it at the same multiplicity, and no other key starts there.
+    parts are twins when the runs that end just before the gap are the runs
+    that start just after it: the same keys, at the same multiplicities.
 
     Returns each class's size, and ``tensor._trie``'s piece map: {the last
     index of each piece: (its class's number, the piece's size)}.
     """
-    keys = list(keys)
-    starts = Counter(first for runs in keys for first, _, _ in runs)  # index -> run count
-    ends = defaultdict(list)  # index -> the keys that hold the index before it
+    # index -> the (key number, multiplicity) of the runs that start there,
+    # and of those that end just before it, in key order
+    starts, ends = defaultdict(list), defaultdict(list)
     for k, runs in enumerate(keys):
-        for first, _, c in runs:
-            ends[first + c].append(k)
-    points = sorted(starts.keys() | ends.keys())
-    # depth: the runs over the range from each point to the next
-    depth = list(accumulate(map(sub, map(starts.__getitem__, points),
-                                map(len, map(ends.get, points, repeat(()))))))
-    firsts = compress(points, depth)  # the pieces: [first, stop)
-    stops = compress(points[1:], depth)
-    # the gap at points[k], the g-th, comes before piece k - g
-    gaps = compress(range(len(points) - 1), map(not_, depth))
-    joins = set()  # the pieces that are twins of the piece before their gap
-    for g, k in enumerate(gaps):
-        before, after = ends[points[k]], points[k + 1]
-        if starts[after] == len(before) and all(_resumes(keys[e], after) for e in before):
-            joins.add(k - g)
+        for first, m, c in runs:
+            run = k, m  # one tuple for both lists halves the allocations that wake the GC
+            starts[first].append(run)
+            ends[first + c].append(run)
     sizes, at = [], {}
-    for j, (first, stop) in enumerate(zip(firsts, stops)):
-        if j not in joins:
+    depth, join = 0, False  # the runs over [first, stop); whether a gap joins the next piece
+    points = sorted(starts.keys() | ends.keys())
+    for first, stop in zip(points, points[1:]):
+        depth += len(starts[first]) - len(ends[first])
+        if not depth:  # a gap
+            join = ends[first] == starts[stop]
+            continue
+        if not join:
             sizes.append(0)
         sizes[-1] += stop - first
         at[stop - 1] = len(sizes) - 1, stop - first
+        join = False
     return sizes, at
-
-
-def _resumes(runs: Runs, i: int) -> bool:
-    """Whether a run of ``runs`` starts at index i, at the multiplicity of
-    the run before it."""
-    j = bisect_left(runs, (i,))
-    return j < len(runs) and runs[j][0] == i and runs[j][1] == runs[j - 1][1]
 
 
 def estimate_max_eigenvalue(

@@ -548,6 +548,29 @@ def test_verify_from_tensor_checks_the_padding(tmp_path, capsys):
     assert report["passed"] is False
 
 
+def test_verify_from_tensor_checks_the_values(tmp_path, capsys):
+    """Values moved between the entries of a 4-cycle keep every row sum, the
+    total and the levels, and every key: only the shares tell."""
+    path = tmp_path / "cycle.json"
+    edges = [{"a": 1, "b": 1}, {"c": 1, "d": 1}, {"a": 1, "c": 1}, {"b": 1, "d": 1}]
+    path.write_text(dumps({"vertices": list("abcd"), "edges": [{"mult": e} for e in edges]}))
+    out = tmp_path / "t.coo"
+    assert main(["tensor", str(path), "--approach", "str", "--out", str(out)]) == 0
+    moved = {"1 2 1": "1 2 3/2", "3 4 1": "3 4 3/2", "1 3 1": "1 3 1/2", "2 4 1": "2 4 1/2"}
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert moved.keys() <= set(lines)
+    out.write_text("\n".join(moved.get(ln, ln) for ln in lines) + "\n")
+    assert main(["verify", str(path), "--from-tensor", str(out)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["checks"] == {
+        "degree_retrieval": True,
+        "total_sum": True,
+        "edge_distribution": True,
+        "reconstruction": False,
+    }
+    assert report["passed"] is False
+
+
 def test_verify_from_tensor_of_another_dimension_exits_3(tmp_path, capsys):
     """A tensor whose dimension, less the trace's null vertices, is not the
     graph's vertex count is refused before any work sized by the dimension."""

@@ -363,46 +363,99 @@ def test_an_isolated_vertex_between_twins_does_not_part_them():
             assert estimate_max_eigenvalue(t_parted, seed=seed) == expected
 
 
-@settings(max_examples=60, deadline=None)
-@given(weighted_hbgraphs(), st.integers(0, 99))
-def test_twin_classes_and_their_iteration_hypothesis(h, seed):
+def check_twin_classes(t: SymTensor, seed: int) -> tuple[list[list[int]], list]:
     """The classes are the dense columns' runs, the piece trie contracts to
     each class's summed rows exactly, and the estimate is the reference
-    iteration's."""
+    iteration's.  Returns the classes and the trie's nodes."""
     rng = random.Random(seed)
-    levels = {e.m_cardinality() for e in h.edges}
-    supports = sum(len(e.support()) for e in h.edges)
-    for approach in APPROACHES:
-        t, trace = e_adjacency_tensor(h, approach)
-        support = sorted({i for key, _ in t.canonical_items() for i in key})
-        classes = dense_twin_classes(t, support)
-        sizes, at = _twin_classes(t._entries)
-        members = [[] for _ in sizes]
-        for last, (j, s) in sorted(at.items()):
-            members[j] += range(last - s + 1, last + 1)
-        assert members == classes and sizes == list(map(len, classes))
-        if approach == "layered":
-            nulls = sum(c[0] > h.n for c in classes)
-            assert nulls <= sum(c < trace.r_h for c in levels)
-        # at one positive value per class, node j's rows are its members' rows
-        xs = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in sizes]
-        x = [Fraction(0)] * t.dim
-        for xj, c in zip(xs, classes):
-            for i in c:
-                x[i - 1] = xj
-        rows = t.apply(x)
-        nodes, inner, shares = _trie(t._entries.items(), at)
-        y = _contract(nodes, inner, shares, xs, [Fraction(0)] * len(sizes))
-        assert y == [sum(rows[i - 1] for i in c) for c in classes]
-        # a layered tensor's null chain has at most one node per level below r_H
-        nulls = sum(c < trace.r_h for c in levels) if approach == "layered" else trace.r_h
-        assert len(nodes) <= supports + nulls
-        if t.order < 2:
-            continue
+    support = sorted({i for key, _ in t.canonical_items() for i in key})
+    classes = dense_twin_classes(t, support)
+    sizes, at = _twin_classes(t._entries)
+    members = [[] for _ in sizes]
+    for last, (j, s) in sorted(at.items()):
+        members[j] += range(last - s + 1, last + 1)
+    assert members == classes and sizes == list(map(len, classes))
+    # at one positive value per class, node j's rows are its members' rows
+    xs = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in sizes]
+    x = [Fraction(0)] * t.dim
+    for xj, c in zip(xs, classes):
+        for i in c:
+            x[i - 1] = xj
+    rows = t.apply(x)
+    nodes, inner, shares = _trie(t._entries.items(), at)
+    y = _contract(nodes, inner, shares, xs, [Fraction(0)] * len(sizes))
+    assert y == [sum(rows[i - 1] for i in c) for c in classes]
+    if t.order >= 2:
         result = estimate_max_eigenvalue(t, iterations=1_000, seed=seed)
         value, converged, _ = reference_estimate(t, 1_000, seed=seed)
         if result.converged and converged:
             assert math.isclose(result.value, value, rel_tol=1e-9)
+    return classes, nodes
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_hbgraphs(), st.integers(0, 99))
+def test_twin_classes_and_their_iteration_hypothesis(h, seed):
+    levels = {e.m_cardinality() for e in h.edges}
+    supports = sum(len(e.support()) for e in h.edges)
+    for approach in APPROACHES:
+        t, trace = e_adjacency_tensor(h, approach)
+        classes, nodes = check_twin_classes(t, seed)
+        if approach == "layered":
+            nulls = sum(c[0] > h.n for c in classes)
+            assert nulls <= sum(c < trace.r_h for c in levels)
+        # a layered tensor's null chain has at most one node per level below r_H
+        nulls = sum(c < trace.r_h for c in levels) if approach == "layered" else trace.r_h
+        assert len(nodes) <= supports + nulls
+
+
+@st.composite
+def general_tensors(draw):
+    """A ``SymTensor`` of up to 5 positive entries of order 1-6, as a COO file
+    can hold them: each key is ranges of 1-4 consecutive indices at one
+    multiplicity, each after 0-4 unused indices, so that a key may leave a
+    gap of several indices and resume after it at another multiplicity."""
+    r = draw(st.integers(1, 6))
+    keys = []
+    for _ in range(draw(st.integers(1, 5))):
+        key, i = [], 0
+        while len(key) < r:
+            i += draw(st.integers(0, 4)) + 1
+            m = draw(st.integers(1, r - len(key)))
+            for _ in range(draw(st.integers(1, min(4, (r - len(key)) // m)))):
+                key += [i] * m
+                i += 1
+            i -= 1
+        keys.append(tuple(key))
+    value = st.fractions(min_value=Fraction(1, 4), max_value=9, max_denominator=4)
+    entries = {key: draw(value) for key in keys}
+    dim = max(map(max, keys)) + draw(st.integers(0, 2))
+    return SymTensor(r, dim, entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(general_tensors(), st.integers(0, 99))
+def test_twin_classes_of_general_tensors_hypothesis(t, seed):
+    check_twin_classes(t, seed)
+
+
+@pytest.mark.parametrize(
+    "entries, classes",
+    [
+        # both keys hold 1 and 3, across the gap at 2, at one multiplicity: twins
+        ({(1, 1, 3, 3): 1, (1, 3, 4, 4): 2}, [[1, 3], [4]]),
+        # the first key resumes at 3 at another multiplicity: no longer twins
+        ({(1, 1, 3, 3, 3, 3): 1, (1, 3, 4, 4, 4, 4): 2}, [[1], [3], [4]]),
+        # a key that starts after the gap and ends nowhere before it
+        ({(1, 1, 3, 3): 1, (3, 3, 4, 4): 1}, [[1], [3], [4]]),
+        # a gap of several indices, bridged by every key at one multiplicity
+        ({(1, 1, 6, 6): 1, (1, 6, 7, 7): 1}, [[1, 6], [7]]),
+    ],
+)
+def test_a_gap_joins_the_pieces_whose_runs_resume_at_one_multiplicity(entries, classes):
+    order = len(next(iter(entries)))
+    t = SymTensor(order, 8, entries)
+    assert check_twin_classes(t, 0)[0] == classes
 
 
 def highmult_shaped(rng: random.Random) -> HbGraph:
