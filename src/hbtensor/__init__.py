@@ -20,7 +20,7 @@ _HOME = {
          " HbTensorError IndexOutOfRange InvalidPath NonPositiveC NotAHypergraph"
          " NotNatural NotUniform ParseError RepeatedEdges TraceMismatch"
          " UniverseMismatch UnknownEdge UnknownVertex VertexCollision"),
-        ("hbgraph", "HbGraph IncidenceMatrix"),
+        ("hbgraph", "HbGraph"),
         ("mset", "Multiset NumberedCopySet"),
         ("paths", "connected_components diameter distance is_connected"),
         ("spectral", "PowerIterationResult SpectralBoundReport estimate_max_eigenvalue"

@@ -51,7 +51,7 @@ from .mset import Multiset, Rational, Universe, as_rational
 from .tensor import (
     Runs,
     SymTensor,
-    _indexed,
+    _edge_keys,
     _level_weights,
     _multinomial,
     _shown,
@@ -294,10 +294,13 @@ def mset_hypermatrix(a: Multiset, normalized: bool) -> SymTensor:
     (prod of multiplicity factorials) / (r-1)! on the same tuples (share 1),
     which makes the logical total equal the m-cardinality r.
     """
-    runs = _indexed(a)
-    if not runs:
+    if not a.natural:
+        x = next(x for x, v in a.mult.items() if not isinstance(v, int))
+        raise NotNatural(f"non-integer multiplicity for {x!r}")
+    if a.is_empty():
         raise EmptyMultiset("hypermatrix representation of an empty multiset")
     r = a.m_cardinality()
+    (runs,) = _edge_keys(HbGraph(a.universe, [a]), SILO, r)  # at c = r, no padding
     share = 1 if normalized else as_rational(Fraction(_multinomial(runs), r))
     return SymTensor._from_shares(r, len(a.universe), [(runs, share)])
 
@@ -325,7 +328,8 @@ def uniform_tensor(h: HbGraph) -> SymTensor:
         raise NotUniform("hb-edges have differing m-cardinalities")
     if k == 0:
         raise EmptyEdge("uniform tensor forbids empty hb-edges")
-    return SymTensor._from_shares(k, h.n, [(_indexed(e), 1) for e in h.edges])
+    # every hb-edge is at m-cardinality k, so no key is padded
+    return SymTensor._from_shares(k, h.n, [(key, 1) for key in _edge_keys(h, SILO, k)])
 
 
 def hypergraph_tensor(hg: HbGraph) -> tuple[SymTensor, UniformisationTrace]:

@@ -135,24 +135,22 @@ def cmd_verify(args) -> int:
     else:
         tensor, trace = e_adjacency_tensor(h, args.approach)
 
-    # the weighted identities of tensor.py's docstring; w = 1 when unweighted
-    degrees, by_level = [0] * h.n, Counter()
-    for i, e in enumerate(h.edges):
-        for v, m in e.mult.items():
-            degrees[h.vertex_index(v)] += h.weight(i) * m
-        by_level[e.m_cardinality()] += h.weight(i)
+    # the weighted identities of tensor.py's docstring, read off the hb-stars;
+    # w = 1 when unweighted
+    weights = h.weights or [1] * h.p
+    degrees = [sum(weights[j] * m for j, m in star) for star in h._stars]
+    by_level = Counter()
+    for e, w in zip(h.edges, weights):
+        by_level[e.m_cardinality()] += w
     checks: dict[str, bool] = {}
     # the cached row vector, read in place: map stops at the n original rows
     checks["degree_retrieval"] = all(map(eq, tensor._row_vector(), degrees))
-    checks["total_sum"] = tensor.total_sum() == trace.r_h * sum(by_level.values())
+    checks["total_sum"] = tensor.total_sum() == trace.r_h * sum(weights)
     checks["edge_distribution"] = _level_weights(tensor, trace) == by_level
-    try:
-        # each entry's whole key, padding included, and its share, the weight
-        keys = _edge_keys(h, trace.approach, trace.r_h)
-        expected = Counter(zip(keys, map(h.weight, range(h.p))))
-        checks["reconstruction"] = Counter(tensor._entries.items()) == expected
-    except DomainError:
-        checks["reconstruction"] = False
+    # each entry's whole key, padding included, and its share, the weight; a
+    # non-integer multiplicity stays in its key, which then matches no entry
+    keys = _edge_keys(h, trace.approach, trace.r_h)
+    checks["reconstruction"] = Counter(tensor._entries.items()) == Counter(zip(keys, weights))
 
     estimate = (
         estimate_max_eigenvalue(tensor, seed=args.seed) if tensor.order >= 2 else None

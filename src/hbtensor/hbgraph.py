@@ -10,6 +10,10 @@ The vertex list is the graph's only vertex -> position table: it is a
 makes one pass over the edge supports to build each vertex's hb-star, its
 (edge index, multiplicity) pairs, so m-degree, degree and maximal
 multiplicity cost O(degree) per vertex and the order O(n + sum of degrees).
+The hb-stars are the graph's one incidence structure, the rows of its
+incidence matrix [m_{e_j}(v_i)] without their zeros: the tensor keys, the
+weighted degrees ``verify`` checks, the incidence CSV and
+``incidence_matrix`` all read them.
 
 A hypergraph is an hb-graph whose multiplicities are in {0, 1}, so the
 derived hypergraphs (the support hypergraph, the numbered-copy hypergraph)
@@ -21,7 +25,7 @@ The operations derived from hb-graphs that no command-line verb runs, the
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DomainError,
@@ -32,29 +36,6 @@ from .errors import (
     UnknownVertex,
 )
 from .mset import Multiset, Rational, Universe, as_rational
-
-
-class IncidenceMatrix(NamedTuple):
-    """n x p matrix of multiplicities m_{e_j}(v_i); vertex rows, edge columns."""
-
-    vertices: tuple[str, ...]
-    entries: tuple[tuple[Rational, ...], ...]
-    p: int  # the column count, which a matrix with no rows cannot show
-
-    @property
-    def n(self) -> int:
-        return len(self.vertices)
-
-    def row_sums(self) -> list[Rational]:
-        """Vertex m-degrees."""
-        return [sum(row) for row in self.entries]
-
-    def col_sums(self) -> list[Rational]:
-        """Edge m-cardinalities."""
-        return [sum(col) for col in self.transpose()]
-
-    def transpose(self) -> tuple[tuple[Rational, ...], ...]:
-        return tuple(zip(*self.entries)) if self.entries else ((),) * self.p
 
 
 class HbGraph:
@@ -219,14 +200,15 @@ class HbGraph:
 
     # -- derived objects ----------------------------------------------------
 
-    def incidence_matrix(self) -> IncidenceMatrix:
+    def incidence_matrix(self) -> tuple[tuple[Rational, ...], ...]:
+        """The n rows [m_{e_j}(v_i)]_j of the incidence matrix, from the hb-stars."""
         rows = []
         for star in self._stars:
-            row = [0] * len(self._edges)
+            row = [0] * self.p
             for j, m in star:
                 row[j] = m
             rows.append(tuple(row))
-        return IncidenceMatrix(self._vertices, tuple(rows), len(self._edges))
+        return tuple(rows)
 
     def support_hypergraph(self) -> "HbGraph":
         """Unweighted hypergraph of the hb-edges' supports, each vertex once."""

@@ -88,12 +88,23 @@ def _integer(obj, where: str) -> int:
     return value
 
 
+def _unique(pairs: list) -> dict:
+    """A JSON object's (name, value) pairs as a dict, refusing a repeated
+    name, which ``json`` alone would read last-wins."""
+    obj = {}
+    for name, value in pairs:
+        if name in obj:
+            raise ValueError(f"repeated name {name[:_EXCERPT]!r}")
+        obj[name] = value
+    return obj
+
+
 def _loads(text: str, source: str) -> Any:
     try:
-        return json.loads(text, parse_float=Fraction)
+        return json.loads(text, parse_float=Fraction, object_pairs_hook=_unique)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{source}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    except (RecursionError, ValueError) as exc:  # deep nesting, over-long int literal
+    except (RecursionError, ValueError) as exc:  # deep nesting, over-long int, repeated name
         raise ParseError(f"{source}: {exc}") from exc
 
 

@@ -40,7 +40,7 @@ from itertools import islice
 from typing import Iterable, NamedTuple
 
 from .errors import DomainError
-from .mset import Rational
+from .mset import Rational, as_rational
 from .tensor import Runs, SymTensor, _check_trace, _contract, _trie
 from .transform import UniformisationTrace
 
@@ -70,9 +70,9 @@ def spectral_bound(t: SymTensor, trace: UniformisationTrace) -> SpectralBoundRep
     """Exact bound max(Delta, Delta*) + r_H from the tensor's row sums; a
     maximum over no rows is 0."""
     n = _check_trace(t, trace)
-    rows = t._row_vector()  # the cached tuple, read in place
-    delta = max(islice(rows, n), default=0)
-    delta_star = max(islice(rows, n, None), default=0)
+    rows = t._row_vector()  # the cached raw tuple, read in place
+    delta = as_rational(max(islice(rows, n), default=0))
+    delta_star = as_rational(max(islice(rows, n, None), default=0))
     bound = max(delta, delta_star) + trace.r_h
     return SpectralBoundReport(trace.approach, trace.r_h, delta, delta_star, bound)
 

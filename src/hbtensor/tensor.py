@@ -19,7 +19,8 @@ the total.  The value a is computed only where it leaves the tensor: in
 ``get``, ``canonical_items`` and ``full_items``.  Every exact number the
 tensor returns (values, row sums, the total, the polynomial's coefficients
 and values) follows ``mset.as_rational``: an int when integral, a
-``Fraction`` otherwise.  Before a writer builds a value,
+``Fraction`` otherwise; the cached row sums are kept raw and normalised as
+they are handed out.  Before a writer builds a value,
 ``_denominators_too_long`` bounds its denominator's digits from log-gammas
 alone.  Row sums, levels, multinomials and reconstruction read a run whole,
 so they cost O(runs) per entry, not O(indices).
@@ -40,8 +41,9 @@ straightforward and silo entries of level c share one padding node, and
 layered entries share one chain of null indices.
 
 The e-adjacency tensor of an hb-graph contributes one canonical entry per
-hb-edge.  Its key is the edge's runs, read in order from its support (kept in
-universe order), followed by the closed-form null-vertex padding run of
+hb-edge.  Its key is the edge's column of the incidence matrix as runs over
+the 1-based vertex positions, read off the graph's hb-stars in vertex order,
+followed by the closed-form null-vertex padding run of
 ``transform.padding``, whose indices lie above every vertex: a concatenation,
 merged only where the padding continues the edge's last run, with no sort
 and no uniform hb-graph built.  So a key holds at most |supp e| + 1 runs
@@ -72,15 +74,9 @@ from fractions import Fraction
 from itertools import accumulate, chain
 from typing import Iterable, Mapping, Sequence
 
-from .errors import (
-    DimensionMismatch,
-    DomainError,
-    IndexOutOfRange,
-    NotNatural,
-    TraceMismatch,
-)
+from .errors import DimensionMismatch, DomainError, IndexOutOfRange, TraceMismatch
 from .hbgraph import HbGraph
-from .mset import Multiset, Rational, as_rational
+from .mset import Rational, as_rational
 from .transform import APPROACHES, UniformisationTrace, _uniformisation_trace, padding
 
 # a key: canonical runs (first index, multiplicity, count) (module docstring)
@@ -136,11 +132,6 @@ def _denominators_too_long(t: "SymTensor", digits: int) -> bool:
         _log10_multinomial(runs, r) - math.log10(abs((r * share).numerator)) > digits
         for runs, share in t._entries.items()
     )
-
-
-def _share(runs: Runs, value: Fraction, r: int) -> Rational:
-    """The stored share of an entry of value ``value`` (module docstring)."""
-    return as_rational(value * _multinomial(runs) / r)
 
 
 def _value(runs: Runs, share: Rational, r: int) -> Rational:
@@ -291,8 +282,8 @@ class SymTensor:
                 raise DomainError(f"index tuple {key} is not sorted")
             value = Fraction(raw)
             if value != 0:
-                runs = _runs(key)
-                shares.append((runs, _share(runs, value, order)))
+                runs = _runs(key)  # stored as its share (module docstring)
+                shares.append((runs, as_rational(value * _multinomial(runs) / order)))
         self._build(order, dim, shares)
 
     @classmethod
@@ -364,22 +355,24 @@ class SymTensor:
         """Sum of all logical entries whose first index is ``i``."""
         if not 1 <= i <= self._dim:
             raise IndexOutOfRange(f"index {i} outside 1..{self._dim}")
-        return self._row_vector()[i - 1]
+        return as_rational(self._row_vector()[i - 1])
 
     def row_sums(self) -> list[Rational]:
         """All row sums; item i-1 is row_sum(i)."""
-        return list(self._row_vector())
+        return list(map(as_rational, self._row_vector()))
 
     def _row_vector(self) -> tuple[Rational, ...]:
-        """The row sums, made on first use in one pass over the runs, into a
-        difference array that a run of c indices changes at both ends."""
+        """The raw row sums, exact but an integral one possibly a ``Fraction``,
+        made on first use in one pass over the runs, into a difference array
+        that a run of c indices changes at both ends.  Each reader normalises
+        the rows it hands out."""
         if self._rows is None:
             steps = [0] * (self._dim + 2)  # steps[i]: row i less row i - 1
             for runs, share in self._entries.items():
                 for i, m, c in runs:
                     steps[i] += share * m
                     steps[i + c] -= share * m
-            object.__setattr__(self, "_rows", tuple(map(as_rational, accumulate(steps[1:-1]))))
+            object.__setattr__(self, "_rows", tuple(accumulate(steps[1:-1])))
         return self._rows
 
     def apply(self, x: Sequence) -> list:
@@ -427,21 +420,17 @@ class SymTensor:
 # -- constructions ----------------------------------------------------------
 
 
-def _indexed(a: Multiset) -> Runs:
-    """Canonical run key of a natural multiset over its 1-based universe
-    positions, ascending as its support is kept in universe order."""
-    mult = a.mult
-    if not a.natural:
-        x = next(x for x, v in mult.items() if not isinstance(v, int))
-        raise NotNatural(f"non-integer multiplicity for {x!r}")
-    position = a.universe.position
-    return _merged([(position[x] + 1, v, 1) for x, v in mult.items()])
-
-
 def _edge_keys(h: HbGraph, approach: str, r_h: int) -> list[Runs]:
-    """Each hb-edge's canonical e-adjacency key, in edge order: its runs, then
-    its padding run, which joins the last of them where it continues it."""
-    return [_merged(_indexed(e) + padding(approach, h.n, r_h, e.m_cardinality())) for e in h.edges]
+    """Each hb-edge's canonical e-adjacency key, in edge order: its runs over
+    the 1-based vertex positions, read off the hb-stars in vertex order, then
+    its padding run, which joins the last of them where it continues it.  A
+    multiplicity that is not an integer stays in the key as it is."""
+    keys, cards = [[] for _ in h.edges], [0] * h.p
+    for i, star in enumerate(h._stars, 1):
+        for j, m in star:
+            keys[j].append((i, m, 1))
+            cards[j] += m
+    return [_merged(chain(key, padding(approach, h.n, r_h, c))) for key, c in zip(keys, cards)]
 
 
 def e_adjacency_tensor(

@@ -136,6 +136,38 @@ def test_off_rule_literals_exit_2(demo_file, tmp_path, capsys):
         assert error in capsys.readouterr().err
 
 
+LONG_NAME = "x" * 100
+
+
+@pytest.mark.parametrize(
+    "text, name",
+    [
+        ('{"vertices": ["a", "b"], "edges": [{"mult": {"a": 1, "a": 5, "b": 1}}]}', "a"),
+        ('{"vertices": ["a", "b"], "edges": [{"mult": {"a": 1}}], "edges": []}', "edges"),
+        ('{"vertices": [], "edges": [], "%s": 1, "%s": 2}' % (LONG_NAME, LONG_NAME), "x" * 40),
+    ],
+    ids=["mult", "edges", "long"],
+)
+def test_repeated_json_name_in_a_graph_exits_2(tmp_path, capsys, text, name):
+    """An object that repeats a name is refused, where ``json`` alone would
+    keep the last value and exit 0; the message names the name, cut as a bad
+    literal is."""
+    graph = tmp_path / "g.json"
+    graph.write_text(text, encoding="utf-8")
+    assert main(["info", str(graph)]) == 2
+    assert capsys.readouterr() == ("", f"error: {graph}: repeated name {name!r}\n")
+
+
+def test_repeated_json_name_in_a_trace_exits_2(demo_file, tmp_path, capsys):
+    out = tmp_path / "t.coo"
+    assert main(["tensor", demo_file, "--approach", "sil", "--out", str(out)]) == 0
+    trace = tmp_path / "t.coo.trace.json"
+    r_h = json.loads(trace.read_text(encoding="utf-8"))["r_h"]
+    trace.write_text('{"approach": "silo", "approach": "silo", "r_h": %d}' % r_h)
+    assert main(["verify", demo_file, "--from-tensor", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {trace}: repeated name 'approach'\n")
+
+
 def test_derived_number_too_long_to_print_exits_3(tmp_path, capsys):
     path = tmp_path / "g.json"
     edges = [{"mult": {"a": int("9" * 4300)}}, {"mult": {"b": 1}}]
@@ -486,8 +518,9 @@ def graph_file(tmp_path, name: str, *edges: dict) -> str:
 
 
 def test_verify_from_tensor_on_a_non_natural_graph(tmp_path, capsys):
-    """The reconstruction check reads the graph's keys inside its own ``try``:
-    a non-natural graph fails it, and ``verify`` exits 1, not 3."""
+    """The reconstruction check reads the graph's keys off its hb-stars, where
+    a non-integer multiplicity stays as it is: no tensor entry matches such a
+    key, so a non-natural graph fails the check, and ``verify`` exits 1, not 3."""
     natural = graph_file(tmp_path, "natural.json", {"a": 1}, {"b": 1})
     out = tmp_path / "t.coo"
     assert main(["tensor", natural, "--approach", "sil", "--out", str(out)]) == 0

@@ -225,10 +225,9 @@ def test_incidence_csv(demo):
     rng = random.Random(5)
     for _ in range(20):
         h = random_hbgraph(rng, n_max=9, p_max=7)
-        matrix = h.incidence_matrix()
         rows = [
             ",".join([v, *map(format_rational, row)])
-            for v, row in zip(matrix.vertices, matrix.entries)
+            for v, row in zip(h.vertices, h.incidence_matrix())
         ]
         assert incidence_csv(h).splitlines()[1:] == rows
 

@@ -1060,6 +1060,64 @@ def test_e_adjacency_keys_match_dict_merge_sort_hypothesis(h, weighted):
         assert (pairs(runs), share) == (key, 1) and is_canonical(runs)
 
 
+def multiset_key(h: HbGraph, e: Multiset, approach: str, r_h: int) -> tuple:
+    """Reference: an hb-edge's key read from its multiset by vertex name, one
+    run (position, multiplicity, 1) per support element and then its padding,
+    a run that continues the one before it at its multiplicity joined to it.
+    A non-integer multiplicity stays in the key as it is."""
+    own = [(h.vertex_index(x) + 1, m, 1) for x, m in e.mult.items()]
+    key = []
+    for first, m, c in own + list(padding(approach, h.n, r_h, e.m_cardinality())):
+        if key and (key[-1][0] + key[-1][2], key[-1][1]) == (first, m):
+            first, _, before = key.pop()
+            c += before
+        key.append((first, m, c))
+    return tuple(key)
+
+
+@st.composite
+def spread_hbgraphs(draw, natural: bool = True):
+    """Up to 5 distinct hb-edges over up to 8 vertices, their supports drawn
+    from some of them, so that isolated vertices fall between the supports,
+    and each mult dict written in a drawn order, not the universe order.
+    Unless ``natural``, a multiplicity may be a non-integer ``Fraction``."""
+    vertices = [f"v{i}" for i in range(1, draw(st.integers(1, 8)) + 1)]
+    used = draw(st.lists(st.sampled_from(vertices), min_size=1, unique=True))
+    mult = st.integers(1, 13)
+    if not natural:
+        mult |= st.fractions(min_value=Fraction(1, 4), max_value=9, max_denominator=4)
+    edge = st.dictionaries(st.sampled_from(used), mult, min_size=1, max_size=3)
+    edges = draw(st.lists(edge, min_size=1, max_size=5, unique_by=lambda e: tuple(sorted(e.items()))))
+    return HbGraph.from_dicts(vertices, [dict(draw(st.permutations(list(e.items())))) for e in edges])
+
+
+# supports {v5, v1} and {v6, v3} written backwards, v2 and v4 isolated between them
+SPREAD = HbGraph.from_dicts(
+    [f"v{i}" for i in range(1, 7)], [{"v5": 2, "v1": 1}, {"v6": 1, "v3": 3}]
+)
+HALVED = HbGraph.from_dicts(("a", "b", "c"), [{"c": Fraction(1, 2), "a": 2}, {"b": 1}])
+
+
+@settings(max_examples=80, deadline=None)
+@given(spread_hbgraphs(), spread_hbgraphs(natural=False))
+@example(SPREAD, HALVED)
+def test_edge_keys_read_off_the_stars_hypothesis(h, fractional):
+    """The keys read off the hb-stars in vertex order against the keys read
+    from each multiset by vertex name: for any written order of the mult
+    dicts and any isolated vertices, and, without raising, on a graph whose
+    Fraction multiplicities stay in its keys."""
+    r_h = h.m_range()
+    for approach in APPROACHES:
+        keys = _edge_keys(h, approach, r_h)
+        assert keys == [multiset_key(h, e, approach, r_h) for e in h.edges]
+        assert keys == [pair_runs(two_run_key(h, e, approach, r_h)) for e in h.edges]
+        assert keys == list(e_adjacency_tensor(h, approach)[0]._entries)
+    r_h = math.ceil(fractional.m_range())
+    for approach in APPROACHES:
+        keys = _edge_keys(fractional, approach, r_h)
+        assert keys == [multiset_key(fractional, e, approach, r_h) for e in fractional.edges]
+
+
 def test_merge_cases_join_their_runs():
     """The keys of ``MERGE_CASES``, in edge order, per approach."""
     keys = {
@@ -1073,6 +1131,24 @@ def test_merge_cases_join_their_runs():
     # the dense view sorts: {b} pads to (2, 3, 4), after (1, 1, 1) of {a^3}
     t, _ = e_adjacency_tensor(MERGE_CASES[0], LAYERED)
     assert t.canonical_items() == [((1, 1, 1), 3), ((2, 3, 4), Fraction(1, 2))]
+
+
+def test_integral_rows_leave_the_tensor_as_ints():
+    """Rows are summed from the shares and kept raw, and normalised where they
+    leave the tensor: rows summed from Fraction shares that come out integral
+    are ints in ``row_sum``, ``row_sums`` and ``spectral_bound``."""
+    half = Fraction(1, 2)
+    h = HbGraph.from_dicts(("a", "b"), [{"a": 2}, {"b": 2}, {"a": 2, "b": 2}], [half] * 3)
+    for approach in APPROACHES:
+        t, trace = e_adjacency_tensor(h, approach)
+        rows = [t.row_sum(i) for i in range(1, t.dim + 1)]
+        assert t.row_sums() == rows and {type(x) for x in rows} == {int}
+        assert rows[:2] == [2, 2] and sum(rows) == t.total_sum() == 6
+        report = spectral_bound(t, trace)
+        assert [report.delta, report.delta_star, report.bound] == (
+            [2, 2, 6] if approach != LAYERED else [2, 1, 6]
+        )
+        assert {type(x) for x in (report.delta, report.delta_star, report.bound)} == {int}
 
 
 def test_layered_build_and_reconstruction_at_large_r_h_stay_small():
