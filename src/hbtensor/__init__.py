@@ -12,16 +12,16 @@ __version__ = "0.1.0"
 _HOME = {
     name: module
     for module, names in (
-        ("algebra", "HbPolynomial LARGE MPath STRICT canonical_weighting count_paths decompose"
-         " dilatation edge_distribution elementary_tensor hb_sum hypergraph_tensor"
-         " interior_choices is_direct merge mset_hypermatrix reconstruct_hbgraph two_section"
-         " uniform_tensor validate_path vertex_increase y_complement"),
+        ("algebra", "HbPolynomial LARGE MPath Multiset NumberedCopySet STRICT"
+         " canonical_weighting count_paths decompose dilatation edge_distribution"
+         " elementary_tensor hb_sum hypergraph_tensor interior_choices is_direct merge"
+         " mset_hypermatrix reconstruct_hbgraph two_section uniform_tensor validate_path"
+         " vertex_increase y_complement"),
         ("errors", "DimensionMismatch DomainError EmptyEdge EmptyEdgeFamily EmptyMultiset"
          " HbTensorError IndexOutOfRange InvalidPath NonPositiveC NotAHypergraph"
          " NotNatural NotUniform ParseError RepeatedEdges TraceMismatch"
          " UniverseMismatch UnknownEdge UnknownVertex VertexCollision"),
         ("hbgraph", "HbGraph"),
-        ("mset", "Multiset NumberedCopySet"),
         ("paths", "connected_components diameter distance is_connected"),
         ("spectral", "PowerIterationResult SpectralBoundReport estimate_max_eigenvalue"
          " spectral_bound"),

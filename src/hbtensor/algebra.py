@@ -6,6 +6,9 @@ composition of elementary operations that uniformises an hb-graph,
 breadth-first search over the hb-stars in place of m-paths.  This module
 keeps the paper's own definitions beside them:
 
+* ``Multiset``, an immutable multiset over an ordered ``Universe``, with
+  its pointwise algebra; ``HbGraph.edges`` views an hb-graph's edges as
+  ``Multiset``s, whose checks are the graph's own (``hbgraph._checked``);
 * the hb-graph operations ``two_section``, ``hb_sum`` and ``is_direct``;
 * the elementary operations whose composition the closed-form padding
   reproduces: ``canonical_weighting``, ``dilatation``, ``y_complement``,
@@ -44,10 +47,10 @@ from .errors import (
     NotUniform,
     RepeatedEdges,
     TraceMismatch,
+    UniverseMismatch,
     VertexCollision,
 )
-from .hbgraph import HbGraph
-from .mset import Multiset, Rational, Universe, as_rational
+from .hbgraph import HbGraph, Rational, Universe, _checked, as_rational
 from .tensor import (
     Runs,
     SymTensor,
@@ -61,6 +64,165 @@ from .tensor import (
 from .transform import SILO, UniformisationTrace
 
 
+# -- multisets ---------------------------------------------------------------
+
+
+def _same(u: tuple, v: tuple) -> bool:
+    return u is v or u == v
+
+
+class NumberedCopySet(NamedTuple):
+    """Copies of a natural multiset's elements, numbered 1..m(x) per element."""
+
+    originals: Mapping[str, int]
+    copies: tuple[tuple[str, int], ...]
+
+
+class Multiset:
+    """Immutable multiset over an explicit ordered universe.
+
+    Two multisets are equal iff they have the same universe (same order) and
+    the same multiplicity for every element.  Zero multiplicities are
+    normalized away on construction, so support and hashing are canonical.
+    """
+
+    __slots__ = ("_universe", "_mult", "_natural")
+
+    def __init__(
+        self,
+        universe: Iterable[str],
+        mult: Mapping[str, Rational] | None = None,
+    ):
+        uni = universe if isinstance(universe, Universe) else Universe(universe)
+        # canonical key order = universe order
+        ordered = {uni[k]: v for k, v in _checked(uni.position, mult or {})}
+        object.__setattr__(self, "_universe", uni)
+        object.__setattr__(self, "_mult", ordered)
+        object.__setattr__(self, "_natural", all(isinstance(v, int) for v in ordered.values()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Multiset is immutable")
+
+    # -- basic structure ---------------------------------------------------
+
+    @property
+    def universe(self) -> Universe:
+        return self._universe
+
+    @property
+    def mult(self) -> Mapping[str, Rational]:
+        return dict(self._mult)
+
+    @property
+    def natural(self) -> bool:
+        return self._natural
+
+    @classmethod
+    def empty(cls, universe: Iterable[str]) -> "Multiset":
+        return cls(universe, {})
+
+    @classmethod
+    def from_elements(cls, universe: Iterable[str], elements: Iterable[str]) -> "Multiset":
+        """Natural multiset from an unordered list with repetition."""
+        counts: dict[str, int] = {}
+        for x in elements:
+            counts[x] = counts.get(x, 0) + 1
+        return cls(universe, counts)
+
+    def multiplicity(self, x: str) -> Rational:
+        if x not in self._universe.position:
+            raise KeyError(x)
+        return self._mult.get(x, 0)
+
+    def support(self) -> tuple[str, ...]:
+        """Elements with nonzero multiplicity, in universe order."""
+        return tuple(self._mult)
+
+    def m_cardinality(self) -> Rational:
+        return sum(self._mult.values())
+
+    def cardinality(self) -> int:
+        return len(self._mult)
+
+    def is_empty(self) -> bool:
+        return not self._mult
+
+    def is_cognate(self, other: "Multiset") -> bool:
+        """Same support (universes may differ)."""
+        return set(self._mult) == set(other._mult)
+
+    # -- comparisons -------------------------------------------------------
+
+    def includes(self, other: "Multiset") -> bool:
+        """True iff ``other`` is a submset of ``self`` (pointwise <=)."""
+        self._check_universe(other)
+        return all(self._mult.get(x, 0) >= v for x, v in other._mult.items())
+
+    def __le__(self, other: "Multiset") -> bool:
+        return other.includes(self)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Multiset):
+            return NotImplemented
+        return _same(self._universe, other._universe) and self._mult == other._mult
+
+    def __hash__(self) -> int:
+        # the support only, O(s) rather than O(n); __eq__ compares universes
+        return hash(tuple(self._mult.items()))
+
+    def __contains__(self, x) -> bool:
+        return x in self._mult
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{x}:{v}" for x, v in self._mult.items())
+        return f"Multiset({{{body}}})"
+
+    # -- algebra -----------------------------------------------------------
+
+    def _check_universe(self, other: "Multiset") -> None:
+        if not _same(self._universe, other._universe):
+            raise UniverseMismatch("operands have different universes")
+
+    def _pointwise(self, other: "Multiset", op) -> "Multiset":
+        """Apply ``op`` on the union of the supports (every op maps 0, 0 to 0)."""
+        self._check_universe(other)
+        merged = {
+            x: op(self._mult.get(x, 0), other._mult.get(x, 0))
+            for x in self._mult.keys() | other._mult.keys()
+        }
+        return Multiset(self._universe, merged)
+
+    def union(self, other: "Multiset") -> "Multiset":
+        """Pointwise maximum."""
+        return self._pointwise(other, max)
+
+    def intersection(self, other: "Multiset") -> "Multiset":
+        """Pointwise minimum."""
+        return self._pointwise(other, min)
+
+    def msum(self, other: "Multiset") -> "Multiset":
+        """Pointwise sum."""
+        return self._pointwise(other, lambda a, b: a + b)
+
+    __or__ = union
+    __and__ = intersection
+    __add__ = msum
+
+    # -- representations ---------------------------------------------------
+
+    def vector_repr(self) -> list[Rational]:
+        """Dense multiplicity vector in universe order."""
+        return [self._mult.get(x, 0) for x in self._universe]
+
+    def numbered_copies(self) -> NumberedCopySet:
+        """Unroll a natural multiset into numbered copies (x,1)..(x,m(x))."""
+        for x, v in self._mult.items():
+            if not isinstance(v, int):
+                raise NotNatural(f"non-integer multiplicity for {x!r}")
+        copies = tuple((x, j) for x, v in self._mult.items() for j in range(1, v + 1))
+        return NumberedCopySet(originals=dict(self._mult), copies=copies)
+
+
 # -- hb-graph operations ----------------------------------------------------
 
 
@@ -70,18 +232,16 @@ def two_section(h: HbGraph) -> tuple[tuple[str, str], ...]:
     Undirected, deduplicated, no self-loops; pairs and the result follow the
     vertex-list order, which every support already keeps.
     """
-    position = h.vertices.position
-    pairs = set()
-    for e in h.edges:
-        pairs.update(combinations(e.support(), 2))
-    return tuple(sorted(pairs, key=lambda uv: (position[uv[0]], position[uv[1]])))
+    vs = h.vertices
+    pairs = {ij for key in h._keys for ij in combinations([i for i, _, _ in key], 2)}
+    return tuple((vs[i - 1], vs[j - 1]) for i, j in sorted(pairs))
 
 
 def hb_sum(*graphs: HbGraph) -> HbGraph:
     """Sum of hb-graphs: ordered union of the vertex sets, concatenated edge
     families; weighted (default weight 1) when any summand is."""
     vertices = Universe(dict.fromkeys(v for h in graphs for v in h.vertices))
-    edges = [Multiset(vertices, e.mult) for h in graphs for e in h.edges]
+    edges = [e.mult for h in graphs for e in h.edges]
     weights = None
     if any(h.weights is not None for h in graphs):
         weights = [h.weight(i) for h in graphs for i in range(h.p)]
@@ -115,7 +275,7 @@ def dilatation(h: HbGraph, c: Rational) -> HbGraph:
 def _with_vertex(h: HbGraph, y: str, multiplicity) -> HbGraph:
     """Append vertex y to every edge e with multiplicity ``multiplicity(e)``."""
     vertices = Universe(h.vertices + (y,))
-    edges = [Multiset(vertices, {**e.mult, y: multiplicity(e)}) for e in h.edges]
+    edges = [{**e.mult, y: multiplicity(e)} for e in h.edges]
     return HbGraph(vertices, edges, h.weights)
 
 
@@ -157,12 +317,12 @@ def decompose(h: HbGraph) -> tuple[HbGraph, ...]:
         raise NotNatural("decomposition needs integer multiplicities")
     if h.has_empty_edges():
         raise EmptyEdge("decomposition forbids empty hb-edges")
-    if not h.edges:
+    if not h.p:
         return ()
     r_h = h.m_range()
     levels = []
     for r in range(1, r_h + 1):
-        picked = [i for i, e in enumerate(h.edges) if e.m_cardinality() == r]
+        picked = [i for i, c in enumerate(h._cards) if c == r]
         weights = [h.weight(i) for i in picked] if h.weights is not None else None
         levels.append(HbGraph(h.vertices, [h.edges[i] for i in picked], weights))
     return tuple(levels)
@@ -339,9 +499,8 @@ def hypergraph_tensor(hg: HbGraph) -> tuple[SymTensor, UniformisationTrace]:
     cardinality k gets the index multiset of its vertices plus the null index
     (n+k) repeated k_max - k times, with value (k_max - k)! / (k_max - 1)!.
     """
-    for e in hg.edges:
-        if any(v != 1 for v in e.mult.values()):
-            raise NotAHypergraph("hyperedges must have multiplicities in {0, 1}")
+    if any(m != 1 for key in hg._keys for _, m, _ in key):
+        raise NotAHypergraph("hyperedges must have multiplicities in {0, 1}")
     return e_adjacency_tensor(hg, SILO)
 
 
@@ -385,4 +544,4 @@ def reconstruct_hbgraph(
     if len(vertices) != n:
         raise TraceMismatch(f"expected {n} vertex names, got {len(vertices)}")
     vs = Universe(vertices)
-    return HbGraph(vs, [Multiset(vs, {vs[i - 1]: m for i, m in e.items()}) for e in family])
+    return HbGraph(vs, [{vs[i - 1]: m for i, m in e.items()} for e in family])

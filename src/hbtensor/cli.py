@@ -15,9 +15,11 @@ the null vertices).  ``verify`` takes exactly one of ``--approach`` and
 
 Each verb imports only the modules it runs, so a start-up compiles no more of
 the package than it needs.  ``info``, ``dual`` and ``export`` load ``cli``,
-``errors``, ``mset``, ``hbgraph`` and ``io``; ``paths`` adds ``paths``;
+``errors``, ``hbgraph`` and ``io``; ``paths`` adds ``paths``;
 ``uniformize`` adds ``transform``; ``tensor`` adds ``transform`` and
-``tensor``; ``verify`` adds ``spectral`` as well.  No verb loads ``algebra``.
+``tensor``; ``verify`` adds ``spectral`` as well.  No verb loads ``algebra``,
+so no verb builds a ``Multiset``: each reads the hb-edges' stored keys and
+the hb-stars.
 A run that names a verb builds only that verb's subparser.
 """
 
@@ -65,30 +67,27 @@ def _cell(v: str) -> str:
 
 def cmd_info(args) -> int:
     h = io.load_hbgraph(args.input)
-    lines = [
-        f"order: {io.format_rational(h.order())}",
-        f"size: {h.size()}",
-    ]
+    show = io.format_rational
+    lines = [f"order: {show(h.order())}", f"size: {h.size()}"]
     if h.p:
         r, cr = h.m_range(), h.m_corange()
-        lines.append(f"m-range: {io.format_rational(r)}")
-        lines.append(f"m-co-range: {io.format_rational(cr)}")
-        lines.append(f"k-m-uniform: {io.format_rational(r) if r == cr else 'no'}")
+        lines.append(f"m-range: {show(r)}")
+        lines.append(f"m-co-range: {show(cr)}")
+        lines.append(f"k-m-uniform: {show(r) if r == cr else 'no'}")
     else:
         lines.extend(["m-range: n/a", "m-co-range: n/a", "k-m-uniform: n/a"])
-    degrees = [h.m_degree(v) for v in h.vertices]
-    if h.n and len(set(degrees)) == 1:
-        lines.append(f"k-m-regular: {io.format_rational(degrees[0])}")
-    else:
-        lines.append("k-m-regular: no")
+    # each vertex's row, read off its hb-star: m-degree, degree, max-mult
+    rows = [
+        (sum(m for _, m in star), len(star), max((m for _, m in star), default=0))
+        for star in h._stars
+    ]
+    degrees = {row[0] for row in rows}
+    lines.append(f"k-m-regular: {show(degrees.pop()) if len(degrees) == 1 else 'no'}")
     isolated = h.isolated_vertices()
     lines.append("isolated: " + (" ".join(map(_cell, isolated)) if isolated else "none"))
     lines.append("vertex m-degree degree max-mult")
-    for v, m_degree in zip(h.vertices, degrees):
-        lines.append(
-            f"{_cell(v)} {io.format_rational(m_degree)} {h.degree(v)}"
-            f" {io.format_rational(h.max_multiplicity(v))}"
-        )
+    for v, (m_degree, degree, top) in zip(h.vertices, rows):
+        lines.append(f"{_cell(v)} {show(m_degree)} {degree} {show(top)}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -140,8 +139,8 @@ def cmd_verify(args) -> int:
     weights = h.weights or [1] * h.p
     degrees = [sum(weights[j] * m for j, m in star) for star in h._stars]
     by_level = Counter()
-    for e, w in zip(h.edges, weights):
-        by_level[e.m_cardinality()] += w
+    for c, w in zip(h._cards, weights):
+        by_level[c] += w
     checks: dict[str, bool] = {}
     # the cached row vector, read in place: map stops at the n original rows
     checks["degree_retrieval"] = all(map(eq, tensor._row_vector(), degrees))

@@ -17,8 +17,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from .errors import DomainError, ParseError
-from .hbgraph import HbGraph
-from .mset import Rational, as_rational
+from .hbgraph import HbGraph, Rational, as_rational
 
 if TYPE_CHECKING:  # imported where used, so reading a graph loads neither
     from .tensor import SymTensor
@@ -136,13 +135,13 @@ def _read(path) -> tuple[str, str]:
 
 
 def hbgraph_to_obj(h: HbGraph) -> dict:
-    edges = []
-    for i, e in enumerate(h.edges):
-        record: dict = {"mult": {x: rational_to_json(v) for x, v in e.mult.items()}}
+    vs, edges = h.vertices, []
+    for i, key in enumerate(h._keys):
+        record = {"mult": {vs[k - 1]: rational_to_json(m) for k, m, _ in key}}
         if h.weights is not None:
             record["weight"] = rational_to_json(h.weights[i])
         edges.append(record)
-    return {"vertices": list(h.vertices), "edges": edges}
+    return {"vertices": list(vs), "edges": edges}
 
 
 def hbgraph_from_obj(obj, source: str = "hb-graph") -> HbGraph:
@@ -156,7 +155,7 @@ def hbgraph_from_obj(obj, source: str = "hb-graph") -> HbGraph:
         weights.append(json_to_rational(record.get("weight", 1), f"{where}: weight"))
         weighted = weighted or "weight" in record
     try:
-        return HbGraph.from_dicts(vertices, mults, weights if weighted else None)
+        return HbGraph(vertices, mults, weights if weighted else None)
     except DomainError as exc:
         raise ParseError(f"{source}: {exc}") from exc
 

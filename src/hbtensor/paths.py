@@ -18,8 +18,7 @@ from .hbgraph import HbGraph
 
 def _supports(h: HbGraph) -> list[list[int]]:
     """Each hb-edge's support as vertex positions."""
-    position = h.vertices.position
-    return [[position[v] for v in e.support()] for e in h.edges]
+    return [[i - 1 for i, _, _ in key] for key in h._keys]
 
 
 def _search(h: HbGraph, supports, start: int, dist: list, used: list) -> list[int]:

@@ -6,7 +6,7 @@ Every eigenvalue of an e-adjacency tensor satisfies
 
 where Delta and Delta* are the maximal m-degrees over original and null
 vertices (both readable off the tensor as row sums).  The bound is exact:
-Delta, Delta* and the bound follow ``mset.as_rational``, as the row sums do
+Delta, Delta* and the bound follow ``hbgraph.as_rational``, as the row sums do
 (an int when integral, a ``Fraction`` otherwise).  Delta* is read off the
 null rows.  On an e-adjacency tensor it is also a closed form in the level
 weights W_c of ``tensor._level_weights``, summed over c < r_H for
@@ -40,7 +40,7 @@ from itertools import islice
 from typing import Iterable, NamedTuple
 
 from .errors import DomainError
-from .mset import Rational, as_rational
+from .hbgraph import Rational, as_rational
 from .tensor import Runs, SymTensor, _check_trace, _contract, _trie
 from .transform import UniformisationTrace
 
@@ -50,6 +50,9 @@ _TOL = 1e-10
 # _AGREE min(rho, 1 - rho), the later one rho, and 0 < rho < _MAX_RATIO
 _AGREE = 0.2
 _MAX_RATIO = 0.999
+# log(1 - 1e-9): an estimate below (1 - 1e-9) times the lower bound L is
+# never converged
+_LOG_MARGIN = math.log1p(-1e-9)
 
 
 class PowerIterationResult(NamedTuple):
@@ -133,6 +136,13 @@ def estimate_max_eigenvalue(
     shares are positive, so is the largest H-eigenvalue, and 0.0 means every
     term of the contraction underflowed (x_i^{r-1} at large r) and the iterate
     froze.  Underflowed coordinates alone are no such sign; correct runs have them.
+    Nor is the flag set on a quotient below L (1 - 10^-9), where L, the
+    largest share * prod m^{m/r} over the entries, is the quotient at the
+    unit vector x_i = (m_i / r)^{1/r} on one entry's indices, so the largest
+    H-eigenvalue is at least L.  L is summed in logs, as log share + sum of
+    c m log m / r over the runs, which no float range limits; an iterate
+    that a stop test passes while it still creeps, far below L at large r,
+    then reads as not converged.
 
     Each plain step x' = T(x) moves the iterate by delta = x' - x, and rho =
     <delta_k, delta_{k-1}> / <delta_{k-1}, delta_{k-1}> estimates the rate at
@@ -199,6 +209,11 @@ def estimate_max_eigenvalue(
         floats = list(map(float, exact))
     except OverflowError:
         raise DomainError("power iteration: an entry share is too large for a float") from None
+    low = _LOG_MARGIN + max(
+        math.log(s.numerator) - math.log(s.denominator)
+        + sum(c * m * math.log(m) for _, m, c in runs) / r
+        for runs, s in shares.items()
+    )
 
     def contract(x: list[float]) -> list[float]:
         """y_t: the summed rows (A x^{r-1})_i of the members i of class t."""
@@ -246,4 +261,5 @@ def estimate_max_eigenvalue(
 
     y = contract(x)
     rayleigh = sum(xi * yi for xi, yi in zip(x, y)) / sum(s * xi**r for s, xi in zip(sizes, x))
-    return PowerIterationResult(rayleigh, converged and rayleigh > 0.0, used)
+    converged = converged and rayleigh > 0.0 and math.log(rayleigh) >= low
+    return PowerIterationResult(rayleigh, converged, used)

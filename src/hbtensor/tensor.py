@@ -18,7 +18,7 @@ permutations start with i, so it adds share * m_i to row i and r * share to
 the total.  The value a is computed only where it leaves the tensor: in
 ``get``, ``canonical_items`` and ``full_items``.  Every exact number the
 tensor returns (values, row sums, the total, the polynomial's coefficients
-and values) follows ``mset.as_rational``: an int when integral, a
+and values) follows ``hbgraph.as_rational``: an int when integral, a
 ``Fraction`` otherwise; the cached row sums are kept raw and normalised as
 they are handed out.  Before a writer builds a value,
 ``_denominators_too_long`` bounds its denominator's digits from log-gammas
@@ -41,14 +41,13 @@ straightforward and silo entries of level c share one padding node, and
 layered entries share one chain of null indices.
 
 The e-adjacency tensor of an hb-graph contributes one canonical entry per
-hb-edge.  Its key is the edge's column of the incidence matrix as runs over
-the 1-based vertex positions, read off the graph's hb-stars in vertex order,
-followed by the closed-form null-vertex padding run of
-``transform.padding``, whose indices lie above every vertex: a concatenation,
-merged only where the padding continues the edge's last run, with no sort
-and no uniform hb-graph built.  So a key holds at most |supp e| + 1 runs
-under every approach; a layered entry of level c pads with the one run
-(n + c, 1, r_H - c).  The entry's value is the paper's
+hb-edge.  Its key is the key the graph stores for the edge, its column of
+the incidence matrix as runs over the 1-based vertex positions, followed by
+the closed-form null-vertex padding run of ``transform.padding``, whose
+indices lie above every vertex: a concatenation, merged only where a run
+continues the one before it, with no sort and no uniform hb-graph built.
+So a key holds at most |supp e| + 1 runs under every approach; a layered
+entry of level c pads with the one run (n + c, 1, r_H - c).  The entry's value is the paper's
 
     w * (product of the multiplicities' factorials) / (r_H - 1)!
 
@@ -75,8 +74,7 @@ from itertools import accumulate, chain
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, DomainError, IndexOutOfRange, TraceMismatch
-from .hbgraph import HbGraph
-from .mset import Rational, as_rational
+from .hbgraph import HbGraph, Rational, as_rational
 from .transform import APPROACHES, UniformisationTrace, _uniformisation_trace, padding
 
 # a key: canonical runs (first index, multiplicity, count) (module docstring)
@@ -421,16 +419,12 @@ class SymTensor:
 
 
 def _edge_keys(h: HbGraph, approach: str, r_h: int) -> list[Runs]:
-    """Each hb-edge's canonical e-adjacency key, in edge order: its runs over
-    the 1-based vertex positions, read off the hb-stars in vertex order, then
-    its padding run, which joins the last of them where it continues it.  A
-    multiplicity that is not an integer stays in the key as it is."""
-    keys, cards = [[] for _ in h.edges], [0] * h.p
-    for i, star in enumerate(h._stars, 1):
-        for j, m in star:
-            keys[j].append((i, m, 1))
-            cards[j] += m
-    return [_merged(chain(key, padding(approach, h.n, r_h, c))) for key, c in zip(keys, cards)]
+    """Each hb-edge's canonical e-adjacency key, in edge order: its stored
+    key, runs over the 1-based vertex positions, then its padding run, merged
+    where a run continues the one before it.  A multiplicity that is not an
+    integer stays in the key as it is."""
+    pads = (padding(approach, h.n, r_h, c) for c in h._cards)
+    return [_merged(chain(key, pad)) for key, pad in zip(h._keys, pads)]
 
 
 def e_adjacency_tensor(

@@ -32,6 +32,7 @@ r_H; the null vertices are a closed form in (approach, r_H), derived by
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple
 
 from .errors import (
@@ -42,8 +43,7 @@ from .errors import (
     RepeatedEdges,
     VertexCollision,
 )
-from .hbgraph import HbGraph
-from .mset import Multiset, Universe
+from .hbgraph import HbGraph, Universe
 
 STRAIGHTFORWARD = "straightforward"
 SILO = "silo"
@@ -77,7 +77,7 @@ def _uniformisation_trace(h: HbGraph, approach: str) -> UniformisationTrace:
     """Validate the input of a uniformisation and describe its output."""
     if approach not in APPROACHES:
         raise DomainError(f"unknown approach {approach!r}; expected one of {APPROACHES}")
-    if not h.edges:
+    if not h.p:
         raise EmptyEdgeFamily("uniformisation needs at least one hb-edge")
     if not h.is_natural():
         raise NotNatural("uniformisation needs integer multiplicities")
@@ -120,14 +120,7 @@ def uniformize(h: HbGraph, approach: str) -> tuple[HbGraph, UniformisationTrace]
         if isinstance(v, str) and v.startswith(RESERVED_PREFIX):
             raise VertexCollision(f"vertex id {v!r} uses the reserved prefix '__'")
     vertices = Universe(h.vertices + trace.null_vertices)
-    edges = []
-    weights = []
-    for e in h.edges:
-        counts = e.mult
-        c = e.m_cardinality()
-        # tensor index j names vertex j of the padded vertex list
-        for first, m, k in padding(approach, h.n, trace.r_h, c):
-            counts.update((vertices[j - 1], m) for j in range(first, first + k))
-        edges.append(Multiset(vertices, counts))
-        weights.append(Fraction(trace.r_h, c))
-    return HbGraph(vertices, edges, weights), trace
+    # tensor index j names vertex j of the padded vertex list
+    padded = (chain(key, padding(approach, h.n, trace.r_h, c)) for key, c in zip(h._keys, h._cards))
+    edges = [{vertices[j - 1]: m for i, m, k in runs for j in range(i, i + k)} for runs in padded]
+    return HbGraph(vertices, edges, [Fraction(trace.r_h, c) for c in h._cards]), trace

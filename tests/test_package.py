@@ -16,10 +16,11 @@ import hbtensor
 # the 61 public names of the package root, by the module that defines each
 HOMES = {
     "algebra": (
-        "HbPolynomial LARGE MPath STRICT canonical_weighting count_paths decompose dilatation"
-        " edge_distribution elementary_tensor hb_sum hypergraph_tensor interior_choices"
-        " is_direct merge mset_hypermatrix reconstruct_hbgraph two_section uniform_tensor"
-        " validate_path vertex_increase y_complement"
+        "HbPolynomial LARGE MPath Multiset NumberedCopySet STRICT canonical_weighting"
+        " count_paths decompose dilatation edge_distribution elementary_tensor hb_sum"
+        " hypergraph_tensor interior_choices is_direct merge mset_hypermatrix"
+        " reconstruct_hbgraph two_section uniform_tensor validate_path vertex_increase"
+        " y_complement"
     ),
     "errors": (
         "DimensionMismatch DomainError EmptyEdge EmptyEdgeFamily EmptyMultiset"
@@ -28,7 +29,6 @@ HOMES = {
         " UniverseMismatch UnknownEdge UnknownVertex VertexCollision"
     ),
     "hbgraph": "HbGraph",
-    "mset": "Multiset NumberedCopySet",
     "paths": "connected_components diameter distance is_connected",
     "spectral": "PowerIterationResult SpectralBoundReport estimate_max_eigenvalue spectral_bound",
     "tensor": "SymTensor e_adjacency_tensor reconstruct_edges",
@@ -49,7 +49,7 @@ SYMTENSOR = (
 MAX_MODULE_TOKENS = 4096
 
 # what each verb loads of the package, beyond ``hbtensor`` itself
-BASE = {"cli", "errors", "hbgraph", "io", "mset"}
+BASE = {"cli", "errors", "hbgraph", "io"}
 VERB_MODULES = [
     (["info", "g.json"], BASE),
     (["dual", "g.json"], BASE),

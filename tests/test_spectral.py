@@ -8,7 +8,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hbtensor import (
     APPROACHES,
@@ -633,3 +633,83 @@ def test_float_kernel_matches_exact_apply_within_ulps(demo):
                 exact = t.apply([Fraction(xi) for xi in x])
                 for g, e in zip(got, exact):
                     assert abs(Fraction(g) - e) <= gamma * e
+
+
+# -- no converged estimate below the entries' lower bound -------------------
+
+
+def log_lower_bound(h: HbGraph, approach: str) -> float:
+    """Reference: log L, read off the hb-graph, for L the largest w * prod of
+    m^(m/r_H) over each hb-edge's multiplicities m, its padding's included.
+    The quotient at x_i = (m_i / r_H)^(1/r_H) on one edge's indices is that
+    edge's term, so every H-eigenvalue bound from below is at least L."""
+    r = h.m_range()
+    logs = []
+    for i, e in enumerate(h.edges):
+        c = e.m_cardinality()
+        # a layered padding holds each null index once, and 1^1 adds nothing
+        pad = [r - c] if approach != "layered" and c < r else []
+        ms = list(e.mult.values()) + pad
+        logs.append(math.log(h.weight(i)) + sum(m * math.log(m) for m in ms) / r)
+    return max(logs)
+
+
+# {a^M}, {a, b} at M = 10^7 and 10^9, and a scan's r_H = 1044 graph: the
+# iterate still crept when the stop test passed, at a value below L
+BELOW_L_REPROS = [
+    ({"a": 10**7}, "straightforward", 7, 10**7),
+    ({"a": 10**7}, "silo", 5, 10**7),
+    ({"a": 10**9}, "straightforward", 7, 10**9),
+]
+R1044 = HbGraph.from_dicts(
+    ("v0", "v1", "v2", "v3"),
+    [
+        {"v0": 41, "v3": 86},
+        {"v0": 372, "v1": 375, "v3": 297},
+        {"v0": 66, "v1": 397, "v3": 133},
+    ],
+)
+
+
+def test_estimates_below_the_lower_bound_are_not_converged(tmp_path, capsys):
+    cases = [
+        (HbGraph.from_dicts(("a", "b"), [big, {"a": 1, "b": 1}]), approach, seed, low)
+        for big, approach, seed, low in BELOW_L_REPROS
+    ]
+    cases.append((R1044, "silo", 2, 667.8778139486))
+    for k, (h, approach, seed, low) in enumerate(cases):
+        assert math.isclose(math.exp(log_lower_bound(h, approach)), low, rel_tol=1e-12)
+        path = tmp_path / f"g{k}.json"
+        edges = [{"mult": e.mult} for e in h.edges]
+        path.write_text(dumps({"vertices": list(h.vertices), "edges": edges}))
+        argv = ["verify", str(path), "--approach", approach, "--seed", str(seed)]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)["bound"]
+        assert report["empirical_lambda"] < low and report["converged"] is False
+
+
+@st.composite
+def spiky_hbgraphs(draw):
+    """Up to 3 distinct hb-edges over 3 vertices, some multiplicities large
+    enough to make x^(r-1) underflow, with weights or without."""
+    vertices = ("a", "b", "c")
+    mult = st.sampled_from([1, 2, 3, 7, 40, 300, 1000, 10**4, 10**7])
+    edge = st.dictionaries(st.sampled_from(vertices), mult, min_size=1, max_size=3)
+    key = lambda e: tuple(sorted(e.items()))  # noqa: E731
+    edges = draw(st.lists(edge, min_size=1, max_size=3, unique_by=key))
+    weight_lists = st.lists(st.integers(1, 5), min_size=len(edges), max_size=len(edges))
+    weights = draw(st.none() | weight_lists)
+    return HbGraph.from_dicts(vertices, edges, weights)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spiky_hbgraphs(), st.sampled_from(APPROACHES), st.integers(0, 9))
+@example(HbGraph.from_dicts(("a", "b"), [{"a": 10**7}, {"a": 1, "b": 1}]), "silo", 5)
+@example(R1044, "silo", 2)
+def test_no_converged_estimate_below_the_lower_bound_hypothesis(h, approach, seed):
+    t, _ = e_adjacency_tensor(h, approach)
+    if t.order < 2:
+        return
+    result = estimate_max_eigenvalue(t, seed=seed)
+    if result.converged:
+        assert math.log(result.value) >= log_lower_bound(h, approach) + math.log1p(-1e-9)

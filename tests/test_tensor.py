@@ -843,7 +843,7 @@ def straightforward_trace(order: int, dim: int) -> UniformisationTrace:
 
 
 def follows_number_rule(x) -> bool:
-    """The one number rule, ``mset.as_rational``: an int when integral, a
+    """The one number rule, ``hbgraph.as_rational``: an int when integral, a
     Fraction otherwise."""
     return type(x) is (int if x.denominator == 1 else Fraction)
 
