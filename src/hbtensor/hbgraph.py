@@ -32,7 +32,6 @@ verb runs, the 2-section, the hb-sum and the directness test, live in
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
 
 from .errors import (
@@ -44,10 +43,25 @@ from .errors import (
     UnknownVertex,
 )
 
-if TYPE_CHECKING:  # imported where used, so building a graph loads no ``algebra``
+if TYPE_CHECKING:  # imported where used, so building a graph loads neither
+    from fractions import Fraction
+
     from .algebra import Multiset
 
-Rational = Union[int, Fraction]
+Rational = Union[int, "Fraction"]
+
+_Fraction = None  # ``fractions.Fraction``, once ``_fraction`` has imported it
+
+
+def _fraction(*args) -> Fraction:
+    """``fractions.Fraction(*args)``.  The first call imports ``fractions``,
+    which loads ``decimal`` and ``numbers``, so a run that meets only
+    integers never loads them.  The verbs' modules import it nowhere else,
+    and tell a ``Fraction`` already built by its ``denominator``."""
+    global _Fraction
+    if _Fraction is None:
+        from fractions import Fraction as _Fraction
+    return _Fraction(*args)
 
 
 def as_rational(value) -> Rational:
@@ -56,7 +70,13 @@ def as_rational(value) -> Rational:
         raise DomainError(f"multiplicity must be a number, got {value!r}")
     if isinstance(value, int):
         return value
-    frac = Fraction(value) if not isinstance(value, Fraction) else value
+    frac = value if hasattr(value, "denominator") else _fraction(value)
+    return int(frac) if frac.denominator == 1 else frac
+
+
+def _ratio(numerator: Rational, denominator: int) -> Rational:
+    """The exact quotient numerator / denominator, as ``as_rational`` gives it."""
+    frac = _fraction(numerator, denominator)
     return int(frac) if frac.denominator == 1 else frac
 
 

@@ -1,27 +1,30 @@
-"""File formats: hb-graph JSON, sparse tensor COO text, trace JSON,
-incidence CSV (written row by row from the vertex hb-stars; no dense matrix).
+"""Graph file formats: hb-graph JSON and incidence CSV (written row by row
+from the vertex hb-stars; no dense matrix), and the number rule and JSON
+reading that every file format shares.
 
 All rationals are exact: integers are emitted as JSON numbers, non-integral
 values as "p/q" strings.  Output is byte-stable for a fixed input (vertex
 order, edge order and canonical tuple order are all deterministic).  Every
 reader reads numbers by one rule and raises ``ParseError`` for any input it
 cannot read, a violated precondition of the core (``DomainError``) included.
+A file of integers builds no ``Fraction``: a JSON decimal or a "p/q" string
+is the first value that imports ``fractions`` (``hbgraph._fraction``).
+
+The tensor-file formats, COO text and trace JSON, live in ``tensorfile``,
+which only ``tensor`` and ``verify --from-tensor`` load.  Their names resolve
+here as well, on first use (PEP 562), so ``io.tensor_to_coo`` and ``from
+hbtensor.io import load_trace`` still work.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from .errors import DomainError, ParseError
-from .hbgraph import HbGraph, Rational, as_rational
-
-if TYPE_CHECKING:  # imported where used, so reading a graph loads neither
-    from .tensor import SymTensor
-    from .transform import UniformisationTrace
+from .hbgraph import HbGraph, Rational, _fraction, as_rational
 
 # the most decimal digits ``str`` prints of an int by default; 10**4300 has one more
 _MAX_DIGITS = 4300
@@ -32,7 +35,21 @@ _EXCERPT = 40
 # the characters of a "p/q" or decimal string: no '_', whitespace or non-ASCII
 # digit, all of which ``Fraction`` would also take
 _LITERAL = re.compile(r"[0-9+\-./eE]+")
-_HEADER_KEYS = ("order", "dim", "entries")
+# the names of ``tensorfile`` that resolve here (``__getattr__``)
+_TENSORFILE = frozenset(
+    "_HEADER_KEYS _natural dump_trace load_tensor_coo load_trace tensor_from_coo"
+    " tensor_to_coo trace_from_obj trace_to_obj".split()
+)
+
+
+def __getattr__(name: str):
+    # only a name not yet bound gets here, as at the package root
+    if name not in _TENSORFILE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import tensorfile
+
+    value = globals()[name] = getattr(tensorfile, name)
+    return value
 
 
 def _too_long(x: Rational) -> bool:
@@ -43,9 +60,9 @@ def rational_to_json(x: Rational):
     """The one printer: an int as a JSON number, a non-integral value as a
     "p/q" string.  A numerator or denominator of more than ``_MAX_DIGITS``
     digits cannot be printed and raises ``DomainError``."""
-    if type(x) is int and -_TOO_LONG < x < _TOO_LONG:  # bools go through Fraction
+    if type(x) is int and -_TOO_LONG < x < _TOO_LONG:
         return x
-    x = Fraction(x)
+    x = as_rational(int(x) if isinstance(x, bool) else x)
     if _too_long(x):
         raise DomainError(_CANNOT_PRINT)
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
@@ -63,7 +80,8 @@ def json_to_rational(obj, where: str) -> Rational:
     printed (an int literal that long already fails ``_loads``)."""
     if type(obj) is int:  # fast path: every multiplicity of every load
         return obj
-    if isinstance(obj, (Fraction, str)):  # Fraction: parse_float below
+    # a str, or the Fraction of a JSON decimal (``_loads``), told by its denominator
+    if isinstance(obj, str) or (not isinstance(obj, int) and hasattr(obj, "denominator")):
         try:
             if isinstance(obj, str) and not _LITERAL.fullmatch(obj):
                 raise ValueError(obj)
@@ -79,14 +97,6 @@ def json_to_rational(obj, where: str) -> Rational:
     raise ParseError(f"{where}: expected a number or 'p/q' string, got {type(obj).__name__}")
 
 
-def _integer(obj, where: str) -> int:
-    """An integer field: 3, 3.0 and "3" read as 3; 2.5 and true are rejected."""
-    value = json_to_rational(obj, where)
-    if type(value) is not int:
-        raise ParseError(f"{where}: expected an integer")
-    return value
-
-
 def _unique(pairs: list) -> dict:
     """A JSON object's (name, value) pairs as a dict, refusing a repeated
     name, which ``json`` alone would read last-wins."""
@@ -100,7 +110,8 @@ def _unique(pairs: list) -> dict:
 
 def _loads(text: str, source: str) -> Any:
     try:
-        return json.loads(text, parse_float=Fraction, object_pairs_hook=_unique)
+        # a decimal as its exact Fraction, whose class the first one imports
+        return json.loads(text, parse_float=_fraction, object_pairs_hook=_unique)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{source}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except (RecursionError, ValueError) as exc:  # deep nesting, over-long int, repeated name
@@ -188,105 +199,3 @@ def incidence_csv(h: HbGraph) -> str:
             cells[j] = format_rational(m)
         lines.append(_csv_cell(str(v)) + "," + ",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-# -- tensor ------------------------------------------------------------------
-
-
-def tensor_to_coo(t: SymTensor, full: bool = False) -> str:
-    """COO text of ``t``, one record per canonical entry, or per distinct
-    permutation when ``full``.  A value whose denominator the printer would
-    refuse is refused before any value is built, where the log-gammas tell."""
-    from .tensor import _denominators_too_long
-
-    if _denominators_too_long(t, _MAX_DIGITS):
-        raise DomainError(_CANNOT_PRINT)
-    records = t.full_items() if full else t.canonical_items()
-    lines = [f"# order={t.order} dim={t.dim} entries={len(records)}"]
-    for key, value in records:
-        lines.append(" ".join([str(i) for i in key]) + " " + format_rational(value))
-    return "\n".join(lines) + "\n"
-
-
-def _natural(raw: str, where: str) -> int:
-    """A COO index or header value: ASCII decimal digits only, so no sign,
-    underscore or other script's digit that ``int`` would also take."""
-    if not (raw.isascii() and raw.isdigit()):
-        raise ParseError(f"{where}: expected a decimal integer, got {raw[:_EXCERPT]!r}")
-    if len(raw) > _MAX_DIGITS:
-        raise ParseError(f"{where}: number has more than {_MAX_DIGITS} digits")
-    return int(raw)
-
-
-def tensor_from_coo(text: str, source: str = "tensor") -> SymTensor:
-    """Read canonical or ``full`` COO: each record names one entry in any
-    index order, and a repeat must agree."""
-    from .tensor import SymTensor
-
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("#"):
-        raise ParseError(f"{source}: missing '# order=.. dim=.. entries=..' header")
-    header: dict[str, int] = {}
-    for token in lines[0][1:].split():
-        if "=" not in token:
-            raise ParseError(f"{source}: bad header token {token!r}")
-        name, _, raw = token.partition("=")
-        if name not in _HEADER_KEYS:
-            raise ParseError(f"{source}: unknown header key {name[:_EXCERPT]!r}")
-        if name in header:
-            raise ParseError(f"{source}: repeated header key {name}=")
-        header[name] = _natural(raw, f"{source}: header {name}")
-    for required in _HEADER_KEYS:
-        if required not in header:
-            raise ParseError(f"{source}: header lacks {required}=")
-    order = header["order"]
-    if len(lines) - 1 != header["entries"]:
-        raise ParseError(
-            f"{source}: header announces {header['entries']} records, found {len(lines) - 1}"
-        )
-    entries: dict[tuple[int, ...], Rational] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        where = f"{source}: line {lineno}"
-        tokens = line.split()
-        if len(tokens) != order + 1:
-            raise ParseError(f"{where}: expected {order} indices and a value")
-        key = tuple(sorted(_natural(tok, where) for tok in tokens[:-1]))
-        value = json_to_rational(tokens[-1], where)
-        if entries.setdefault(key, value) != value:
-            raise ParseError(f"{where}: conflicting values for {key}")
-    try:
-        return SymTensor(order=order, dim=header["dim"], entries=entries)
-    except DomainError as exc:
-        raise ParseError(f"{source}: {exc}") from exc
-
-
-def load_tensor_coo(path) -> SymTensor:
-    text, source = _read(path)
-    return tensor_from_coo(text, source)
-
-
-# -- trace -------------------------------------------------------------------
-
-
-def trace_to_obj(trace: UniformisationTrace) -> dict:
-    return {"approach": trace.approach, "r_h": trace.r_h}
-
-
-def trace_from_obj(obj, source: str = "trace") -> UniformisationTrace:
-    """Read the two stored fields.  Any other key is ignored, so older trace
-    files, which also carry an edge map and derived fields, still read."""
-    from .transform import APPROACHES, UniformisationTrace
-
-    _json(obj, dict, source, "approach", "r_h")
-    if obj["approach"] not in APPROACHES:  # no repr: a decoded value may nest deep
-        raise ParseError(f"{source}: 'approach' must be one of {', '.join(APPROACHES)}")
-    return UniformisationTrace(obj["approach"], _integer(obj["r_h"], f"{source}: r_h"))
-
-
-def load_trace(path) -> UniformisationTrace:
-    text, source = _read(path)
-    return trace_from_obj(_loads(text, source), source)
-
-
-def dump_trace(trace: UniformisationTrace, path) -> None:
-    Path(path).write_text(dumps(trace_to_obj(trace)), encoding="utf-8")

@@ -14,21 +14,33 @@ straightforward ((r_H - c) W_c) and layered (W_c), and the maximum of
 (r_H - c) W_c for silo; but a tensor read from a file may pad an entry with
 another level's null vertex, and only the row scan stays right there.
 
-The power iteration below, run over the twin classes of the nonzero rows
-through the tensor's contraction kernel (``tensor._contract``, O(trie nodes)
-per step, at most sum |supp e| + r_H on an e-adjacency tensor, and on a
-layered one sum |supp e| plus one per level below r_H that occurs), gives a
-lower estimate of the largest H-eigenvalue, so the bound can be checked
-empirically.  Twins are indices that every entry holds at one multiplicity
-or not at all, such as the null vertices between two levels of a layered
-padding: the iteration keeps one coordinate per class of them, and the trie
-one node per piece of a class, so no key is rewritten.  A piece, a range
-that no run boundary splits, joins the class of the piece before it across a
-gap of unused indices when the runs that end before the gap start again after
-it, at the same multiplicities.  When its
-steps shrink by a steady ratio rho, one slow mode is left, and an Aitken-type
-extrapolation step (Kamvar, Haveliwala, Manning and Golub, 2003) jumps to
-that mode's limit.
+The contraction A x^{r-1} is (1/r) times the gradient of the tensor's
+polynomial P = r * sum of share * prod x_j^{m_j}, so it reads the shares
+alone.  One kernel serves both the float power iteration below and the exact
+``SymTensor.apply``: the entries' indices, inserted in descending order, form
+a trie that shares their common high-index suffixes, the null-vertex padding
+above all, and one forward pass (prefix products) and one backward pass
+(reverse-mode derivative) over its nodes give every row, in O(nodes)
+operations with no division and no multinomial.  A run is one node per piece
+(``_trie``); each index is a piece of ``apply``, so on an e-adjacency tensor
+the trie has at most sum |supp e| + r_H nodes: straightforward and silo
+entries of level c share one padding node, and layered entries share one
+chain of null indices.
+
+The power iteration, run over the twin classes of the nonzero rows through
+that kernel (``_contract``, O(trie nodes) per step, at most sum |supp e| +
+r_H on an e-adjacency tensor, and on a layered one sum |supp e| plus one per
+level below r_H that occurs), gives a lower estimate of the largest
+H-eigenvalue, so the bound can be checked empirically.  Twins are indices
+that every entry holds at one multiplicity or not at all, such as the null
+vertices between two levels of a layered padding: the iteration keeps one
+coordinate per class of them, and the trie one node per piece of a class, so
+no key is rewritten.  A piece, a range that no run boundary splits, joins the
+class of the piece before it across a gap of unused indices when the runs
+that end before the gap start again after it, at the same multiplicities.
+When its steps shrink by a steady ratio rho, one slow mode is left, and an
+Aitken-type extrapolation step (Kamvar, Haveliwala, Manning and Golub, 2003)
+jumps to that mode's limit.
 """
 
 from __future__ import annotations
@@ -37,11 +49,11 @@ import math
 import random
 from collections import defaultdict
 from itertools import islice
-from typing import Iterable, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DomainError
 from .hbgraph import Rational, as_rational
-from .tensor import Runs, SymTensor, _check_trace, _contract, _trie
+from .tensor import Runs, SymTensor, _check_trace
 from .transform import UniformisationTrace
 
 # the power iteration stops once no coordinate moves by this much in a step
@@ -80,6 +92,77 @@ def spectral_bound(t: SymTensor, trace: UniformisationTrace) -> SpectralBoundRep
     return SpectralBoundReport(trace.approach, trace.r_h, delta, delta_star, bound)
 
 
+def _trie(entries: Iterable, at: Mapping[int, tuple[int, int]]) -> tuple[list, int, list]:
+    """The (run key, share) ``entries`` as a trie of their indices, read in
+    descending index order so that entries share their high-index suffixes.
+
+    ``at`` maps the last index of each piece, s consecutive indices that a
+    run holds all or none of, to (j, s): in a run of multiplicity m the
+    piece is one node of coordinate j and exponent m s.  Returns (nodes,
+    inner, shares).  The root is node 0; node k >= 1 is nodes[k - 1] =
+    (k, parent, j, exponent).  The ``inner`` nodes, those with children, come
+    first, each after its parent, and the leaves after them.  shares[k] is
+    the share of the entry that ends at node k (0 where none does).
+    """
+    # a child is keyed by the int m * stride + i of its (multiplicity, piece):
+    # a tuple per piece would wake the garbage collector, at twice the cost
+    stride = max(at, default=0) + 1
+    children = [{}]  # node -> {m * stride + i: child}
+    made = [(0, 0, 0)]  # node -> (parent, j, exponent), in creation order
+    ends = {}
+    for runs, share in entries:
+        k = 0
+        for first, m, c in reversed(runs):
+            i = first + c - 1
+            while i >= first:
+                j, s = at[i]
+                child = children[k].get(key := m * stride + i)
+                if child is None:
+                    child = children[k][key] = len(made)
+                    children.append({})
+                    made.append((k, j, m * s))
+                k = child
+                i -= s
+        ends[k] = share
+    # each group keeps the creation order, parents first
+    inner = [k for k in range(1, len(made)) if children[k]]
+    order = inner + [k for k in range(1, len(made)) if not children[k]]
+    number = [0] * len(made)
+    for pos, k in enumerate(order, 1):
+        number[k] = pos
+    nodes = [(number[k], number[p], j, m) for k in order for p, j, m in [made[k]]]
+    shares = [0] * len(made)
+    for k, share in ends.items():
+        shares[number[k]] = share
+    return nodes, len(inner), shares
+
+
+def _contract(nodes: Sequence, inner: int, shares: Sequence, x: Sequence, y: list) -> list:
+    """Add (A x^{r-1})_j to y[j] for the trie ``nodes, inner, shares`` of A,
+    over the coordinates of its ``at`` map; exact or float as x and the shares
+    are.
+
+    With v[k] the product of x_j^m from the root to node k, and g[k] the
+    share-weighted sum of the products below it over the entries through k,
+    node k = (k, parent, j, m) adds m g[k] v[parent] x_j^{m-1} to row j.  Only
+    the inner nodes need v.
+    """
+    v = [1] * (inner + 1)
+    for k, p, j, m in nodes[:inner]:
+        v[k] = v[p] * (x[j] if m == 1 else x[j] ** m)
+    g = list(shares)
+    for k, p, j, m in reversed(nodes):
+        gk = g[k]
+        if m == 1:  # most nodes: no power to take
+            y[j] += gk * v[p]
+            g[p] += gk * x[j]
+        else:
+            lower = gk * x[j] ** (m - 1)
+            y[j] += m * lower * v[p]
+            g[p] += lower * x[j]
+    return y
+
+
 def _twin_classes(keys: Iterable[Runs]) -> tuple[list[int], dict]:
     """The twin classes of the indices that occur in the run ``keys``, in
     index order, in O(runs) and a sort of the distinct run boundaries.
@@ -94,7 +177,7 @@ def _twin_classes(keys: Iterable[Runs]) -> tuple[list[int], dict]:
     parts are twins when the runs that end just before the gap are the runs
     that start just after it: the same keys, at the same multiplicities.
 
-    Returns each class's size, and ``tensor._trie``'s piece map: {the last
+    Returns each class's size, and ``_trie``'s piece map: {the last
     index of each piece: (its class's number, the piece's size)}.
     """
     # index -> the (key number, multiplicity) of the runs that start there,
@@ -140,9 +223,9 @@ def estimate_max_eigenvalue(
     largest share * prod m^{m/r} over the entries, is the quotient at the
     unit vector x_i = (m_i / r)^{1/r} on one entry's indices, so the largest
     H-eigenvalue is at least L.  L is summed in logs, as log share + sum of
-    c m log m / r over the runs, which no float range limits; an iterate
-    that a stop test passes while it still creeps, far below L at large r,
-    then reads as not converged.
+    c (m / r) log m over the runs, whose terms stay finite at every order
+    that a float holds; an iterate that a stop test passes while it still
+    creeps, far below L at large r, then reads as not converged.
 
     Each plain step x' = T(x) moves the iterate by delta = x' - x, and rho =
     <delta_k, delta_{k-1}> / <delta_{k-1}, delta_{k-1}> estimates the rate at
@@ -176,7 +259,7 @@ def estimate_max_eigenvalue(
     at one multiplicity or not at all, found in O(runs).  Swapping two twins
     leaves the tensor unchanged, so an iterate equal on a class stays so, and
     one coordinate x_t stands for the s_t indices of class t, its weight.
-    ``tensor._trie`` walks each run piece by piece: a piece of s indices of
+    ``_trie`` walks each run piece by piece: a piece of s indices of
     class t, held at multiplicity m, is one node of exponent m s on x_t (a
     class that a gap parts, such as b and the padding in layered {a^M},
     {a, b}, is a node per piece), so the contraction gives y_t, the summed
@@ -189,8 +272,8 @@ def estimate_max_eigenvalue(
     on a tensor whose every index occurs, the full-dimension one.
 
     The contraction reads the float shares only, so large multiplicities
-    cost no large multinomial; an entry share or a contraction that no float
-    can hold raises ``DomainError``.
+    cost no large multinomial; an order r, an entry share or a contraction
+    that no float can hold raises ``DomainError``.
     """
     if t.order < 2:
         raise DomainError("power iteration needs tensor order >= 2")
@@ -200,6 +283,10 @@ def estimate_max_eigenvalue(
     if not shares:
         return PowerIterationResult(value=0.0, converged=True, iterations=0)
     r = t.order
+    try:
+        float(r)  # every multiplicity and exponent below is at most r
+    except OverflowError:
+        raise DomainError("power iteration: the order r_H is too large for a float") from None
     # coordinate j: the twin class of sizes[j] indices, one trie node per piece
     sizes, at = _twin_classes(shares)
     d = len(sizes)
@@ -211,7 +298,7 @@ def estimate_max_eigenvalue(
         raise DomainError("power iteration: an entry share is too large for a float") from None
     low = _LOG_MARGIN + max(
         math.log(s.numerator) - math.log(s.denominator)
-        + sum(c * m * math.log(m) for _, m, c in runs) / r
+        + sum(c * (m / r) * math.log(m) for _, m, c in runs)
         for runs, s in shares.items()
     )
 

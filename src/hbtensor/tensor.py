@@ -29,16 +29,9 @@ The tensor's polynomial is P(x) = r * sum of share * prod x_j^{m_j}, and
 ``polynomial`` keys its monomials by the entries' run keys; the polynomial
 type, ``HbPolynomial``, and its construction live in ``algebra``.
 The contraction A x^{r-1} is (1/r) times the gradient of P, so it reads the
-shares alone.  One kernel serves both the exact ``apply`` and the float power
-iteration of ``spectral``: the entries' indices, inserted in descending
-order, form a trie that shares their common high-index suffixes, the
-null-vertex padding above all, and one forward pass (prefix products) and one
-backward pass (reverse-mode derivative) over its nodes give every row, in
-O(nodes) operations with no division and no multinomial.  A run is one node
-per piece (``_trie``); each index is a piece of ``apply``, so on an
-e-adjacency tensor the trie has at most sum |supp e| + r_H nodes:
-straightforward and silo entries of level c share one padding node, and
-layered entries share one chain of null indices.
+shares alone.  Its kernel, a trie of the entries' indices and two passes
+over it, lives in ``spectral`` beside the float power iteration, its one
+caller on a verb's path; ``apply`` imports it when called and runs it exactly.
 
 The e-adjacency tensor of an hb-graph contributes one canonical entry per
 hb-edge.  Its key is the key the graph stores for the edge, its column of
@@ -69,12 +62,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from fractions import Fraction
 from itertools import accumulate, chain
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, DomainError, IndexOutOfRange, TraceMismatch
-from .hbgraph import HbGraph, Rational, as_rational
+from .hbgraph import HbGraph, Rational, _fraction, _ratio, as_rational
 from .transform import APPROACHES, UniformisationTrace, _uniformisation_trace, padding
 
 # a key: canonical runs (first index, multiplicity, count) (module docstring)
@@ -134,7 +126,7 @@ def _denominators_too_long(t: "SymTensor", digits: int) -> bool:
 
 def _value(runs: Runs, share: Rational, r: int) -> Rational:
     """The value of an entry stored as ``share``: share * r / multinomial."""
-    return as_rational(Fraction(share * r, _multinomial(runs)))
+    return _ratio(share * r, _multinomial(runs))
 
 
 def _merged(runs: Iterable) -> Runs:
@@ -165,77 +157,6 @@ def _shown(runs: Runs) -> str:
     indices as first^multiplicity*c, the first eight of them."""
     shown = " ".join(f"{i}^{m}" + f"*{c}" * (c > 1) for i, m, c in runs[:8])
     return shown + f" ... ({len(runs)} runs)" * (len(runs) > 8)
-
-
-def _trie(entries: Iterable, at: Mapping[int, tuple[int, int]]) -> tuple[list, int, list]:
-    """The (run key, share) ``entries`` as a trie of their indices, read in
-    descending index order so that entries share their high-index suffixes.
-
-    ``at`` maps the last index of each piece, s consecutive indices that a
-    run holds all or none of, to (j, s): in a run of multiplicity m the
-    piece is one node of coordinate j and exponent m s.  Returns (nodes,
-    inner, shares).  The root is node 0; node k >= 1 is nodes[k - 1] =
-    (k, parent, j, exponent).  The ``inner`` nodes, those with children, come
-    first, each after its parent, and the leaves after them.  shares[k] is
-    the share of the entry that ends at node k (0 where none does).
-    """
-    # a child is keyed by the int m * stride + i of its (multiplicity, piece):
-    # a tuple per piece would wake the garbage collector, at twice the cost
-    stride = max(at, default=0) + 1
-    children = [{}]  # node -> {m * stride + i: child}
-    made = [(0, 0, 0)]  # node -> (parent, j, exponent), in creation order
-    ends = {}
-    for runs, share in entries:
-        k = 0
-        for first, m, c in reversed(runs):
-            i = first + c - 1
-            while i >= first:
-                j, s = at[i]
-                child = children[k].get(key := m * stride + i)
-                if child is None:
-                    child = children[k][key] = len(made)
-                    children.append({})
-                    made.append((k, j, m * s))
-                k = child
-                i -= s
-        ends[k] = share
-    # each group keeps the creation order, parents first
-    inner = [k for k in range(1, len(made)) if children[k]]
-    order = inner + [k for k in range(1, len(made)) if not children[k]]
-    number = [0] * len(made)
-    for pos, k in enumerate(order, 1):
-        number[k] = pos
-    nodes = [(number[k], number[p], j, m) for k in order for p, j, m in [made[k]]]
-    shares = [0] * len(made)
-    for k, share in ends.items():
-        shares[number[k]] = share
-    return nodes, len(inner), shares
-
-
-def _contract(nodes: Sequence, inner: int, shares: Sequence, x: Sequence, y: list) -> list:
-    """Add (A x^{r-1})_j to y[j] for the trie ``nodes, inner, shares`` of A,
-    over the coordinates of its ``at`` map; exact or float as x and the shares
-    are.
-
-    With v[k] the product of x_j^m from the root to node k, and g[k] the
-    share-weighted sum of the products below it over the entries through k,
-    node k = (k, parent, j, m) adds m g[k] v[parent] x_j^{m-1} to row j.  Only
-    the inner nodes need v.
-    """
-    v = [1] * (inner + 1)
-    for k, p, j, m in nodes[:inner]:
-        v[k] = v[p] * (x[j] if m == 1 else x[j] ** m)
-    g = list(shares)
-    for k, p, j, m in reversed(nodes):
-        gk = g[k]
-        if m == 1:  # most nodes: no power to take
-            y[j] += gk * v[p]
-            g[p] += gk * x[j]
-        else:
-            lower = gk * x[j] ** (m - 1)
-            y[j] += m * lower * v[p]
-            g[p] += lower * x[j]
-    return y
 
 
 def _distinct_permutations(key: Key):
@@ -278,10 +199,11 @@ class SymTensor:
                 raise IndexOutOfRange(f"index tuple {key} outside 1..{dim}")
             if ordered != key:
                 raise DomainError(f"index tuple {key} is not sorted")
-            value = Fraction(raw)
+            # an int or a Fraction as it is, a bool as an int, anything else made exact
+            value = raw if hasattr(raw, "denominator") else _fraction(raw)
             if value != 0:
                 runs = _runs(key)  # stored as its share (module docstring)
-                shares.append((runs, as_rational(value * _multinomial(runs) / order)))
+                shares.append((runs, _ratio(value * _multinomial(runs), order)))
         self._build(order, dim, shares)
 
     @classmethod
@@ -374,11 +296,14 @@ class SymTensor:
         return self._rows
 
     def apply(self, x: Sequence) -> list:
-        """Left contraction (A x^{r-1})_i over all dimensions (module docstring)."""
+        """Left contraction (A x^{r-1})_i over all dimensions, by the kernel
+        of ``spectral`` (module docstring)."""
+        from .spectral import _contract, _trie
+
         if len(x) != self._dim:
             raise DimensionMismatch(f"vector length {len(x)} != dim {self._dim}")
         at = {i: (i - 1, 1) for i in range(1, self._dim + 1)}
-        return _contract(*_trie(self._entries.items(), at), x, [Fraction(0)] * self._dim)
+        return _contract(*_trie(self._entries.items(), at), x, [_fraction(0)] * self._dim)
 
     def polynomial(self) -> "HbPolynomial":
         """Homogeneous polynomial P(z) = sum a_{i_1..i_r} z_{i_1}..z_{i_r}: one

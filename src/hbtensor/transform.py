@@ -31,7 +31,6 @@ r_H; the null vertices are a closed form in (approach, r_H), derived by
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 from typing import NamedTuple
 
@@ -43,7 +42,7 @@ from .errors import (
     RepeatedEdges,
     VertexCollision,
 )
-from .hbgraph import HbGraph, Universe
+from .hbgraph import HbGraph, Universe, _ratio
 
 STRAIGHTFORWARD = "straightforward"
 SILO = "silo"
@@ -123,4 +122,4 @@ def uniformize(h: HbGraph, approach: str) -> tuple[HbGraph, UniformisationTrace]
     # tensor index j names vertex j of the padded vertex list
     padded = (chain(key, padding(approach, h.n, trace.r_h, c)) for key, c in zip(h._keys, h._cards))
     edges = [{vertices[j - 1]: m for i, m, k in runs for j in range(i, i + k)} for runs in padded]
-    return HbGraph(vertices, edges, [Fraction(trace.r_h, c) for c in h._cards]), trace
+    return HbGraph(vertices, edges, [_ratio(trace.r_h, c) for c in h._cards]), trace

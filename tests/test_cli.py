@@ -261,6 +261,24 @@ def test_weight_too_large_for_a_float_exits_3(tmp_path, capsys):
     assert report["bound"]["empirical_lambda"] == 2e300
 
 
+def test_order_too_large_for_a_float_exits_3(tmp_path, capsys):
+    def verify(m, seed):
+        path = tmp_path / f"m{m}.json"
+        edges = '[{"mult": {"a": %s}}, {"mult": {"a": 1, "b": 1}}]' % m
+        path.write_text('{"vertices": ["a", "b"], "edges": %s}' % edges)
+        return main(["verify", str(path), "--approach", "str", "--seed", seed])
+
+    assert verify("1e400", "7") == 3  # JSON 1e400 reads exactly as 10**400, r_H
+    message = "error: power iteration: the order r_H is too large for a float\n"
+    assert capsys.readouterr() == ("", message)
+    # below that order the entries' lower bound L = M stays finite: an
+    # estimate that reaches it converges, one that stops at 2 M / 3 does not
+    for seed, value, converged in (("0", 1e306, True), ("7", 2e306 / 3, False)):
+        assert verify("1e306", seed) == 0
+        bound = json.loads(capsys.readouterr().out)["bound"]
+        assert (bound["empirical_lambda"], bound["converged"]) == (value, converged)
+
+
 def test_info_byte_stable(demo_file, capsys):
     main(["info", demo_file])
     first = capsys.readouterr().out

@@ -57,10 +57,27 @@ VERB_MODULES = [
     (["export", "g.json", "--format", "json"], BASE),
     (["paths", "g.json"], BASE | {"paths"}),
     (["uniformize", "g.json", "--approach", "sil"], BASE | {"transform"}),
-    (["tensor", "g.json", "--approach", "sil", "--out", "t.coo"], BASE | {"transform", "tensor"}),
+    (
+        ["tensor", "g.json", "--approach", "sil", "--out", "t.coo"],
+        BASE | {"transform", "tensor", "tensorfile"},
+    ),
     (["verify", "g.json", "--approach", "str"], BASE | {"transform", "tensor", "spectral"}),
-    (["verify", "g.json", "--from-tensor", "t.coo"], BASE | {"transform", "tensor", "spectral"}),
+    (
+        ["verify", "g.json", "--from-tensor", "t.coo"],
+        BASE | {"transform", "tensor", "spectral", "tensorfile"},
+    ),
 ]
+# the verbs that, on a graph of integers, build no ``Fraction`` (``uniformize``
+# weights its edges r_H / c, and ``tensor`` writes values that are not integers)
+INTEGER_VERBS = [argv for argv, _ in VERB_MODULES if argv[0] in ("info", "dual", "export", "paths")]
+INTEGER_VERBS += [["verify", "g.json", "--approach", ap] for ap in ("str", "sil", "lay")]
+# what ``fractions`` loads, and no such verb may
+FRACTION_MODULES = ("decimal", "fractions", "numbers")
+# the names of ``io`` that ``tensorfile`` defines
+MOVED_IO_NAMES = (
+    "_HEADER_KEYS _natural dump_trace load_tensor_coo load_trace tensor_from_coo"
+    " tensor_to_coo trace_from_obj trace_to_obj"
+)
 
 
 def _python(*args: str, cwd=None) -> subprocess.CompletedProcess:
@@ -163,6 +180,33 @@ def test_each_verb_loads_only_the_modules_it_runs(tmp_path):
         assert run.stderr.split() == sorted(f"hbtensor.{m}" for m in expected), argv
 
 
+def test_verbs_on_integers_never_import_fractions(tmp_path):
+    (tmp_path / "g.json").write_text(
+        (Path(__file__).parent / "golden" / "demo" / "export_json.stdout").read_text()
+    )
+    probe = (
+        "import sys; from hbtensor.cli import main; code = main(sys.argv[1:]); "
+        f"sys.stderr.write(' '.join(m for m in {FRACTION_MODULES!r} if m in sys.modules)); "
+        "raise SystemExit(code)"
+    )
+    for argv in INTEGER_VERBS:
+        run = _python("-c", probe, *argv, cwd=tmp_path)
+        assert (run.returncode, run.stderr) == (0, ""), argv
+
+
+def test_moved_io_names_are_the_tensorfile_objects():
+    import hbtensor.io
+    import hbtensor.tensorfile
+
+    for name in MOVED_IO_NAMES.split():
+        assert getattr(hbtensor.io, name) is getattr(hbtensor.tensorfile, name), name
+    namespace: dict = {}
+    exec("from hbtensor.io import tensor_to_coo, load_trace", namespace)
+    assert namespace["tensor_to_coo"] is hbtensor.tensorfile.tensor_to_coo
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hbtensor.io.no_such_name
+
+
 def test_public_api_through_the_lazy_root():
     assert hbtensor.__all__ == PUBLIC
     for module, names in HOMES.items():
@@ -208,3 +252,33 @@ def test_every_module_stays_under_the_compile_peak_step():
             sizes[path.name] = sum(token.type not in skipped for token in tokens)
     assert len(sizes) >= 10
     assert max(sizes.values()) < MAX_MODULE_TOKENS, sizes
+
+
+def test_names_the_benchmark_traced_pass_reads_still_resolve():
+    """``perfbench/layers.py``, read as source and never run: every name it
+    imports from the package root, every ``io.<name>``, and every attribute
+    it reads of ``HbGraph``, of its graphs ``h`` or of its tensors ``t``
+    resolves, so a moved name cannot break the benchmark's traced pass
+    (``run.py --trace 1``) unseen."""
+    from hbtensor import HbGraph, SymTensor, io
+
+    layers = Path(__file__).parent.parent / "perfbench" / "layers.py"
+    tree = ast.parse(layers.read_text(encoding="utf-8"))
+    roots = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "hbtensor"
+        for alias in node.names
+    ]
+    owners = {"io": io, "HbGraph": HbGraph, "h": HbGraph, "t": SymTensor}
+    reads = {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in owners
+    }
+    assert "io" in roots and {owner for owner, _ in reads} == set(owners)
+    exec(f"from hbtensor import {', '.join(roots)}", {})  # submodules too
+    missing = [f"{owner}.{attr}" for owner, attr in sorted(reads) if not hasattr(owners[owner], attr)]
+    assert not missing

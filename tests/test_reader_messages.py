@@ -12,11 +12,13 @@ were read straight into the graph's keys and hb-stars.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from hbtensor import DomainError, HbGraph, Multiset, UniverseMismatch
 from hbtensor.cli import main
+from hbtensor.io import dumps, rational_to_json
 
 # name -> (hb-graph JSON, what ``info`` prints after "error: <file>: ")
 FILES = {
@@ -133,3 +135,60 @@ def test_multiset_edges_are_checked_before_the_weights():
     edges = [Multiset(("a", "b"), {"a": 1}), Multiset(("a",), {"a": 1})]
     with pytest.raises(UniverseMismatch, match="^edge universe differs from vertex list$"):
         HbGraph(("a", "b"), edges, [0, 1])
+
+
+# Inputs whose first non-integer number comes after integers, where the
+# reader first builds a ``Fraction``: name -> (the second edge's JSON record,
+# what ``export --format json`` prints for it, or the message after
+# "error: <file>: ").  Recorded from the reader that imported ``fractions``
+# with the module.
+_LONG = "9" * 4301
+try:
+    int(_LONG)
+except ValueError as exc:  # the interpreter's own message, which ``_loads`` repeats
+    _LONG_MESSAGE = str(exc)
+LAZY = {
+    "decimal": ('{"mult": {"a": 2.5}}', {"mult": {"a": "5/2"}}),
+    "integral_decimal": ('{"mult": {"a": 3.0}}', {"mult": {"a": 3}}),
+    "exponent": ('{"mult": {"a": 1e3}}', {"mult": {"a": 1000}}),
+    "true": (
+        '{"mult": {"a": true}}',
+        "edges[1]: mult['a']: expected a number or 'p/q' string, got bool",
+    ),
+    "p_over_q": ('{"mult": {"a": "7/2"}}', {"mult": {"a": "7/2"}}),
+    "exponent_string": ('{"mult": {"a": "1e400"}}', {"mult": {"a": 10**400}}),
+    "too_long": ('{"mult": {"a": %s}}' % _LONG, _LONG_MESSAGE),
+    "fraction_weight": ('{"mult": {"a": 1}, "weight": 0.25}', {"mult": {"a": 1}, "weight": "1/4"}),
+    "p_over_q_weight": ('{"mult": {"a": 1}, "weight": "6/4"}', {"mult": {"a": 1}, "weight": "3/2"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAZY))
+def test_reader_builds_the_first_fraction_as_before(name, tmp_path, capsys):
+    record, expected = LAZY[name]
+    path = tmp_path / f"{name}.json"
+    first = '{"mult": {"a": 1, "b": 2}, "weight": 3}'
+    path.write_text('{"vertices": ["a", "b"], "edges": [%s, %s]}' % (first, record))
+    code = main(["export", str(path), "--format", "json"])
+    captured = capsys.readouterr()
+    if isinstance(expected, str):
+        assert (code, captured.out, captured.err) == (2, "", f"error: {path}: {expected}\n")
+    else:
+        edges = [{"mult": {"a": 1, "b": 2}, "weight": 3}, expected]
+        if "weight" not in expected:
+            edges[1] = {**expected, "weight": 1}
+        obj = {"vertices": ["a", "b"], "edges": edges}
+        assert (code, captured.out, captured.err) == (0, dumps(obj), "")
+
+
+def test_printer_on_a_bool_an_over_long_int_and_a_fraction():
+    assert [(rational_to_json(b), type(rational_to_json(b))) for b in (True, False)] == [
+        (1, int),
+        (0, int),
+    ]
+    with pytest.raises(DomainError, match="^cannot print a number of more than 4300 digits$"):
+        rational_to_json(10**4300)
+    assert rational_to_json(10**4300 - 1) == 10**4300 - 1
+    assert rational_to_json(Fraction(7, 2)) == "7/2"
+    assert (rational_to_json(Fraction(6, 3)), type(rational_to_json(Fraction(6, 3)))) == (2, int)
+    assert rational_to_json(Fraction(-1, 10**4299)) == f"-1/{10**4299}"

@@ -23,8 +23,7 @@ from hbtensor import (
 from hbtensor.cli import main
 from hbtensor.errors import DomainError
 from hbtensor.io import dumps, hbgraph_from_obj, tensor_from_coo, tensor_to_coo
-from hbtensor.spectral import _twin_classes
-from hbtensor.tensor import _contract, _trie
+from hbtensor.spectral import _contract, _trie, _twin_classes
 from randgen import random_hbgraph
 from test_golden import DEMO, WEIGHTED
 from test_tensor import weighted_hbgraphs

@@ -40,6 +40,7 @@ from hbtensor.errors import (
     TraceMismatch,
 )
 from hbtensor import tensor as tensor_module
+from hbtensor.spectral import _trie
 from hbtensor.tensor import (
     MAX_FULL_RECORDS,
     _dense,
@@ -748,11 +749,11 @@ def test_trie_apply_and_size_on_e_adjacency_tensors_hypothesis(h, rng):
         # straightforward and silo entries of a level share their padding
         # node, and layered entries one chain of null indices
         at = {i: (i, 1) for i in range(1, t.dim + 1)}
-        trie = tensor_module._trie(t._entries.items(), at)
+        trie = _trie(t._entries.items(), at)
         assert len(trie[0]) <= supports + trace.r_h
         # one node per index: the trie of the keys expanded to one run per index
         expanded = [(tuple((i, m, 1) for i, m in pairs(k)), s) for k, s in t._entries.items()]
-        assert tensor_module._trie(expanded, at) == trie
+        assert _trie(expanded, at) == trie
 
 
 @settings(max_examples=60, deadline=None)
