@@ -138,6 +138,10 @@ def cmd_verify(args) -> int:
         if _check_trace(tensor, trace) != h.n:
             msg = f"tensor dim {tensor.dim} - {trace.n_a} null vertices != {h.n} graph vertices"
             raise TraceMismatch(msg)
+        # the checks below rebuild the graph's keys at the trace's r_H
+        if trace.r_h != (r := max(h._cards, default=None)):
+            shown = "n/a" if r is None else io.format_rational(r)
+            raise TraceMismatch(f"trace r_H {trace.r_h} != graph m-range {shown}")
     else:
         tensor, trace = e_adjacency_tensor(h, args.approach)
 
@@ -158,9 +162,7 @@ def cmd_verify(args) -> int:
     keys = _edge_keys(h, trace.approach, trace.r_h)
     checks["reconstruction"] = Counter(tensor._entries.items()) == Counter(zip(keys, weights))
 
-    estimate = (
-        estimate_max_eigenvalue(tensor, seed=args.seed) if tensor.order >= 2 else None
-    )
+    estimate = estimate_max_eigenvalue(tensor) if tensor.order >= 2 else None
     report = spectral_bound(tensor, trace)
     within = True
     if estimate:
@@ -252,7 +254,7 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
         source = p.add_mutually_exclusive_group(required=True)
         source.add_argument("--approach", type=_approach)
         source.add_argument("--from-tensor", dest="from_tensor")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, help="ignored: the estimate starts at x = 1")
 
     if p := add("paths", cmd_paths, help="distance, components, diameter"):
         p.add_argument("--pair", nargs=2, metavar=("FROM", "TO"))

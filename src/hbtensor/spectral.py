@@ -30,7 +30,8 @@ chain of null indices.
 The power iteration, run over the twin classes of the nonzero rows through
 that kernel (``_contract``, O(trie nodes) per step, at most sum |supp e| +
 r_H on an e-adjacency tensor, and on a layered one sum |supp e| plus one per
-level below r_H that occurs), gives a lower estimate of the largest
+level below r_H that occurs), from x = 1 (the scheme of Ng, Qi and Zhou,
+2009, takes any positive start), gives a lower estimate of the largest
 H-eigenvalue, so the bound can be checked empirically.  Twins are indices
 that every entry holds at one multiplicity or not at all, such as the null
 vertices between two levels of a layered padding: the iteration keeps one
@@ -46,7 +47,6 @@ jumps to that mode's limit.
 from __future__ import annotations
 
 import math
-import random
 from collections import defaultdict
 from itertools import islice
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -209,8 +209,8 @@ def estimate_max_eigenvalue(
 ) -> PowerIterationResult:
     """Shifted higher-order power iteration on the positive orthant.
 
-    Iterates x <- normalize((A x^{r-1} + x^{[r-1]})^{1/(r-1)}) from a random
-    positive start and reports the Rayleigh-style quotient
+    Iterates x <- normalize((A x^{r-1} + x^{[r-1]})^{1/(r-1)}) from x = 1,
+    every coordinate at 1, and reports the Rayleigh-style quotient
     sum_i x_i (A x^{r-1})_i / sum_i x_i^r of the last iterate.  For a
     nonnegative symmetric tensor this quotient never exceeds the largest
     H-eigenvalue, so the reported value always respects the spectral bound.
@@ -266,10 +266,11 @@ def estimate_max_eigenvalue(
     rows of the class.  A member's row is y_t / s_t, divided out on the
     classes of more than one index only, and the quotient
     sum_t x_t y_t / sum_t s_t x_t^r is the one over every index.
-    The stop test and the step ratios read one value per class.  The seeded
-    start draws one value per class, in index order, so on a tensor without
-    twins the iteration is the one over the support, value for value, and
-    on a tensor whose every index occurs, the full-dimension one.
+    The stop test and the step ratios read one value per class.  The start
+    x = 1 is equal on every class, as the Perron vector is, so the iteration
+    is the one over the support, value for value, and on a tensor whose every
+    index occurs, the full-dimension one.  ``seed`` is accepted, for callers
+    that still pass it, and ignored.
 
     The contraction reads the float shares only, so large multiplicities
     cost no large multinomial; an order r, an entry share or a contraction
@@ -309,10 +310,7 @@ def estimate_max_eigenvalue(
             raise DomainError("power iteration: the contraction exceeds the float range")
         return y
 
-    rng = random.Random(seed)
-    x = [rng.uniform(0.5, 1.5) for _ in range(d)]
-    top = max(x)
-    x = [xi / top for xi in x]
+    x = [1.0] * d
 
     converged, used = False, 0
     k, root = r - 1, 1.0 / (r - 1)

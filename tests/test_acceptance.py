@@ -188,7 +188,7 @@ def test_criterion_7_spectral_bound():
             t, trace = e_adjacency_tensor(h, approach)
             report = spectral_bound(t, trace)
             assert report.delta_star == delta_star_closed_form(approach, r_h, counts)
-            estimate = estimate_max_eigenvalue(t, iterations=2000, seed=11)
+            estimate = estimate_max_eigenvalue(t, iterations=2000)
             assert estimate.value <= float(report.bound) + 1e-6
             n = h.n
             for i, v in enumerate(h.vertices):

@@ -71,9 +71,7 @@ CASES = {
     "export_json": ["export", "--format", "json"],
 }
 
-VERIFY_CASES = {
-    f"verify_{a}": ["verify", "--approach", a, "--seed", "7"] for a in APPROACHES
-}
+VERIFY_CASES = {f"verify_{a}": ["verify", "--approach", a] for a in APPROACHES}
 
 # verify on the committed output of the matching tensor case, whose trace it
 # reads from <tensor>.trace.json; the names are resolved in the input's golden
@@ -81,9 +79,7 @@ VERIFY_CASES = {
 # tensor files exist before these cases run.  The full expansion of the silo
 # tensor reads back to the same report as its canonical file.
 FROM_TENSOR_CASES = {
-    f"verify_from_tensor_{a}": [
-        "verify", "--from-tensor", f"tensor_{a}.file.t.coo", "--seed", "7",
-    ]
+    f"verify_from_tensor_{a}": ["verify", "--from-tensor", f"tensor_{a}.file.t.coo"]
     for a in (*APPROACHES, "full_sil")
 }
 

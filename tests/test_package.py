@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -254,16 +255,32 @@ def test_every_module_stays_under_the_compile_peak_step():
     assert max(sizes.values()) < MAX_MODULE_TOKENS, sizes
 
 
-def test_names_the_benchmark_traced_pass_reads_still_resolve():
-    """``perfbench/layers.py``, read as source and never run: every name it
-    imports from the package root, every ``io.<name>``, and every attribute
-    it reads of ``HbGraph``, of its graphs ``h`` or of its tensors ``t``
-    resolves, so a moved name cannot break the benchmark's traced pass
-    (``run.py --trace 1``) unseen."""
-    from hbtensor import HbGraph, SymTensor, io
+def module_literals(path: Path) -> dict:
+    """{name: value} of the module-level ``name = <literal>`` lines of ``path``."""
+    values = {}
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            try:
+                values[node.targets[0].id] = ast.literal_eval(node.value)
+            except ValueError:
+                pass
+    return values
 
-    layers = Path(__file__).parent.parent / "perfbench" / "layers.py"
-    tree = ast.parse(layers.read_text(encoding="utf-8"))
+
+def test_names_the_benchmark_traced_pass_reads_still_resolve():
+    """``perfbench/layers.py`` and ``perfbench/run.py``, read as source and
+    never run: every name ``layers.py`` imports from the package root, every
+    ``io.<name>``, and every attribute it reads of ``HbGraph``, of its graphs
+    ``h`` or of its tensors ``t`` resolves; every keyword it passes to a
+    package function is a parameter of that function; and every argument
+    list of ``run.py``'s ``op_mix`` parses with the verb's parser.  So a moved
+    name, a dropped keyword (``seed=``) or a dropped option (``--seed``)
+    cannot break the benchmark (``run.py --trace 0`` and ``--trace 1``) unseen."""
+    from hbtensor import HbGraph, SymTensor, io
+    from hbtensor.cli import build_parser
+
+    bench = Path(__file__).parent.parent / "perfbench"
+    tree = ast.parse((bench / "layers.py").read_text(encoding="utf-8"))
     roots = [
         alias.name
         for node in ast.walk(tree)
@@ -282,3 +299,52 @@ def test_names_the_benchmark_traced_pass_reads_still_resolve():
     exec(f"from hbtensor import {', '.join(roots)}", {})  # submodules too
     missing = [f"{owner}.{attr}" for owner, attr in sorted(reads) if not hasattr(owners[owner], attr)]
     assert not missing
+
+    # the keywords of each call of a root name or of an owner's attribute
+    passed = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        fn = node.func
+        if isinstance(fn, ast.Name) and fn.id in roots:
+            callee = getattr(hbtensor, fn.id)
+        elif isinstance(fn, ast.Attribute) and getattr(fn.value, "id", None) in owners:
+            callee = getattr(owners[fn.value.id], fn.attr)
+        else:
+            continue
+        passed += [(callee, kw.arg) for kw in node.keywords]
+    assert passed
+    unknown = [
+        f"{callee.__name__}({kw}=)"
+        for callee, kw in passed
+        if kw not in inspect.signature(callee).parameters
+    ]
+    assert not unknown
+
+    # op_mix's argument lists: a literal as it is, a run.py constant at its
+    # value, a loop over one of oracle.py's constants at its first element,
+    # and any other part (an input or output path) as "x"
+    values = module_literals(bench / "run.py")
+    oracle = module_literals(bench / "oracle.py")
+    tree = ast.parse((bench / "run.py").read_text(encoding="utf-8"))
+    (op_mix,) = [
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "op_mix"
+    ]
+    for node in ast.walk(op_mix):
+        if isinstance(node, ast.For) and isinstance(node.iter, ast.Attribute):
+            values[node.target.id] = next(iter(oracle[node.iter.attr]))
+
+    def part(node) -> str:
+        if isinstance(node, ast.Constant):
+            return node.value
+        return values.get(node.id, "x") if isinstance(node, ast.Name) else "x"
+
+    argvs = [list(map(part, node.elts)) for node in ast.walk(op_mix) if isinstance(node, ast.List)]
+    assert {argv[0] for argv in argvs} == {"info", "paths", "tensor", "verify"}
+    refused = []
+    for argv in argvs:
+        try:
+            build_parser(argv[0]).parse_args(argv)
+        except SystemExit:
+            refused.append(argv)
+    assert not refused

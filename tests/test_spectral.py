@@ -138,14 +138,14 @@ def test_diagonal_dichotomy(demo):
 def test_power_iteration_known_matrix():
     pair = HbGraph.from_dicts(("a", "b"), [{"a": 1, "b": 1}])
     t, _ = e_adjacency_tensor(pair, "straightforward")
-    result = estimate_max_eigenvalue(t, seed=5)
+    result = estimate_max_eigenvalue(t)
     assert result.converged
     assert abs(result.value - 1.0) < 1e-8
 
 
 def test_power_iteration_zero_and_errors():
     zero = SymTensor(order=3, dim=4, entries={})
-    result = estimate_max_eigenvalue(zero, seed=0)
+    result = estimate_max_eigenvalue(zero)
     assert result.value == 0.0 and result.converged
     order1 = SymTensor(order=1, dim=2, entries={(1,): 1})
     with pytest.raises(DomainError):
@@ -156,18 +156,16 @@ def test_power_iteration_zero_and_errors():
 
 
 def test_zero_estimate_is_never_converged():
-    # at r_H = M, x_i^(M-1) underflows for most starts; on some seeds every
-    # term does and the iterate stands still at quotient 0.0
-    zeros = 0
+    # at r_H = M, x_i^(M-1) underflows once x_i is a little below 1; from a
+    # random start every term could, and the iterate stood still at quotient
+    # 0.0.  From x = 1 it neither collapses nor converges below M
     for m in (3000, 10**4):
         h = HbGraph.from_dicts(("a", "b"), [{"a": m}, {"a": 1, "b": 1}])
         for approach in APPROACHES:
             t, _ = e_adjacency_tensor(h, approach)
-            for seed in range(10):
-                result = estimate_max_eigenvalue(t, seed=seed)
-                assert not (result.converged and result.value < m)
-                zeros += result.value == 0.0
-    assert zeros >= 5  # the collapse was met
+            result = estimate_max_eigenvalue(t)
+            assert result.value > 0.0
+            assert not (result.converged and result.value < m)
 
 
 def test_estimate_below_bound(demo):
@@ -179,7 +177,7 @@ def test_estimate_below_bound(demo):
             if t.order < 2:
                 continue
             report = spectral_bound(t, trace)
-            result = estimate_max_eigenvalue(t, seed=7)
+            result = estimate_max_eigenvalue(t)
             assert result.value <= float(report.bound) + 1e-6
             assert result.value >= -1e-12
 
@@ -210,13 +208,11 @@ def dense_twin_classes(t: SymTensor, indices) -> list[list[int]]:
     return classes
 
 
-def reference_estimate(
-    t: SymTensor, iterations: int, tol: float = 1e-10, seed=None, full: bool = False
-):
+def reference_estimate(t: SymTensor, iterations: int, tol: float = 1e-10, full: bool = False):
     """The dense-key power iteration with its own contraction plan, changed only
-    to take the quotient from the last iterate, to draw its start once per
-    twin class (``dense_twin_classes``) in index order and, unless ``full``,
-    to run on the indices that occur in some entry, renumbered in order."""
+    to take the quotient from the last iterate, to start from x = 1 and,
+    unless ``full``, to run on the indices that occur in some entry,
+    renumbered in order."""
     entries = [(key, float(v)) for key, v in t.canonical_items()]
     r = t.order
     indices = range(1, t.dim + 1) if full else sorted({i for key, _ in entries for i in key})
@@ -246,14 +242,7 @@ def reference_estimate(
                 y[i0] += term
         return y
 
-    rng = random.Random(seed)
-    x = [0.0] * d
-    for members in dense_twin_classes(t, indices):
-        start = rng.uniform(0.5, 1.5)
-        for i in members:
-            x[at[i]] = start
-    top = max(x)
-    x = [xi / top for xi in x]
+    x = [1.0] * d
     converged = False
     used = 0
     for used in range(1, iterations + 1):
@@ -285,9 +274,8 @@ def test_estimate_matches_reference_iteration(demo):
             if t.order < 2:
                 continue
             for iterations in (1, 2, 3, 10_000):
-                seed = rng.randint(0, 99)
-                result = estimate_max_eigenvalue(t, iterations=iterations, seed=seed)
-                value, converged, used = reference_estimate(t, iterations, seed=seed)
+                result = estimate_max_eigenvalue(t, iterations=iterations)
+                value, converged, used = reference_estimate(t, iterations)
                 if iterations <= 2:
                     # no extrapolation step can fire before the third step
                     assert (result.converged, result.iterations) == (converged, used)
@@ -311,8 +299,8 @@ def test_estimate_agrees_with_full_dimension_iteration(demo):
             t, _ = e_adjacency_tensor(h, approach)
             if t.order < 2:
                 continue
-            result = estimate_max_eigenvalue(t, seed=3)
-            value, converged, _ = reference_estimate(t, 10_000, seed=3, full=True)
+            result = estimate_max_eigenvalue(t)
+            value, converged, _ = reference_estimate(t, 10_000, full=True)
             if result.converged and converged:
                 assert math.isclose(result.value, value, rel_tol=1e-9)
                 compared += 1
@@ -340,9 +328,7 @@ def test_estimate_ignores_isolated_vertices(demo):
             if t.order < 2:
                 continue
             assert t_padded.dim > t.dim
-            for seed in (0, 1):
-                expected = estimate_max_eigenvalue(t, seed=seed)
-                assert estimate_max_eigenvalue(t_padded, seed=seed) == expected
+            assert estimate_max_eigenvalue(t_padded) == estimate_max_eigenvalue(t)
 
 
 def test_an_isolated_vertex_between_twins_does_not_part_them():
@@ -357,16 +343,13 @@ def test_an_isolated_vertex_between_twins_does_not_part_them():
         sizes, at = _twin_classes(t_parted._entries)
         assert sizes[0] == 2 and at[1] == at[3] == (0, 1)
         assert _twin_classes(t._entries)[0] == sizes
-        for seed in range(4):
-            expected = estimate_max_eigenvalue(t, seed=seed)
-            assert estimate_max_eigenvalue(t_parted, seed=seed) == expected
+        assert estimate_max_eigenvalue(t_parted) == estimate_max_eigenvalue(t)
 
 
-def check_twin_classes(t: SymTensor, seed: int) -> tuple[list[list[int]], list]:
+def check_twin_classes(t: SymTensor) -> tuple[list[list[int]], list]:
     """The classes are the dense columns' runs, the piece trie contracts to
     each class's summed rows exactly, and the estimate is the reference
     iteration's.  Returns the classes and the trie's nodes."""
-    rng = random.Random(seed)
     support = sorted({i for key, _ in t.canonical_items() for i in key})
     classes = dense_twin_classes(t, support)
     sizes, at = _twin_classes(t._entries)
@@ -374,8 +357,9 @@ def check_twin_classes(t: SymTensor, seed: int) -> tuple[list[list[int]], list]:
     for last, (j, s) in sorted(at.items()):
         members[j] += range(last - s + 1, last + 1)
     assert members == classes and sizes == list(map(len, classes))
-    # at one positive value per class, node j's rows are its members' rows
-    xs = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in sizes]
+    # at one positive value per class, distinct across classes, node j's rows
+    # are its members' rows
+    xs = [Fraction(j + 2, 2 * j + 1) for j in range(len(sizes))]
     x = [Fraction(0)] * t.dim
     for xj, c in zip(xs, classes):
         for i in c:
@@ -385,21 +369,21 @@ def check_twin_classes(t: SymTensor, seed: int) -> tuple[list[list[int]], list]:
     y = _contract(nodes, inner, shares, xs, [Fraction(0)] * len(sizes))
     assert y == [sum(rows[i - 1] for i in c) for c in classes]
     if t.order >= 2:
-        result = estimate_max_eigenvalue(t, iterations=1_000, seed=seed)
-        value, converged, _ = reference_estimate(t, 1_000, seed=seed)
+        result = estimate_max_eigenvalue(t, iterations=1_000)
+        value, converged, _ = reference_estimate(t, 1_000)
         if result.converged and converged:
             assert math.isclose(result.value, value, rel_tol=1e-9)
     return classes, nodes
 
 
 @settings(max_examples=60, deadline=None)
-@given(weighted_hbgraphs(), st.integers(0, 99))
-def test_twin_classes_and_their_iteration_hypothesis(h, seed):
+@given(weighted_hbgraphs())
+def test_twin_classes_and_their_iteration_hypothesis(h):
     levels = {e.m_cardinality() for e in h.edges}
     supports = sum(len(e.support()) for e in h.edges)
     for approach in APPROACHES:
         t, trace = e_adjacency_tensor(h, approach)
-        classes, nodes = check_twin_classes(t, seed)
+        classes, nodes = check_twin_classes(t)
         if approach == "layered":
             nulls = sum(c[0] > h.n for c in classes)
             assert nulls <= sum(c < trace.r_h for c in levels)
@@ -433,9 +417,9 @@ def general_tensors(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(general_tensors(), st.integers(0, 99))
-def test_twin_classes_of_general_tensors_hypothesis(t, seed):
-    check_twin_classes(t, seed)
+@given(general_tensors())
+def test_twin_classes_of_general_tensors_hypothesis(t):
+    check_twin_classes(t)
 
 
 @pytest.mark.parametrize(
@@ -454,7 +438,7 @@ def test_twin_classes_of_general_tensors_hypothesis(t, seed):
 def test_a_gap_joins_the_pieces_whose_runs_resume_at_one_multiplicity(entries, classes):
     order = len(next(iter(entries)))
     t = SymTensor(order, 8, entries)
-    assert check_twin_classes(t, 0)[0] == classes
+    assert check_twin_classes(t)[0] == classes
 
 
 def highmult_shaped(rng: random.Random) -> HbGraph:
@@ -487,8 +471,8 @@ def test_extrapolation_halves_silo_iterations():
     for h in (sparse_shaped(random.Random(107)), highmult_shaped(random.Random(101))):
         t, trace = e_adjacency_tensor(h, "silo")
         assert trace.r_h in (16, 300)
-        result = estimate_max_eigenvalue(t, seed=7)
-        value, converged, used = reference_estimate(t, 10_000, seed=7)
+        result = estimate_max_eigenvalue(t)
+        value, converged, used = reference_estimate(t, 10_000)
         assert result.converged and converged
         assert 2 * result.iterations <= used
         assert round(result.value, 9) == round(value, 9)
@@ -510,16 +494,16 @@ def small_hbgraphs(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(small_hbgraphs(), st.integers(0, 99))
-def test_estimate_matches_reference_hypothesis(h, seed):
+@given(small_hbgraphs())
+def test_estimate_matches_reference_hypothesis(h):
     for approach in APPROACHES:
         t, trace = e_adjacency_tensor(h, approach)
         if t.order < 2:
             continue
-        result = estimate_max_eigenvalue(t, iterations=2_000, seed=seed)
+        result = estimate_max_eigenvalue(t, iterations=2_000)
         assert 0.0 <= result.value
         assert Fraction(result.value) <= spectral_bound(t, trace).bound
-        value, converged, _ = reference_estimate(t, 2_000, seed=seed)
+        value, converged, _ = reference_estimate(t, 2_000)
         if result.converged and converged:
             assert math.isclose(result.value, value, rel_tol=1e-9)
 
@@ -531,11 +515,10 @@ def test_extrapolation_never_converges_to_a_wrong_value():
     converged = 0
     for approach in APPROACHES:
         t, _ = e_adjacency_tensor(h, approach)
-        for seed in range(4):
-            result = estimate_max_eigenvalue(t, seed=seed)
-            assert not (result.converged and abs(result.value - 300) > 3e-7)
-            converged += result.converged
-    assert converged >= 4  # the layered runs converge
+        result = estimate_max_eigenvalue(t)
+        assert not (result.converged and abs(result.value - 300) > 3e-7)
+        converged += result.converged
+    assert converged >= 1  # the layered run converges
 
 
 def test_estimate_converges_where_float_coefficients_overflowed(tmp_path, capsys):
@@ -548,33 +531,33 @@ def test_estimate_converges_where_float_coefficients_overflowed(tmp_path, capsys
         assert t.order == 300
         with pytest.raises(OverflowError):
             reference_estimate(t, iterations=1)
-        result = estimate_max_eigenvalue(t, seed=7)
+        result = estimate_max_eigenvalue(t)
         assert result.converged
         assert 0 < Fraction(result.value) <= spectral_bound(t, trace).bound
         path = tmp_path / f"g{k}.json"
         edges = [{"mult": dict(e.mult)} for e in h.edges]
         path.write_text(dumps({"vertices": list(h.vertices), "edges": edges}))
-        assert main(["verify", str(path), "--approach", "lay", "--seed", "7"]) == 0
+        assert main(["verify", str(path), "--approach", "lay"]) == 0
         report = json.loads(capsys.readouterr().out)["bound"]
         assert report["converged"] is True and report["within_bound"] is True
 
 
-# (value.hex(), converged, iterations) of estimate_max_eigenvalue(t, seed=7),
+# (value.hex(), converged, iterations) of estimate_max_eigenvalue(t),
 # bit for bit.  Layered demo holds the one class here that a gap parts, v6 and
 # two null vertices: two trie nodes on one coordinate, x and x^2.
 ESTIMATES = {
-    ("demo", "straightforward"): ("0x1.ed3d5424f7b9cp+1", True, 35),
-    ("demo", "silo"): ("0x1.8406003b2ae5cp+1", True, 265),
-    ("demo", "layered"): ("0x1.2bbd427782d90p+1", True, 45),
-    ("weighted", "straightforward"): ("0x1.a6f357f7dbf48p+2", True, 23),
-    ("weighted", "silo"): ("0x1.96292fe9d4633p+2", True, 30),
-    ("weighted", "layered"): ("0x1.37473a3dcb8fap+2", True, 27),
-    ("sparse", "straightforward"): ("0x1.f9ef779c4b58cp+7", True, 20),
-    ("sparse", "silo"): ("0x1.4ea5c79d2751fp+6", True, 91),
+    ("demo", "straightforward"): ("0x1.ed3d5424f7b9cp+1", True, 30),
+    ("demo", "silo"): ("0x1.8406003b2ae5cp+1", True, 247),
+    ("demo", "layered"): ("0x1.2bbd427782d90p+1", True, 42),
+    ("weighted", "straightforward"): ("0x1.a6f357f7dbf4ap+2", True, 20),
+    ("weighted", "silo"): ("0x1.96292fe9d4630p+2", True, 28),
+    ("weighted", "layered"): ("0x1.37473a3dcb8fbp+2", True, 26),
+    ("sparse", "straightforward"): ("0x1.f9ef779c4b587p+7", True, 20),
+    ("sparse", "silo"): ("0x1.4ea5c79d27522p+6", True, 84),
     ("sparse", "layered"): ("0x1.2a22c57b41955p+5", True, 20),
-    ("highmult", "straightforward"): ("0x1.70c26e9905dc2p+11", True, 23),
-    ("highmult", "silo"): ("0x1.437b1d7e84e0ap+8", True, 541),
-    ("highmult", "layered"): ("0x1.a209779605fa0p+6", True, 43),
+    ("highmult", "straightforward"): ("0x1.70c26e9905dc3p+11", True, 16),
+    ("highmult", "silo"): ("0x1.437b1d7e84e0cp+8", True, 546),
+    ("highmult", "layered"): ("0x1.a209779605faap+6", True, 37),
 }
 
 
@@ -586,7 +569,7 @@ def test_estimates_hold_bit_for_bit():
     graphs["highmult"] = highmult_shaped(random.Random(101))
     for (name, approach), expected in ESTIMATES.items():
         t, _ = e_adjacency_tensor(graphs[name], approach)
-        result = estimate_max_eigenvalue(t, seed=7)
+        result = estimate_max_eigenvalue(t)
         assert (result.value.hex(), result.converged, result.iterations) == expected
 
 
@@ -599,7 +582,7 @@ def test_layered_estimate_at_r_h_10_9_walks_pieces():
     sizes, at = _twin_classes(t._entries)
     assert sizes == [1, 10**9 - 1] and len(at) == 3
     assert len(_trie(t._entries.items(), at)[0]) == 4
-    result = estimate_max_eigenvalue(t, seed=7)
+    result = estimate_max_eigenvalue(t)
     assert time.perf_counter() - start < 1.0
     assert result.value == 10**9 and result.converged
 
@@ -653,13 +636,15 @@ def log_lower_bound(h: HbGraph, approach: str) -> float:
     return max(logs)
 
 
-# {a^M}, {a, b} at M = 10^7 and 10^9, and a scan's r_H = 1044 graph: the
-# iterate still crept when the stop test passed, at a value below L
+# {a^M}, {a, b} at M = 10^7 and 10^9: the iterate still creeps when the stop
+# test passes, at a value below L
 BELOW_L_REPROS = [
-    ({"a": 10**7}, "straightforward", 7, 10**7),
-    ({"a": 10**7}, "silo", 5, 10**7),
-    ({"a": 10**9}, "straightforward", 7, 10**9),
+    ({"a": 10**7}, "straightforward", 10**7),
+    ({"a": 10**7}, "silo", 10**7),
+    ({"a": 10**9}, "straightforward", 10**9),
 ]
+# a scan's r_H = 1044 graph: from some random starts the iterate crept below
+# L = 667.88 when the stop test passed; from x = 1 it converges above L
 R1044 = HbGraph.from_dicts(
     ("v0", "v1", "v2", "v3"),
     [
@@ -672,19 +657,19 @@ R1044 = HbGraph.from_dicts(
 
 def test_estimates_below_the_lower_bound_are_not_converged(tmp_path, capsys):
     cases = [
-        (HbGraph.from_dicts(("a", "b"), [big, {"a": 1, "b": 1}]), approach, seed, low)
-        for big, approach, seed, low in BELOW_L_REPROS
+        (HbGraph.from_dicts(("a", "b"), [big, {"a": 1, "b": 1}]), approach, low)
+        for big, approach, low in BELOW_L_REPROS
     ]
-    cases.append((R1044, "silo", 2, 667.8778139486))
-    for k, (h, approach, seed, low) in enumerate(cases):
+    cases.append((R1044, "silo", 667.8778139486))
+    for k, (h, approach, low) in enumerate(cases):
         assert math.isclose(math.exp(log_lower_bound(h, approach)), low, rel_tol=1e-12)
         path = tmp_path / f"g{k}.json"
         edges = [{"mult": e.mult} for e in h.edges]
         path.write_text(dumps({"vertices": list(h.vertices), "edges": edges}))
-        argv = ["verify", str(path), "--approach", approach, "--seed", str(seed)]
-        assert main(argv) == 0
+        assert main(["verify", str(path), "--approach", approach]) == 0
         report = json.loads(capsys.readouterr().out)["bound"]
-        assert report["empirical_lambda"] < low and report["converged"] is False
+        # converged exactly where the estimate reaches L: only R1044's does
+        assert report["converged"] is (report["empirical_lambda"] >= low) is (h is R1044)
 
 
 @st.composite
@@ -702,13 +687,13 @@ def spiky_hbgraphs(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(spiky_hbgraphs(), st.sampled_from(APPROACHES), st.integers(0, 9))
-@example(HbGraph.from_dicts(("a", "b"), [{"a": 10**7}, {"a": 1, "b": 1}]), "silo", 5)
-@example(R1044, "silo", 2)
-def test_no_converged_estimate_below_the_lower_bound_hypothesis(h, approach, seed):
+@given(spiky_hbgraphs(), st.sampled_from(APPROACHES))
+@example(HbGraph.from_dicts(("a", "b"), [{"a": 10**7}, {"a": 1, "b": 1}]), "silo")
+@example(R1044, "silo")
+def test_no_converged_estimate_below_the_lower_bound_hypothesis(h, approach):
     t, _ = e_adjacency_tensor(h, approach)
     if t.order < 2:
         return
-    result = estimate_max_eigenvalue(t, seed=seed)
+    result = estimate_max_eigenvalue(t)
     if result.converged:
         assert math.log(result.value) >= log_lower_bound(h, approach) + math.log1p(-1e-9)
