@@ -32,7 +32,7 @@ that kernel (``_contract``, O(trie nodes) per step, at most sum |supp e| +
 r_H on an e-adjacency tensor, and on a layered one sum |supp e| plus one per
 level below r_H that occurs), from x = 1 (the scheme of Ng, Qi and Zhou,
 2009, takes any positive start), gives a lower estimate of the largest
-H-eigenvalue, so the bound can be checked empirically.  Twins are indices
+H-eigenvalue, which ``verify`` reports beside the bound.  Twins are indices
 that every entry holds at one multiplicity or not at all, such as the null
 vertices between two levels of a layered padding: the iteration keeps one
 coordinate per class of them, and the trie one node per piece of a class, so
@@ -299,7 +299,7 @@ def estimate_max_eigenvalue(
         raise DomainError("power iteration: an entry share is too large for a float") from None
     low = _LOG_MARGIN + max(
         math.log(s.numerator) - math.log(s.denominator)
-        + sum(c * (m / r) * math.log(m) for _, m, c in runs)
+        + math.fsum(c * (m / r) * math.log(m) for _, m, c in runs)
         for runs, s in shares.items()
     )
 
@@ -345,6 +345,9 @@ def estimate_max_eigenvalue(
         ratio = rho
 
     y = contract(x)
-    rayleigh = sum(xi * yi for xi, yi in zip(x, y)) / sum(s * xi**r for s, xi in zip(sizes, x))
+    top = bottom = 0.0  # left to right: 3.12's ``sum`` of floats compensates, fsum is exact
+    for s, xi, yi in zip(sizes, x, y):
+        top, bottom = top + xi * yi, bottom + s * xi**r
+    rayleigh = top / bottom
     converged = converged and rayleigh > 0.0 and math.log(rayleigh) >= low
     return PowerIterationResult(rayleigh, converged, used)

@@ -52,7 +52,8 @@ entry's level, the summed multiplicity of its original-vertex indices, is its
 hb-edge's m-cardinality.
 
 This module is the verbs' core: the symmetric tensor, the e-adjacency
-tensor, its levels and its reconstructed edge family.  The paper's other
+tensor, its levels, its reconstructed edge family, and ``_identities``,
+``verify``'s exact checks of a built or a read tensor.  The paper's other
 tensors (the multiset hypermatrix, the elementary, uniform and hypergraph
 tensors), the hb-edge distribution and the reconstructed hb-graph are built
 from the same keys in ``algebra``, which no verb imports.
@@ -74,8 +75,9 @@ Runs = tuple[tuple[int, int, int], ...]
 # a dense key: the nondecreasing index tuple of an entry
 Key = tuple[int, ...]
 
-# the most records a full COO export expands to
+# the most records and indices a full COO export expands to: order <= 10 fits
 MAX_FULL_RECORDS = 10**7
+MAX_FULL_INDICES = 10 * MAX_FULL_RECORDS
 # the log-gammas of a smaller order stay far inside the float range
 _FLOAT_ORDER = 2**1000
 
@@ -317,27 +319,25 @@ class SymTensor:
     def full_items(self) -> list[tuple[Key, Rational]]:
         """Every distinct index permutation of every entry, with its value.
 
-        Refuses, before expanding anything, to return more than
-        ``MAX_FULL_RECORDS`` records: at once, from its log-gammas, if one
-        entry has more than 10 ``MAX_FULL_RECORDS`` permutations, and
-        otherwise from their count.
+        Refuses, before expanding anything, more than ``MAX_FULL_RECORDS``
+        records or ``MAX_FULL_INDICES`` indices (records times the order).
         """
-        limit = math.log10(MAX_FULL_RECORDS)
-        if any(_log10_multinomial(runs, self._order) > limit for runs in self._entries):
-            raise DomainError(
-                f"full export would emit more than {10 * MAX_FULL_RECORDS} records"
-                f" (limit {MAX_FULL_RECORDS})"
-            )
-        total = self.logical_nonzero_count()
-        if total > MAX_FULL_RECORDS:
-            raise DomainError(
-                f"full export would emit {total} records (limit {MAX_FULL_RECORDS})"
-            )
-        return [
-            (perm, value)
-            for key, value in self.canonical_items()
-            for perm in _distinct_permutations(key)
-        ]
+        r, digits = self._order, math.log10(MAX_FULL_RECORDS)
+        if r > MAX_FULL_INDICES and self._entries:
+            count = f"more than {MAX_FULL_INDICES} indices (limit {MAX_FULL_INDICES})"
+        elif any(_log10_multinomial(runs, r) > digits for runs in self._entries):
+            count = f"more than {10 * MAX_FULL_RECORDS} records (limit {MAX_FULL_RECORDS})"
+        elif (total := self.logical_nonzero_count()) > MAX_FULL_RECORDS:
+            count = f"{total} records (limit {MAX_FULL_RECORDS})"
+        elif total * r > MAX_FULL_INDICES:
+            count = f"{total * r} indices (limit {MAX_FULL_INDICES})"
+        else:
+            return [
+                (perm, value)
+                for key, value in self.canonical_items()
+                for perm in _distinct_permutations(key)
+            ]
+        raise DomainError(f"full export would emit {count}")
 
 
 # -- constructions ----------------------------------------------------------
@@ -395,6 +395,35 @@ def _level_weights(t: SymTensor, trace: UniformisationTrace) -> dict[int, Ration
         # a run may cross from the original vertices into the null ones
         levels[sum(m * min(c, n + 1 - i) for i, m, c in runs if i <= n)] += share
     return {j: as_rational(levels[j]) for j in sorted(levels) if levels[j]}
+
+
+def _identities(h: HbGraph, t: SymTensor, trace: UniformisationTrace) -> dict[str, bool]:
+    """``verify``'s four exact checks of ``t`` against ``h``, after its refusals
+    (``TraceMismatch``): dimension less null vertices != n, r_H != m-range."""
+    if _check_trace(t, trace) != h.n:
+        raise TraceMismatch(
+            f"tensor dim {t.dim} - {trace.n_a} null vertices != {h.n} graph vertices"
+        )
+    if trace.r_h != (r := max(h._cards, default=None)):
+        from .io import format_rational  # exit 3 on an m-range too long to print
+
+        shown = "n/a" if r is None else format_rational(r)
+        raise TraceMismatch(f"trace r_H {trace.r_h} != graph m-range {shown}")
+    weights = h.weights or [1] * h.p
+    degrees = tuple(sum(weights[j] * m for j, m in star) for star in h._stars)
+    by_level = Counter()
+    for c, w in zip(h._cards, weights):
+        by_level[c] += w
+    return {
+        # the cached row vector's n original rows
+        "degree_retrieval": t._row_vector()[: h.n] == degrees,
+        "total_sum": t.total_sum() == trace.r_h * sum(weights),
+        "edge_distribution": _level_weights(t, trace) == by_level,
+        # each entry's whole key, padding included, and its share, the weight; a
+        # non-integer multiplicity stays in its key, which then matches no entry
+        "reconstruction": Counter(t._entries.items())
+        == Counter(zip(_edge_keys(h, trace.approach, trace.r_h), weights)),
+    }
 
 
 def reconstruct_edges(

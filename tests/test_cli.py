@@ -225,7 +225,7 @@ def test_verify_at_r_h_10_9_runs_in_o_of_the_entries(tmp_path):
     assert (run.returncode, run.stderr) == (0, "")
     report = json.loads(run.stdout)
     assert report["passed"] is True and all(report["checks"].values())
-    assert report["bound"]["r_h"] == 10**9 and report["bound"]["within_bound"] is True
+    assert report["bound"]["r_h"] == 10**9
     assert seconds < 10
 
 
@@ -256,7 +256,7 @@ def test_weight_too_large_for_a_float_exits_3(tmp_path, capsys):
     assert "contraction exceeds the float range" in capsys.readouterr().err
     assert verify(300) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["passed"] is True and report["bound"]["within_bound"] is True
+    assert report["passed"] is True
     assert report["bound"]["empirical_lambda"] == 2e300
 
 
@@ -385,13 +385,23 @@ def test_tensor_rejects_repeated_edges(tmp_path, capsys):
     assert main(["tensor", str(path), "--approach", "sil", "--out", str(tmp_path / "x")]) == 3
 
 
-def test_verify(demo_file, capsys):
+# the fields of ``verify``'s report, in the order printed
+VERIFY_CHECKS = ["degree_retrieval", "total_sum", "edge_distribution", "reconstruction"]
+VERIFY_BOUND = ["approach", "r_h", "delta", "delta_star", "bound", "empirical_lambda", "converged"]
+
+
+def test_verify(demo_file, tmp_path, capsys):
+    out = str(tmp_path / "t.coo")
     for approach in ("str", "sil", "lay"):
-        assert main(["verify", demo_file, "--approach", approach]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["passed"] is True
-        assert all(report["checks"].values())
-        assert report["bound"]["within_bound"] is True
+        assert main(["tensor", demo_file, "--approach", approach, "--out", out]) == 0
+        for source in (["--approach", approach], ["--from-tensor", out]):
+            assert main(["verify", demo_file, *source]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert list(report) == ["checks", "bound", "passed"]
+            assert list(report["checks"]) == VERIFY_CHECKS
+            assert list(report["bound"]) == VERIFY_BOUND
+            assert report["passed"] is True
+            assert all(report["checks"].values())
 
 
 def test_verify_bound_option_is_gone(demo_file, capsys):
@@ -679,6 +689,19 @@ def test_verify_from_tensor_refuses_a_trace_r_h_off_the_m_range(tmp_path, capsys
         assert text == "# order=4 dim=4 entries=2\n1 1 2 4 1/3\n2 3 4 4 1/3\n"
     assert main(["verify", path, "--from-tensor", out]) == 3
     assert capsys.readouterr() == ("", "error: trace r_H 4 != graph m-range 3\n")
+
+
+def test_verify_from_tensor_refuses_an_m_range_too_long_to_print(tmp_path, capsys):
+    """The refusal prints the m-range by the one printer of exact numbers:
+    one of 4301 digits exits 3, as every number too long to print does."""
+    path = tmp_path / "g.json"
+    nines = int("9" * 4300)
+    path.write_text(dumps({"vertices": ["a", "b"], "edges": [{"mult": {"a": nines, "b": nines}}]}))
+    out = tmp_path / "t.coo"
+    out.write_text("# order=2 dim=3 entries=0\n", encoding="utf-8")
+    Path(f"{out}.trace.json").write_text(dumps({"approach": "straightforward", "r_h": 2}))
+    assert main(["verify", str(path), "--from-tensor", str(out)]) == 3
+    assert capsys.readouterr() == ("", "error: cannot print a number of more than 4300 digits\n")
 
 
 @pytest.mark.parametrize("approach", ["straightforward", "silo", "layered"])

@@ -128,3 +128,25 @@ def test_scale_ladder_exits_0_to_3(ladder, m, verb, approach):
         assert REFUSAL.fullmatch(run.stderr), run.stderr
     if run.returncode == 0:
         assert run.stderr == ""
+
+
+@pytest.mark.parametrize("m, approach", [(2000, "str"), (2000, "sil"), (10**306, "lay")])
+def test_full_export_past_the_index_limit_exits_3(tmp_path, m, approach):
+    """``tensor --full`` on {a^M}, {a, b}, under the ladder's limits.  At M =
+    2000 the {a, b} entry expands to 2000 * 1999 records, under the record
+    limit, of 2000 indices each; at M = 10^306 no multinomial can be built.
+    Each is refused, naming the count and the limit, before any record is
+    built and before either file is opened."""
+    graph = tmp_path / "g.json"
+    edges = [{"mult": {"a": m}}, {"mult": {"a": 1, "b": 1}}]
+    graph.write_text(json.dumps({"vertices": ["a", "b"], "edges": edges}))
+    env = {**os.environ, "PYTHONPATH": str(Path(hbtensor.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-m", "hbtensor.cli", "tensor", str(graph), "--approach", approach,
+         "--full", "--out", "t.coo"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=SECONDS,
+        preexec_fn=_limits,
+    )
+    assert (run.returncode, run.stdout) == (3, ""), run.stderr
+    assert REFUSAL.fullmatch(run.stderr) and "indices (limit 100000000)" in run.stderr
+    assert [path.name for path in tmp_path.iterdir()] == ["g.json"]

@@ -255,6 +255,26 @@ def test_every_module_stays_under_the_compile_peak_step():
     assert max(sizes.values()) < MAX_MODULE_TOKENS, sizes
 
 
+def test_verify_decides_in_tensor():
+    """``cmd_verify`` loads or builds the tensor, calls the one checks
+    function and prints: of ``tensor`` it imports only the construction and
+    that function, and it reads no private attribute of a graph or a tensor,
+    whose layouts ``tensor`` reads for it."""
+    tree = ast.parse((Path(hbtensor.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    (verify,) = [
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "cmd_verify"
+    ]
+    nodes = list(ast.walk(verify))
+    imported = {
+        alias.name
+        for node in nodes
+        if isinstance(node, ast.ImportFrom) and node.module == "tensor"
+        for alias in node.names
+    }
+    assert imported == {"_identities", "e_adjacency_tensor"}
+    assert not [node.attr for node in nodes if isinstance(node, ast.Attribute) and node.attr[0] == "_"]
+
+
 def module_literals(path: Path) -> dict:
     """{name: value} of the module-level ``name = <literal>`` lines of ``path``."""
     values = {}

@@ -312,6 +312,8 @@ def test_full_items(demo, monkeypatch):
     assert all(c == 1 for c in counted.values())
     empty = SymTensor(order=2, dim=3, entries={})
     assert empty.full_items() == []
+    # an empty tensor emits nothing, at any order
+    assert SymTensor(order=10**9, dim=3, entries={}).full_items() == []
     # one edge of 11 distinct vertices has 11! > MAX_FULL_RECORDS logical
     # entries; the export is refused before any permutation is made
     names = tuple("abcdefghijk")
