@@ -6,12 +6,13 @@ error or an ``--out`` that cannot be written, 3 precondition violation, 4
 internal error, printed with the exception's type.  All human-facing indices
 are 1-based; output is deterministic for fixed input and flags.
 
-``tensor --out T`` is the one tensor writer: it writes the COO ``T``,
-canonical or ``--full``, and its trace ``T.trace.json``.  ``uniformize``
+``tensor --out T`` is the one tensor writer: it writes the tensor file
+``T``, canonical or ``--full``, by ``tensorfile.dump_tensor``.  ``uniformize``
 emits the uniform hb-graph alone (its m-range is r_H, its vertex list names
 the null vertices).  ``verify`` takes exactly one of ``--approach`` and
-``--from-tensor T``, and reads the trace of ``T`` from ``T.trace.json``.
-Either way its checks, refusals included, are one function, ``_identities``.
+``--from-tensor T``, which reads that file by ``tensorfile.load_tensor``;
+how a tensor file is laid out is known there alone.  Either way the checks,
+refusals included, are one function, ``_identities``.
 ``export`` writes the graph formats, incidence CSV and JSON.
 
 Each verb imports only the modules it runs, so a start-up compiles no more of
@@ -111,14 +112,10 @@ def cmd_uniformize(args) -> int:
 
 def cmd_tensor(args) -> int:
     from .tensor import e_adjacency_tensor
-    from .tensorfile import dump_trace, tensor_to_coo
+    from .tensorfile import dump_tensor
 
-    h = io.load_hbgraph(args.input)
-    tensor, trace = e_adjacency_tensor(h, args.approach)
-    # built before any file is opened, so a refused expansion writes neither file
-    coo = tensor_to_coo(tensor, full=args.full)
-    Path(args.out).write_text(coo, encoding="utf-8")
-    dump_trace(trace, args.out + ".trace.json")
+    tensor, trace = e_adjacency_tensor(io.load_hbgraph(args.input), args.approach)
+    dump_tensor(tensor, trace, args.out, full=args.full)
     return 0
 
 
@@ -130,10 +127,9 @@ def cmd_verify(args) -> int:
 
     h = io.load_hbgraph(args.input)
     if args.from_tensor:
-        from .tensorfile import load_tensor_coo, load_trace
+        from .tensorfile import load_tensor
 
-        tensor = load_tensor_coo(args.from_tensor)
-        trace = load_trace(args.from_tensor + ".trace.json")
+        tensor, trace = load_tensor(args.from_tensor)
     else:
         tensor, trace = e_adjacency_tensor(h, args.approach)
     checks = _identities(h, tensor, trace)

@@ -10,10 +10,10 @@ cannot read, a violated precondition of the core (``DomainError``) included.
 A file of integers builds no ``Fraction``: a JSON decimal or a "p/q" string
 is the first value that imports ``fractions`` (``hbgraph._fraction``).
 
-The tensor-file formats, COO text and trace JSON, live in ``tensorfile``,
-which only ``tensor`` and ``verify --from-tensor`` load.  Their names resolve
-here as well, on first use (PEP 562), so ``io.tensor_to_coo`` and ``from
-hbtensor.io import load_trace`` still work.
+The tensor file, COO text and trace JSON, lives in ``tensorfile``, which
+only ``tensor`` and ``verify --from-tensor`` load.  Two of its names, the
+ones ``perfbench/layers.py`` reads, resolve here as well, on first use (PEP
+562): ``io.tensor_to_coo`` and ``io.trace_to_obj``.
 """
 
 from __future__ import annotations
@@ -36,10 +36,7 @@ _EXCERPT = 40
 # digit, all of which ``Fraction`` would also take
 _LITERAL = re.compile(r"[0-9+\-./eE]+")
 # the names of ``tensorfile`` that resolve here (``__getattr__``)
-_TENSORFILE = frozenset(
-    "_HEADER_KEYS _natural dump_trace load_tensor_coo load_trace tensor_from_coo"
-    " tensor_to_coo trace_from_obj trace_to_obj".split()
-)
+_TENSORFILE = frozenset(("tensor_to_coo", "trace_to_obj"))
 
 
 def __getattr__(name: str):

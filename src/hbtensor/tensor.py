@@ -21,8 +21,10 @@ tensor returns (values, row sums, the total, the polynomial's coefficients
 and values) follows ``hbgraph.as_rational``: an int when integral, a
 ``Fraction`` otherwise; the cached row sums are kept raw and normalised as
 they are handed out.  Before a writer builds a value,
-``_denominators_too_long`` bounds its denominator's digits from log-gammas
-alone.  Row sums, levels, multinomials and reconstruction read a run whole,
+``tensorfile`` bounds its denominator's digits from log-gammas alone, by
+``_log10_multinomial``.  The dense keys, the full expansion and the row
+sums are refused past ``transform.MAX_INDICES`` indices or rows, before any
+is built.  Row sums, levels, multinomials and reconstruction read a run whole,
 so they cost O(runs) per entry, not O(indices).
 
 The tensor's polynomial is P(x) = r * sum of share * prod x_j^{m_j}, and
@@ -68,16 +70,23 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, DomainError, IndexOutOfRange, TraceMismatch
 from .hbgraph import HbGraph, Rational, _fraction, _ratio, as_rational
-from .transform import APPROACHES, UniformisationTrace, _uniformisation_trace, padding
+from .io import _MAX_DIGITS, format_rational
+from .transform import (
+    APPROACHES,
+    MAX_INDICES,
+    UniformisationTrace,
+    _limit,
+    _uniformisation_trace,
+    padding,
+)
 
 # a key: canonical runs (first index, multiplicity, count) (module docstring)
 Runs = tuple[tuple[int, int, int], ...]
 # a dense key: the nondecreasing index tuple of an entry
 Key = tuple[int, ...]
 
-# the most records and indices a full COO export expands to: order <= 10 fits
+# the most records a full COO export expands to: order <= 10 fits
 MAX_FULL_RECORDS = 10**7
-MAX_FULL_INDICES = 10 * MAX_FULL_RECORDS
 # the log-gammas of a smaller order stay far inside the float range
 _FLOAT_ORDER = 2**1000
 
@@ -101,29 +110,14 @@ def _log10_multinomial(runs: Runs, r: int) -> float:
     """A lower bound on log10 of the multinomial of ``runs``, whose
     multiplicities sum to r, less a margin of one digit, from log-gammas
     alone: they lose 10^-12 of lgamma(r + 1), far above their float error.
-    No bound (-inf) from r = ``_FLOAT_ORDER`` on."""
+    From r = ``_FLOAT_ORDER`` on, no float bound: +inf where the
+    multiplicities besides the largest sum past 14, as the multinomial is then
+    at least C(r, 15) > 10^4497, and no bound (-inf) otherwise."""
     if r >= _FLOAT_ORDER:
-        return -math.inf
+        return math.inf if r - max(m for _, m, _ in runs) > 14 else -math.inf
     top = math.lgamma(r + 1)
     rest = math.fsum(c * math.lgamma(m + 1) for _, m, c in runs)
     return (top - rest - 1e-12 * top) / math.log(10) - 1
-
-
-def _denominators_too_long(t: "SymTensor", digits: int) -> bool:
-    """Whether some value of ``t`` certainly has a reduced denominator of more
-    than ``digits`` digits, told before any value is built.
-
-    A value r * share / multinomial has a reduced denominator of at least
-    multinomial / |numerator of r * share|.  No multinomial exceeds r!, so
-    nothing is computed when log10 r! <= digits (r <= 1550 at 4300 digits).
-    """
-    r = t.order
-    if r >= _FLOAT_ORDER or math.lgamma(r + 1) <= digits * math.log(10):
-        return False
-    return any(
-        _log10_multinomial(runs, r) - math.log10(abs((r * share).numerator)) > digits
-        for runs, share in t._entries.items()
-    )
 
 
 def _value(runs: Runs, share: Rational, r: int) -> Rational:
@@ -252,6 +246,7 @@ class SymTensor:
     def canonical_items(self) -> list[tuple[Key, Rational]]:
         """(dense key, value) per entry, in the dense keys' order."""
         r = self._order
+        _limit(len(self._entries) * r, "dense keys would hold {} indices")
         return sorted((_dense(runs), _value(runs, s, r)) for runs, s in self._entries.items())
 
     def get(self, idx: Sequence[int]) -> Rational:
@@ -266,7 +261,14 @@ class SymTensor:
         return 0 if share is None else _value(runs, share, self._order)
 
     def logical_nonzero_count(self) -> int:
-        """Number of nonzero positions in the full symmetric expansion."""
+        """Number of nonzero positions in the full symmetric expansion; one the
+        log-gammas show to exceed 4300 digits is refused before any multinomial
+        is built."""
+        r = self._order
+        if any(_log10_multinomial(runs, r) > _MAX_DIGITS for runs in self._entries):
+            raise DomainError(
+                f"logical nonzero count at order {format_rational(r)} exceeds {_MAX_DIGITS} digits"
+            )
         return sum(map(_multinomial, self._entries))
 
     def total_sum(self) -> Rational:
@@ -289,6 +291,7 @@ class SymTensor:
         that a run of c indices changes at both ends.  Each reader normalises
         the rows it hands out."""
         if self._rows is None:
+            _limit(self._dim, "row sums would hold {} rows")
             steps = [0] * (self._dim + 2)  # steps[i]: row i less row i - 1
             for runs, share in self._entries.items():
                 for i, m, c in runs:
@@ -320,17 +323,17 @@ class SymTensor:
         """Every distinct index permutation of every entry, with its value.
 
         Refuses, before expanding anything, more than ``MAX_FULL_RECORDS``
-        records or ``MAX_FULL_INDICES`` indices (records times the order).
+        records or ``MAX_INDICES`` indices (records times the order).
         """
         r, digits = self._order, math.log10(MAX_FULL_RECORDS)
-        if r > MAX_FULL_INDICES and self._entries:
-            count = f"more than {MAX_FULL_INDICES} indices (limit {MAX_FULL_INDICES})"
+        if r > MAX_INDICES and self._entries:
+            count = f"more than {MAX_INDICES} indices (limit {MAX_INDICES})"
         elif any(_log10_multinomial(runs, r) > digits for runs in self._entries):
             count = f"more than {10 * MAX_FULL_RECORDS} records (limit {MAX_FULL_RECORDS})"
         elif (total := self.logical_nonzero_count()) > MAX_FULL_RECORDS:
             count = f"{total} records (limit {MAX_FULL_RECORDS})"
-        elif total * r > MAX_FULL_INDICES:
-            count = f"{total * r} indices (limit {MAX_FULL_INDICES})"
+        elif total * r > MAX_INDICES:
+            count = f"{total * r} indices (limit {MAX_INDICES})"
         else:
             return [
                 (perm, value)
@@ -405,8 +408,7 @@ def _identities(h: HbGraph, t: SymTensor, trace: UniformisationTrace) -> dict[st
             f"tensor dim {t.dim} - {trace.n_a} null vertices != {h.n} graph vertices"
         )
     if trace.r_h != (r := max(h._cards, default=None)):
-        from .io import format_rational  # exit 3 on an m-range too long to print
-
+        # by the one printer, so an m-range too long to print exits 3
         shown = "n/a" if r is None else format_rational(r)
         raise TraceMismatch(f"trace r_H {trace.r_h} != graph m-range {shown}")
     weights = h.weights or [1] * h.p

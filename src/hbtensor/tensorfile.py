@@ -1,13 +1,17 @@
-"""Tensor-file formats: the sparse tensor's COO text and its trace JSON.
+"""The tensor file: a sparse tensor's COO text ``T`` and its trace JSON
+``T.trace.json``, the approach and r_H it was built under.
 
-``tensor --out T`` writes both, ``T`` and ``T.trace.json``, and ``verify
---from-tensor T`` reads them; no other verb loads this module.  Numbers
-follow ``io``'s one rule, and every reader raises ``ParseError`` for any
-input it cannot read.  Each name here also resolves as ``io.<name>``.
+This module alone knows that layout.  ``dump_tensor`` writes the pair, for
+``tensor --out T``, and ``load_tensor`` reads it, for ``verify --from-tensor
+T``; no other verb loads this module.  Numbers follow ``io``'s one rule, and
+every reader raises ``ParseError`` for any input it cannot read.  The two
+names ``perfbench/layers.py`` reads, ``tensor_to_coo`` and ``trace_to_obj``,
+also resolve as ``io.<name>``.
 """
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from .errors import DomainError, ParseError
@@ -23,20 +27,39 @@ from .io import (
     format_rational,
     json_to_rational,
 )
-from .tensor import SymTensor, _denominators_too_long
+from .tensor import _FLOAT_ORDER, SymTensor, _log10_multinomial
 from .transform import APPROACHES, UniformisationTrace
 
 _HEADER_KEYS = ("order", "dim", "entries")
+# the trace of the tensor file T is the file T + _TRACE
+_TRACE = ".trace.json"
 
 
 # -- COO ---------------------------------------------------------------------
+
+
+def _denominators_too_long(t: SymTensor) -> bool:
+    """Whether some value of ``t`` certainly has a reduced denominator of more
+    than ``_MAX_DIGITS`` digits, told before any value is built.
+
+    A value r * share / multinomial has a reduced denominator of at least
+    multinomial / |numerator of r * share|.  No multinomial exceeds r!, so
+    nothing is computed when log10 r! <= _MAX_DIGITS (r <= 1550).
+    """
+    r = t.order
+    if r >= _FLOAT_ORDER or math.lgamma(r + 1) <= _MAX_DIGITS * math.log(10):
+        return False
+    return any(
+        _log10_multinomial(runs, r) - math.log10(abs((r * share).numerator)) > _MAX_DIGITS
+        for runs, share in t._entries.items()
+    )
 
 
 def tensor_to_coo(t: SymTensor, full: bool = False) -> str:
     """COO text of ``t``, one record per canonical entry, or per distinct
     permutation when ``full``.  A value whose denominator the printer would
     refuse is refused before any value is built, where the log-gammas tell."""
-    if _denominators_too_long(t, _MAX_DIGITS):
+    if _denominators_too_long(t):
         raise DomainError(_CANNOT_PRINT)
     records = t.full_items() if full else t.canonical_items()
     lines = [f"# order={t.order} dim={t.dim} entries={len(records)}"]
@@ -95,11 +118,6 @@ def tensor_from_coo(text: str, source: str = "tensor") -> SymTensor:
         raise ParseError(f"{source}: {exc}") from exc
 
 
-def load_tensor_coo(path) -> SymTensor:
-    text, source = _read(path)
-    return tensor_from_coo(text, source)
-
-
 # -- trace -------------------------------------------------------------------
 
 
@@ -124,10 +142,21 @@ def trace_from_obj(obj, source: str = "trace") -> UniformisationTrace:
     return UniformisationTrace(obj["approach"], _integer(obj["r_h"], f"{source}: r_h"))
 
 
-def load_trace(path) -> UniformisationTrace:
+# -- the file pair -----------------------------------------------------------
+
+
+def dump_tensor(t: SymTensor, trace: UniformisationTrace, path, full: bool = False) -> None:
+    """Write the tensor file ``path``, the COO of ``t`` (``full`` as in
+    ``tensor_to_coo``), and its trace.  The COO text is built first, so a
+    refused value or expansion opens neither file."""
+    coo = tensor_to_coo(t, full)
+    Path(path).write_text(coo, encoding="utf-8")
+    Path(f"{path}{_TRACE}").write_text(dumps(trace_to_obj(trace)), encoding="utf-8")
+
+
+def load_tensor(path) -> tuple[SymTensor, UniformisationTrace]:
+    """Read the tensor file ``path``: its COO, then its trace."""
     text, source = _read(path)
-    return trace_from_obj(_loads(text, source), source)
-
-
-def dump_trace(trace: UniformisationTrace, path) -> None:
-    Path(path).write_text(dumps(trace_to_obj(trace)), encoding="utf-8")
+    tensor = tensor_from_coo(text, source)
+    text, source = _read(f"{path}{_TRACE}")
+    return tensor, trace_from_obj(_loads(text, source), source)

@@ -27,6 +27,11 @@ order, so ``uniformize`` keeps the input order rather than the level order
 the composition yields.  The returned trace stores only the approach and
 r_H; the null vertices are a closed form in (approach, r_H), derived by
 ``UniformisationTrace.null_vertices``.
+
+``MAX_INDICES`` bounds what any stage spells out one item at a time: the
+indices of a dense or full tensor export, the rows of a row-sum vector and
+the vertex names of a uniformized hb-graph.  ``_limit`` refuses a count past
+it, naming the count and the limit, before any of it is built.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from .errors import (
     VertexCollision,
 )
 from .hbgraph import HbGraph, Universe, _ratio
+from .io import format_rational
 
 STRAIGHTFORWARD = "straightforward"
 SILO = "silo"
@@ -50,6 +56,17 @@ LAYERED = "layered"
 APPROACHES = (STRAIGHTFORWARD, SILO, LAYERED)
 
 RESERVED_PREFIX = "__"
+
+# the most indices, rows or vertex names a stage spells out: a full COO export
+# of order <= 10 within its record limit fits
+MAX_INDICES = 10**8
+
+
+def _limit(count: int, what: str) -> None:
+    """Refuse, with ``DomainError``, a ``count`` past ``MAX_INDICES``, named by
+    ``what`` with ``{}`` for the count; one too long to print refuses as such."""
+    if count > MAX_INDICES:
+        raise DomainError(f"{what.format(format_rational(count))} (limit {MAX_INDICES})")
 
 
 class UniformisationTrace(NamedTuple):
@@ -118,6 +135,7 @@ def uniformize(h: HbGraph, approach: str) -> tuple[HbGraph, UniformisationTrace]
     for v in h.vertices:
         if isinstance(v, str) and v.startswith(RESERVED_PREFIX):
             raise VertexCollision(f"vertex id {v!r} uses the reserved prefix '__'")
+    _limit(h.n + trace.n_a, "uniformize would name {} vertices")
     vertices = Universe(h.vertices + trace.null_vertices)
     # tensor index j names vertex j of the padded vertex list
     padded = (chain(key, padding(approach, h.n, trace.r_h, c)) for key, c in zip(h._keys, h._cards))

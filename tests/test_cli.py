@@ -17,7 +17,8 @@ import pytest
 
 import hbtensor
 from hbtensor.cli import build_parser, main
-from hbtensor.io import dumps, load_trace
+from hbtensor.io import dumps
+from hbtensor.tensorfile import load_tensor
 from randgen import random_edge
 
 DATA = Path(__file__).parent / "data"
@@ -501,14 +502,15 @@ def test_verify_reads_old_trace_format(demo_file, tmp_path, capsys):
     new = GOLDEN_DEMO / "tensor_sil.file.t.coo.trace.json"
     old_keys = {"n_a", "null_vertices", "layer_coeffs", "edge_provenance"}
     assert old_keys <= json.loads(old.read_text()).keys()
-    assert load_trace(old) == load_trace(new)
     coo = tmp_path / "t.coo"
     coo.write_bytes((GOLDEN_DEMO / "tensor_sil.file.t.coo").read_bytes())
-    reports = []
+    reports, loaded = [], []
     for trace in (old, new):
         (tmp_path / "t.coo.trace.json").write_bytes(trace.read_bytes())
+        loaded.append(load_tensor(coo))
         assert main(["verify", demo_file, "--from-tensor", str(coo)]) == 0
         reports.append(capsys.readouterr().out)
+    assert loaded[0] == loaded[1]
     assert reports[0] == reports[1]
     assert json.loads(reports[0])["passed"] is True
 
@@ -653,7 +655,7 @@ def r_h_off_the_m_range(tmp_path, approach: str) -> tuple[str, str]:
     """A graph of m-range 3, and a tensor file of its keys padded to 4 with
     its trace at r_h 4: (the graph, the tensor file)."""
     from hbtensor.tensor import SymTensor, _edge_keys
-    from hbtensor.tensorfile import dump_trace, tensor_to_coo
+    from hbtensor.tensorfile import dump_tensor
     from hbtensor.transform import UniformisationTrace
 
     path = tmp_path / "g.json"
@@ -663,8 +665,7 @@ def r_h_off_the_m_range(tmp_path, approach: str) -> tuple[str, str]:
     trace = UniformisationTrace(approach, 4)
     t = SymTensor._from_shares(4, h.n + trace.n_a, zip(_edge_keys(h, approach, 4), [1, 1]))
     out = tmp_path / f"{approach}.coo"
-    out.write_text(tensor_to_coo(t), encoding="utf-8")
-    dump_trace(trace, f"{out}.trace.json")
+    dump_tensor(t, trace, out)
     return str(path), str(out)
 
 

@@ -23,7 +23,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from conftest import DEMO_EDGES, DEMO_VERTICES
 from hbtensor import HbGraph, e_adjacency_tensor
 from hbtensor.cli import main
-from hbtensor.io import dumps, hbgraph_to_obj, tensor_to_coo, trace_to_obj
+from hbtensor.io import dumps, hbgraph_to_obj
+from hbtensor.tensorfile import tensor_to_coo, trace_to_obj
 
 CLEAN_EXITS = {0, 1, 2, 3}
 

@@ -9,7 +9,6 @@ import pytest
 
 from hbtensor import DomainError, HbGraph, Multiset, ParseError, e_adjacency_tensor, uniformize
 from hbtensor.io import (
-    dump_trace,
     dumps,
     format_rational,
     hbgraph_from_obj,
@@ -17,9 +16,11 @@ from hbtensor.io import (
     incidence_csv,
     json_to_rational,
     load_hbgraph,
-    load_tensor_coo,
-    load_trace,
     rational_to_json,
+)
+from hbtensor.tensorfile import (
+    dump_tensor,
+    load_tensor,
     tensor_from_coo,
     tensor_to_coo,
     trace_from_obj,
@@ -115,9 +116,10 @@ def test_printer_refuses_what_cannot_be_printed():
 def test_tensor_coo_round_trip(demo, tmp_path):
     path = tmp_path / "t.coo"
     for approach in ("straightforward", "silo", "layered"):
-        t, _ = e_adjacency_tensor(demo, approach)
-        path.write_text(tensor_to_coo(t), encoding="utf-8")
-        assert load_tensor_coo(path) == t
+        t, trace = e_adjacency_tensor(demo, approach)
+        dump_tensor(t, trace, path)
+        assert path.read_text(encoding="utf-8") == tensor_to_coo(t)
+        assert load_tensor(path) == (t, trace)
     t, _ = e_adjacency_tensor(demo, "silo")
     assert tensor_to_coo(t).splitlines()[0] == "# order=5 dim=11 entries=4"
 
@@ -208,10 +210,13 @@ def test_trace_size_does_not_grow_with_r_h():
 
 def test_trace_round_trip(demo, tmp_path):
     for approach in ("straightforward", "silo", "layered"):
-        _, trace = uniformize(demo, approach)
-        path = tmp_path / f"{approach}.trace.json"
-        dump_trace(trace, path)
-        assert load_trace(path) == trace
+        t, trace = e_adjacency_tensor(demo, approach)
+        assert uniformize(demo, approach)[1] == trace
+        path = tmp_path / f"{approach}.coo"
+        dump_tensor(t, trace, path, full=True)
+        written = (tmp_path / f"{approach}.coo.trace.json").read_text(encoding="utf-8")
+        assert written == dumps(trace_to_obj(trace))
+        assert load_tensor(path) == (t, trace)
 
 
 def test_incidence_csv(demo):

@@ -1,5 +1,5 @@
-"""The scale ladder: every verb on one input at r_H = 10^6 and 10^9, with an
-exit-code contract.
+"""The scale ladder: every verb on one input at r_H = 10^6 and 10^9, and the
+verbs that build by approach at r_H = 10^306, with an exit-code contract.
 
 The input is {a^M}, {a, b}: two hb-edges, so every cost beyond a constant
 is a cost in r_H = M.  Each cell runs the command line in a child process
@@ -8,11 +8,12 @@ must exit 0-3: a result, a failed check, a parse error or a refusal.  An exit
 3 must name the quantity it refused.  An exit 4 (an internal error such as
 ``MemoryError``) breaks the contract.
 
-The cells that exit 4 today are strict xfails, each marked with the ROADMAP
-item that fixes it, so the change that makes such a cell pass must drop its
-mark.  ``verify --from-tensor`` is a cell wherever ``tensor`` writes a file:
-at M = 10^9 no approach does (straightforward and silo exit 4, layered exits
-3), so that rung has no such cell until ROADMAP item 8 lands.
+Past 10^8 indices, rows or vertex names (``transform.MAX_INDICES``) a verb
+refuses before it allocates: ``tensor``'s dense keys (p * r_H indices),
+``verify``'s row sums (dim rows) and ``uniformize``'s vertex list (n + n_a
+names).  ``verify --from-tensor`` is a cell wherever ``tensor`` writes a
+file: from M = 10^9 on no approach does (each exits 3), so those rungs have
+no such cell until ROADMAP item 8 lands.
 """
 
 from __future__ import annotations
@@ -29,34 +30,26 @@ import pytest
 
 import hbtensor
 
-M6, M9 = 10**6, 10**9
+M6, M9, M306 = 10**6, 10**9, 10**306
 APPROACHES = ("str", "sil", "lay")
-# the cells that exit 4 with ``internal error: MemoryError`` today, by the
-# ROADMAP item that fixes each
-EXITS_4 = {
-    (M9, "tensor", "str"): "item 8",
-    (M9, "tensor", "sil"): "item 8",
-    (M9, "uniformize", "sil"): "item 4",
-    (M9, "uniformize", "lay"): "item 4",
-    (M9, "verify", "sil"): "item 14",
-    (M9, "verify", "lay"): "item 14",
-}
 # a refusal names what it refused: a message with its size or its limit
 REFUSAL = re.compile(r"error: [^\n]*\d[^\n]*\n")
 SECONDS = 60
 
 
+def _rung(m: int) -> str:
+    """A power of ten as 1e<exponent>, for a test id or a file name."""
+    return f"1e{len(str(m)) - 1}"
+
+
 def _cells():
-    for m, rung in ((M6, "1e6"), (M9, "1e9")):
-        yield pytest.param(m, "info", None, id=f"{rung}-info")
-        yield pytest.param(m, "paths", None, id=f"{rung}-paths")
+    for m in (M6, M9, M306):
+        if m != M306:
+            yield pytest.param(m, "info", None, id=f"{_rung(m)}-info")
+            yield pytest.param(m, "paths", None, id=f"{_rung(m)}-paths")
         for verb in ("uniformize", "tensor", "verify"):
             for approach in APPROACHES:
-                marks = ()
-                if (m, verb, approach) in EXITS_4:
-                    reason = f"exits 4 with MemoryError; ROADMAP {EXITS_4[m, verb, approach]}"
-                    marks = pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)
-                yield pytest.param(m, verb, approach, marks=marks, id=f"{rung}-{verb}-{approach}")
+                yield pytest.param(m, verb, approach, id=f"{_rung(m)}-{verb}-{approach}")
     # where ``tensor`` writes a file
     for approach in ("str", "sil"):
         yield pytest.param(M6, "from-tensor", approach, id=f"1e6-verify-from-tensor-{approach}")
@@ -75,15 +68,15 @@ class Ladder:
     def __init__(self, root: Path):
         self.root = root
         self.runs = {}
-        for m in (M6, M9):
+        for m in (M6, M9, M306):
             edges = [{"mult": {"a": m}}, {"mult": {"a": 1, "b": 1}}]
             self.graph(m).write_text(json.dumps({"vertices": ["a", "b"], "edges": edges}))
 
     def graph(self, m: int) -> Path:
-        return self.root / f"g{m}.json"
+        return self.root / f"g{_rung(m)}.json"
 
     def tensor(self, m: int, approach: str) -> Path:
-        return self.root / f"t{m}{approach}.coo"
+        return self.root / f"t{_rung(m)}{approach}.coo"
 
     def run(self, *args: str) -> subprocess.CompletedProcess:
         if args not in self.runs:
@@ -128,6 +121,17 @@ def test_scale_ladder_exits_0_to_3(ladder, m, verb, approach):
         assert REFUSAL.fullmatch(run.stderr), run.stderr
     if run.returncode == 0:
         assert run.stderr == ""
+
+
+@pytest.mark.parametrize("m", [M9, M306], ids=_rung)
+@pytest.mark.parametrize("approach", APPROACHES)
+def test_a_refused_tensor_writes_neither_file(ladder, m, approach):
+    """Each ``tensor`` cell past the limits exits 3 before it opens a file:
+    neither the tensor file nor its trace is there after the run."""
+    run = ladder.cell(m, "tensor", approach)
+    assert run.returncode == 3, run.stderr
+    out = ladder.tensor(m, approach)
+    assert not out.exists() and not Path(f"{out}.trace.json").exists()
 
 
 @pytest.mark.parametrize("m, approach", [(2000, "str"), (2000, "sil"), (10**306, "lay")])

@@ -22,7 +22,8 @@ from hbtensor import (
 )
 from hbtensor.cli import main
 from hbtensor.errors import DomainError
-from hbtensor.io import dumps, hbgraph_from_obj, tensor_from_coo, tensor_to_coo
+from hbtensor.io import dumps, hbgraph_from_obj
+from hbtensor.tensorfile import tensor_from_coo, tensor_to_coo
 from hbtensor.spectral import _contract, _trie, _twin_classes
 from randgen import random_hbgraph
 from test_golden import DEMO, WEIGHTED

@@ -362,6 +362,34 @@ def test_log10_multinomial_is_a_lower_bound_less_one_digit():
         if r < 10**5:  # the float error is negligible here
             assert bound > exact - 1 - 1e-6
     assert _log10_multinomial([(1, 1, 1), (2, 2**1000 - 1, 1)], 2**1000) == -math.inf
+    # past the float range, a bound only where the multiplicities besides the
+    # largest sum past 14, which makes the multinomial exceed 10**4497
+    assert _log10_multinomial([(1, 14, 1), (2, 2**1000 - 14, 1)], 2**1000) == -math.inf
+    for runs in ([(1, 15, 1), (2, 2**1000 - 15, 1)], [(1, 1, 15), (16, 2**1000 - 15, 1)]):
+        assert _log10_multinomial(runs, 2**1000) == math.inf
+        assert math.log10(_multinomial(runs)) > 4497
+    assert _log10_multinomial([(1, 1, 2**1000)], 2**1000) == math.inf
+
+
+def test_logical_nonzero_count_past_4300_digits_is_refused(monkeypatch):
+    """The layered tensor of {a^M}, {a, b} has 1 + M! nonzero positions, and
+    the straightforward and silo ones 1 + M (M - 1).  At M = 10**306 the
+    layered multinomial lies past the range of ``math.perm``; it, and the
+    5736-digit count at M = 2000, are refused, naming the order, before any
+    multinomial is built.  A count of at most 4300 digits is returned."""
+
+    def count(m: int, approach: str) -> int:
+        h = HbGraph.from_dicts(("a", "b"), [{"a": m}, {"a": 1, "b": 1}])
+        return e_adjacency_tensor(h, approach)[0].logical_nonzero_count()
+
+    assert count(1500, LAYERED) == 1 + math.factorial(1500)  # 4115 digits
+    m = 10**306
+    assert count(m, STRAIGHTFORWARD) == count(m, SILO) == 1 + m * (m - 1)
+    monkeypatch.setattr(tensor_module, "_multinomial", None)
+    for m in (2000, 10**306):
+        refusal = f"^logical nonzero count at order {m} exceeds 4300 digits$"
+        with pytest.raises(DomainError, match=refusal):
+            count(m, LAYERED)
 
 
 def _perms_first(counts: dict[int, int]) -> dict[int, int]:

@@ -10,15 +10,20 @@ With S = sum |supp e| over the hb-edges and p their number:
   number of distinct m-cardinalities) nodes: the entries of one level share
   their padding, straightforward and silo one node, layered one chain;
 - the tensor has one canonical entry per hb-edge.
+
+Two bounds do not hold yet; each is a strict xfail (``xfail_strict``), owned by
+the ROADMAP item whose change flips it: ``diameter`` runs one search per
+vertex (item 13), and the row sums are one value per dimension (item 14).
 """
 
 from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from hbtensor import APPROACHES, HbGraph, e_adjacency_tensor
+from hbtensor import APPROACHES, LAYERED, HbGraph, diameter, e_adjacency_tensor, paths
 from hbtensor.spectral import _trie, _twin_classes
 from hbtensor.tensor import _edge_keys
 from randgen import random_hbgraph, random_hypergraph, random_uniform_hbgraph
@@ -89,3 +94,31 @@ def hbgraphs(draw):
 @given(hbgraphs())
 def test_work_bounds_hypothesis(h):
     assert_work_bounds(h)
+
+
+@pytest.mark.xfail(raises=AssertionError, reason="one search per vertex; ROADMAP item 13")
+def test_diameter_of_a_chain_takes_two_searches(monkeypatch):
+    """Eccentricity bounds settle a chain's diameter after a search from one
+    end and one from the other; today ``diameter`` searches from all 300
+    vertices."""
+    calls = []
+    search = paths._search
+
+    def counted(*args):
+        calls.append(args[2])
+        return search(*args)
+
+    monkeypatch.setattr(paths, "_search", counted)
+    assert diameter(chain(300, 1)) == 299
+    assert len(calls) <= 2, len(calls)
+
+
+@pytest.mark.xfail(raises=AssertionError, reason="a row per dimension; ROADMAP item 14")
+def test_row_sums_hold_at_most_one_value_per_piece():
+    """The row sum is constant between two consecutive run boundaries, so at
+    most 2 (runs) + 1 values describe it; today the layered tensor of
+    {a^(10^6)}, {a, b} holds one per dimension, 10^6 + 1."""
+    h = HbGraph.from_dicts(("a", "b"), [{"a": 10**6}, {"a": 1, "b": 1}])
+    t, _ = e_adjacency_tensor(h, LAYERED)
+    runs = sum(map(len, t._entries))
+    assert len(t._row_vector()) <= 2 * runs + 1, len(t._row_vector())
