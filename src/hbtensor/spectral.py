@@ -7,12 +7,15 @@ Every eigenvalue of an e-adjacency tensor satisfies
 where Delta and Delta* are the maximal m-degrees over original and null
 vertices (both readable off the tensor as row sums).  The bound is exact:
 Delta, Delta* and the bound follow ``hbgraph.as_rational``, as the row sums do
-(an int when integral, a ``Fraction`` otherwise).  Delta* is read off the
-null rows.  On an e-adjacency tensor it is also a closed form in the level
+(an int when integral, a ``Fraction`` otherwise).  Both are read off the
+tensor's piece table (``SymTensor._pieces``): the largest row sum of the
+pieces that meet rows 1..n, or n+1..dim for Delta*, 0 where a gap does, in
+O(log pieces) and the pieces met, whatever the dimension.  On an e-adjacency
+tensor Delta* is also a closed form in the level
 weights W_c of ``tensor._level_weights``, summed over c < r_H for
 straightforward ((r_H - c) W_c) and layered (W_c), and the maximum of
 (r_H - c) W_c for silo; but a tensor read from a file may pad an entry with
-another level's null vertex, and only the row scan stays right there.
+another level's null vertex, and only the rows stay right there.
 
 The contraction A x^{r-1} is (1/r) times the gradient of the tensor's
 polynomial P = r * sum of share * prod x_j^{m_j}, so it reads the shares
@@ -39,21 +42,22 @@ coordinate per class of them, and the trie one node per piece of a class, so
 no key is rewritten.  A piece, a range that no run boundary splits, joins the
 class of the piece before it across a gap of unused indices when the runs
 that end before the gap start again after it, at the same multiplicities.
-When its steps shrink by a steady ratio rho, one slow mode is left, and an
-Aitken-type extrapolation step (Kamvar, Haveliwala, Manning and Golub, 2003)
-jumps to that mode's limit.
+The classes and their piece map come from the tensor's piece table, the
+sweep that also gives its row sums.  When its steps shrink by a steady
+ratio rho, one slow mode dominates them, and an Aitken-type extrapolation
+step (Kamvar, Haveliwala, Manning and Golub, 2003) jumps to that mode's
+limit; an iteration may have several slow modes, as silo's do, and a new
+pair of ratio estimates after each jump lets the next one be jumped in turn.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
-from itertools import islice
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DomainError
 from .hbgraph import Rational, as_rational
-from .tensor import Runs, SymTensor, _check_trace
+from .tensor import SymTensor, _check_trace
 from .transform import UniformisationTrace
 
 # the power iteration stops once no coordinate moves by this much in a step
@@ -85,9 +89,8 @@ def spectral_bound(t: SymTensor, trace: UniformisationTrace) -> SpectralBoundRep
     """Exact bound max(Delta, Delta*) + r_H from the tensor's row sums; a
     maximum over no rows is 0."""
     n = _check_trace(t, trace)
-    rows = t._row_vector()  # the cached raw tuple, read in place
-    delta = as_rational(max(islice(rows, n), default=0))
-    delta_star = as_rational(max(islice(rows, n, None), default=0))
+    delta = as_rational(t._row_max(1, n))
+    delta_star = as_rational(t._row_max(n + 1, t.dim))
     bound = max(delta, delta_star) + trace.r_h
     return SpectralBoundReport(trace.approach, trace.r_h, delta, delta_star, bound)
 
@@ -163,47 +166,6 @@ def _contract(nodes: Sequence, inner: int, shares: Sequence, x: Sequence, y: lis
     return y
 
 
-def _twin_classes(keys: Iterable[Runs]) -> tuple[list[int], dict]:
-    """The twin classes of the indices that occur in the run ``keys``, in
-    index order, in O(runs) and a sort of the distinct run boundaries.
-
-    With the support renumbered in order, a class is a maximal range of
-    coordinates that no run boundary splits, once the runs of one key that
-    the renumbering makes adjacent at one multiplicity are merged: indices
-    that every key holds at one multiplicity or not at all.  Between two
-    consecutive boundaries (the first index of a run, and the one after its
-    last) the indices either all occur, a piece, or none do, a gap.  Keys
-    are maximal, so two pieces that meet differ in some key.  Two that a gap
-    parts are twins when the runs that end just before the gap are the runs
-    that start just after it: the same keys, at the same multiplicities.
-
-    Returns each class's size, and ``_trie``'s piece map: {the last
-    index of each piece: (its class's number, the piece's size)}.
-    """
-    # index -> the (key number, multiplicity) of the runs that start there,
-    # and of those that end just before it, in key order
-    starts, ends = defaultdict(list), defaultdict(list)
-    for k, runs in enumerate(keys):
-        for first, m, c in runs:
-            run = k, m  # one tuple for both lists halves the allocations that wake the GC
-            starts[first].append(run)
-            ends[first + c].append(run)
-    sizes, at = [], {}
-    depth, join = 0, False  # the runs over [first, stop); whether a gap joins the next piece
-    points = sorted(starts.keys() | ends.keys())
-    for first, stop in zip(points, points[1:]):
-        depth += len(starts[first]) - len(ends[first])
-        if not depth:  # a gap
-            join = ends[first] == starts[stop]
-            continue
-        if not join:
-            sizes.append(0)
-        sizes[-1] += stop - first
-        at[stop - 1] = len(sizes) - 1, stop - first
-        join = False
-    return sizes, at
-
-
 def estimate_max_eigenvalue(
     t: SymTensor, iterations: int = 10_000, seed: int | None = None
 ) -> PowerIterationResult:
@@ -254,7 +216,7 @@ def estimate_max_eigenvalue(
     start near 1, and hold the convergence test open for about
     23 (r - 1) / ln(lambda + 1) steps at ``_TOL`` = 1e-10.
 
-    Its coordinates are the twin classes of the support (``_twin_classes``):
+    Its coordinates are the twin classes of the support (``SymTensor._pieces``):
     the maximal ranges of consecutive support indices that every entry holds
     at one multiplicity or not at all, found in O(runs).  Swapping two twins
     leaves the tensor unchanged, so an iterate equal on a class stays so, and
@@ -289,7 +251,7 @@ def estimate_max_eigenvalue(
     except OverflowError:
         raise DomainError("power iteration: the order r_H is too large for a float") from None
     # coordinate j: the twin class of sizes[j] indices, one trie node per piece
-    sizes, at = _twin_classes(shares)
+    sizes, at = t._pieces()[2:]
     d = len(sizes)
     twins = [(j, s) for j, s in enumerate(sizes) if s > 1]
     nodes, inner, exact = _trie(shares.items(), at)

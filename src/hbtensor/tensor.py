@@ -22,10 +22,21 @@ and values) follows ``hbgraph.as_rational``: an int when integral, a
 ``Fraction`` otherwise; the cached row sums are kept raw and normalised as
 they are handed out.  Before a writer builds a value,
 ``tensorfile`` bounds its denominator's digits from log-gammas alone, by
-``_log10_multinomial``.  The dense keys, the full expansion and the row
-sums are refused past ``transform.MAX_INDICES`` indices or rows, before any
-is built.  Row sums, levels, multinomials and reconstruction read a run whole,
-so they cost O(runs) per entry, not O(indices).
+``_log10_multinomial``.  The dense keys, the full expansion and the dense
+row-sum view ``row_sums`` are refused past ``transform.MAX_INDICES`` indices
+or rows, before any is built.  Row sums, levels, multinomials and
+reconstruction read a run whole, so they cost O(runs) per entry, not
+O(indices).
+
+A row sum is constant between two consecutive run boundaries (the first
+index of a run, and the one after its last), so each tensor keeps one piece
+table, made on first use in one sweep over the sorted boundaries: the raw
+row sum of each piece, 0 over a gap that no run holds, and the estimator's
+twin classes with their piece map (``_pieces``).  ``row_sum`` finds its
+piece by bisection, ``row_sums`` and ``verify``'s degree check expand the
+pieces, and ``spectral`` reads the largest row of a range off the pieces
+that meet it, and its classes off the same table, so that none of them
+costs O(dim): at most 2 (runs) + 1 pieces, whatever the dimension.
 
 The tensor's polynomial is P(x) = r * sum of share * prod x_j^{m_j}, and
 ``polynomial`` keys its monomials by the entries' run keys; the polynomial
@@ -64,8 +75,9 @@ from the same keys in ``algebra``, which no verb imports.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from itertools import accumulate, chain
+from bisect import bisect_right
+from collections import Counter, defaultdict
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, DomainError, IndexOutOfRange, TraceMismatch
@@ -276,28 +288,85 @@ class SymTensor:
         return as_rational(self._order * sum(self._entries.values()))
 
     def row_sum(self, i: int) -> Rational:
-        """Sum of all logical entries whose first index is ``i``."""
+        """Sum of all logical entries whose first index is ``i``: its piece's."""
         if not 1 <= i <= self._dim:
             raise IndexOutOfRange(f"index {i} outside 1..{self._dim}")
-        return as_rational(self._row_vector()[i - 1])
+        points, rows = self._pieces()[:2]
+        return as_rational(rows[bisect_right(points, i) - 1])
 
     def row_sums(self) -> list[Rational]:
-        """All row sums; item i-1 is row_sum(i)."""
-        return list(map(as_rational, self._row_vector()))
+        """All row sums, the one dense view of the piece table; item i-1 is
+        row_sum(i)."""
+        _limit(self._dim, "row sums would hold {} rows")
+        return list(map(as_rational, self._rows_to(self._dim)))
 
-    def _row_vector(self) -> tuple[Rational, ...]:
-        """The raw row sums, exact but an integral one possibly a ``Fraction``,
-        made on first use in one pass over the runs, into a difference array
-        that a run of c indices changes at both ends.  Each reader normalises
-        the rows it hands out."""
+    def _rows_to(self, count: int) -> list:
+        """The raw rows 1..count, expanded from the piece table in one pass."""
+        points, rows = self._pieces()[:2]
+        out = []
+        for first, stop, row in zip(points, points[1:], rows):
+            if first > count:
+                break
+            out += [row] * (min(stop, count + 1) - first)
+        return out
+
+    def _row_max(self, lo: int, hi: int) -> Rational:
+        """The largest raw row sum over rows lo..hi, the largest over the
+        pieces that meet them, read by bisection; 0 over no row."""
+        if lo > hi:
+            return 0
+        points, rows = self._pieces()[:2]
+        return max(rows[bisect_right(points, lo) - 1 : bisect_right(points, hi)])
+
+    def _pieces(self) -> tuple[list[int], list, list[int], dict]:
+        """The piece table, made on first use in one sweep over the run
+        boundaries: (points, rows, sizes, at).
+
+        ``points`` are the sorted boundaries, the first index of each run,
+        the one after its last, 1 and dim + 1, so that the pieces between two
+        consecutive points part 1..dim; rows[k] is the raw row sum over
+        [points[k], points[k + 1]), exact but an integral one possibly a
+        ``Fraction`` (each reader normalises what it hands out), and 0 over a
+        gap, a piece that no run holds.  A run of multiplicity m adds share *
+        m to each row it holds, at its first index, and takes it away at the
+        one after its last.  ``sizes`` and ``at`` are the estimator's twin
+        classes and their piece map (``spectral``): the size of each class,
+        in index order, and {the last index of each held piece: (its class's
+        number, the piece's size)}.  Entries are maximal, so two held pieces
+        that meet differ in some key; two that a gap parts are twins when the
+        runs that end just before the gap are the runs that start just after
+        it, the same keys at the same multiplicities.
+        """
         if self._rows is None:
-            _limit(self._dim, "row sums would hold {} rows")
-            steps = [0] * (self._dim + 2)  # steps[i]: row i less row i - 1
-            for runs, share in self._entries.items():
-                for i, m, c in runs:
-                    steps[i] += share * m
-                    steps[i + c] -= share * m
-            object.__setattr__(self, "_rows", tuple(accumulate(steps[1:-1])))
+            # index -> the (key number, multiplicity, weight) of the runs that
+            # start there, and of those that end just before it, in key order
+            starts, ends = defaultdict(list), defaultdict(list)
+            for k, (runs, share) in enumerate(self._entries.items()):
+                for first, m, c in runs:
+                    run = k, m, share * m  # one tuple for both lists halves the allocations
+                    starts[first].append(run)
+                    ends[first + c].append(run)
+            points = sorted(starts.keys() | ends.keys() | {1, self._dim + 1})
+            rows, sizes, at = [], [], {}
+            row = depth = 0  # over [first, stop): the row sum and the runs
+            join = False  # whether a gap joins the next held piece to the class before it
+            for first, stop in zip(points, points[1:]):
+                up, down = starts[first], ends[first]
+                for _, _, w in up:
+                    row += w
+                for _, _, w in down:
+                    row -= w
+                rows.append(row)
+                depth += len(up) - len(down)
+                if not depth:
+                    join = down == starts[stop]
+                    continue
+                if not join:
+                    sizes.append(0)
+                sizes[-1] += stop - first
+                at[stop - 1] = len(sizes) - 1, stop - first
+                join = False
+            object.__setattr__(self, "_rows", (points, rows, sizes, at))
         return self._rows
 
     def apply(self, x: Sequence) -> list:
@@ -412,13 +481,13 @@ def _identities(h: HbGraph, t: SymTensor, trace: UniformisationTrace) -> dict[st
         shown = "n/a" if r is None else format_rational(r)
         raise TraceMismatch(f"trace r_H {trace.r_h} != graph m-range {shown}")
     weights = h.weights or [1] * h.p
-    degrees = tuple(sum(weights[j] * m for j, m in star) for star in h._stars)
+    degrees = [sum(weights[j] * m for j, m in star) for star in h._stars]
     by_level = Counter()
     for c, w in zip(h._cards, weights):
         by_level[c] += w
     return {
-        # the cached row vector's n original rows
-        "degree_retrieval": t._row_vector()[: h.n] == degrees,
+        # the n original rows, expanded from the piece table
+        "degree_retrieval": t._rows_to(h.n) == degrees,
         "total_sum": t.total_sum() == trace.r_h * sum(weights),
         "edge_distribution": _level_weights(t, trace) == by_level,
         # each entry's whole key, padding included, and its share, the weight; a

@@ -148,10 +148,15 @@ def trace_from_obj(obj, source: str = "trace") -> UniformisationTrace:
 def dump_tensor(t: SymTensor, trace: UniformisationTrace, path, full: bool = False) -> None:
     """Write the tensor file ``path``, the COO of ``t`` (``full`` as in
     ``tensor_to_coo``), and its trace.  The COO text is built first, so a
-    refused value or expansion opens neither file."""
+    refused value or expansion opens neither file, and a trace that cannot
+    be written takes the COO file with it."""
     coo = tensor_to_coo(t, full)
     Path(path).write_text(coo, encoding="utf-8")
-    Path(f"{path}{_TRACE}").write_text(dumps(trace_to_obj(trace)), encoding="utf-8")
+    try:
+        Path(f"{path}{_TRACE}").write_text(dumps(trace_to_obj(trace)), encoding="utf-8")
+    except OSError:
+        Path(path).unlink()
+        raise
 
 
 def load_tensor(path) -> tuple[SymTensor, UniformisationTrace]:

@@ -29,8 +29,9 @@ r_H; the null vertices are a closed form in (approach, r_H), derived by
 ``UniformisationTrace.null_vertices``.
 
 ``MAX_INDICES`` bounds what any stage spells out one item at a time: the
-indices of a dense or full tensor export, the rows of a row-sum vector and
-the vertex names of a uniformized hb-graph.  ``_limit`` refuses a count past
+indices of a dense or full tensor export, the rows of the dense row-sum view
+``SymTensor.row_sums`` (``verify`` reads the piece table instead, and spells
+out no row past n) and the vertex names of a uniformized hb-graph.  ``_limit`` refuses a count past
 it, naming the count and the limit, before any of it is built.
 """
 

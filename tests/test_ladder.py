@@ -8,12 +8,13 @@ must exit 0-3: a result, a failed check, a parse error or a refusal.  An exit
 3 must name the quantity it refused.  An exit 4 (an internal error such as
 ``MemoryError``) breaks the contract.
 
-Past 10^8 indices, rows or vertex names (``transform.MAX_INDICES``) a verb
-refuses before it allocates: ``tensor``'s dense keys (p * r_H indices),
-``verify``'s row sums (dim rows) and ``uniformize``'s vertex list (n + n_a
-names).  ``verify --from-tensor`` is a cell wherever ``tensor`` writes a
-file: from M = 10^9 on no approach does (each exits 3), so those rungs have
-no such cell until ROADMAP item 8 lands.
+Past 10^8 indices or vertex names (``transform.MAX_INDICES``) a verb refuses
+before it allocates: ``tensor``'s dense keys (p * r_H indices) and
+``uniformize``'s vertex list (n + n_a names).  ``verify --approach`` reads
+its rows and twin classes off the tensor's piece table, O(runs) whatever the
+dimension, so it answers on every rung.  ``verify --from-tensor`` is a cell
+wherever ``tensor`` writes a file: from M = 10^9 on no approach does (each
+exits 3), so those rungs have no such cell until ROADMAP item 8 lands.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from pathlib import Path
 import pytest
 
 import hbtensor
+from hbtensor.cli import main
 
 M6, M9, M306 = 10**6, 10**9, 10**306
 APPROACHES = ("str", "sil", "lay")
@@ -124,6 +126,16 @@ def test_scale_ladder_exits_0_to_3(ladder, m, verb, approach):
 
 
 @pytest.mark.parametrize("m", [M9, M306], ids=_rung)
+@pytest.mark.parametrize("approach", ("sil", "lay"))
+def test_verify_answers_at_any_dimension(ladder, m, approach):
+    """Silo and layered ``verify`` at dimension M: the piece table holds a
+    row sum per range between two run boundaries, not per row, so each
+    exits 0 with nothing on stderr."""
+    run = ladder.cell(m, "verify", approach)
+    assert (run.returncode, run.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("m", [M9, M306], ids=_rung)
 @pytest.mark.parametrize("approach", APPROACHES)
 def test_a_refused_tensor_writes_neither_file(ladder, m, approach):
     """Each ``tensor`` cell past the limits exits 3 before it opens a file:
@@ -132,6 +144,17 @@ def test_a_refused_tensor_writes_neither_file(ladder, m, approach):
     assert run.returncode == 3, run.stderr
     out = ladder.tensor(m, approach)
     assert not out.exists() and not Path(f"{out}.trace.json").exists()
+
+
+def test_a_failed_trace_write_leaves_no_tensor_file(tmp_path, capsys):
+    """``tensor --out T`` beside a directory named ``T.trace.json`` cannot
+    write the trace: it exits 2 and leaves no ``T`` without its trace."""
+    graph, out = tmp_path / "g.json", tmp_path / "t.coo"
+    graph.write_text(json.dumps({"vertices": ["a", "b"], "edges": [{"mult": {"a": 3, "b": 1}}]}))
+    Path(f"{out}.trace.json").mkdir()
+    assert main(["tensor", str(graph), "--approach", "sil", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("m, approach", [(2000, "str"), (2000, "sil"), (10**306, "lay")])

@@ -6,6 +6,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,7 +25,7 @@ from hbtensor.cli import main
 from hbtensor.errors import DomainError
 from hbtensor.io import dumps, hbgraph_from_obj
 from hbtensor.tensorfile import tensor_from_coo, tensor_to_coo
-from hbtensor.spectral import _contract, _trie, _twin_classes
+from hbtensor.spectral import _contract, _trie
 from randgen import random_hbgraph
 from test_golden import DEMO, WEIGHTED
 from test_tensor import weighted_hbgraphs
@@ -341,23 +342,31 @@ def test_an_isolated_vertex_between_twins_does_not_part_them():
     for approach in APPROACHES:
         t, _ = e_adjacency_tensor(h, approach)
         t_parted, _ = e_adjacency_tensor(parted, approach)
-        sizes, at = _twin_classes(t_parted._entries)
+        sizes, at = t_parted._pieces()[2:]
         assert sizes[0] == 2 and at[1] == at[3] == (0, 1)
-        assert _twin_classes(t._entries)[0] == sizes
+        assert t._pieces()[2] == sizes
         assert estimate_max_eigenvalue(t_parted) == estimate_max_eigenvalue(t)
+
+
+def check_piece_map(t: SymTensor) -> list[list[int]]:
+    """The piece table's classes are the dense columns' runs over the support,
+    and its piece map places each of their pieces; returns the classes."""
+    support = sorted({i for key, _ in t.canonical_items() for i in key})
+    classes = dense_twin_classes(t, support)
+    sizes, at = t._pieces()[2:]
+    members = [[] for _ in sizes]
+    for last, (j, s) in sorted(at.items()):
+        members[j] += range(last - s + 1, last + 1)
+    assert members == classes and sizes == list(map(len, classes))
+    return classes
 
 
 def check_twin_classes(t: SymTensor) -> tuple[list[list[int]], list]:
     """The classes are the dense columns' runs, the piece trie contracts to
     each class's summed rows exactly, and the estimate is the reference
     iteration's.  Returns the classes and the trie's nodes."""
-    support = sorted({i for key, _ in t.canonical_items() for i in key})
-    classes = dense_twin_classes(t, support)
-    sizes, at = _twin_classes(t._entries)
-    members = [[] for _ in sizes]
-    for last, (j, s) in sorted(at.items()):
-        members[j] += range(last - s + 1, last + 1)
-    assert members == classes and sizes == list(map(len, classes))
+    classes = check_piece_map(t)
+    sizes, at = t._pieces()[2:]
     # at one positive value per class, distinct across classes, node j's rows
     # are its members' rows
     xs = [Fraction(j + 2, 2 * j + 1) for j in range(len(sizes))]
@@ -394,12 +403,17 @@ def test_twin_classes_and_their_iteration_hypothesis(h):
 
 
 @st.composite
-def general_tensors(draw):
-    """A ``SymTensor`` of up to 5 positive entries of order 1-6, as a COO file
-    can hold them: each key is ranges of 1-4 consecutive indices at one
-    multiplicity, each after 0-4 unused indices, so that a key may leave a
-    gap of several indices and resume after it at another multiplicity."""
-    r = draw(st.integers(1, 6))
+def general_tensors(
+    draw,
+    orders=st.integers(1, 6),
+    values=st.fractions(min_value=Fraction(1, 4), max_value=9, max_denominator=4),
+):
+    """A ``SymTensor`` of up to 5 entries of order ``orders`` (1-6), each of
+    ``values`` (positive by default), as a COO file can hold them: each key
+    is ranges of 1-4 consecutive indices at one multiplicity, each after 0-4
+    unused indices, so that a key may leave a gap of several indices and
+    resume after it at another multiplicity."""
+    r = draw(orders)
     keys = []
     for _ in range(draw(st.integers(1, 5))):
         key, i = [], 0
@@ -411,8 +425,7 @@ def general_tensors(draw):
                 i += 1
             i -= 1
         keys.append(tuple(key))
-    value = st.fractions(min_value=Fraction(1, 4), max_value=9, max_denominator=4)
-    entries = {key: draw(value) for key in keys}
+    entries = {key: draw(values) for key in keys}
     dim = max(map(max, keys)) + draw(st.integers(0, 2))
     return SymTensor(r, dim, entries)
 
@@ -421,6 +434,29 @@ def general_tensors(draw):
 @given(general_tensors())
 def test_twin_classes_of_general_tensors_hypothesis(t):
     check_twin_classes(t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(general_tensors(st.integers(1, 5), st.fractions(-9, 9, max_denominator=4)))
+def test_piece_table_of_signed_tensors_hypothesis(t):
+    """The piece table against references kept here: every row against a
+    dense difference array over the shares, the largest row over any range
+    against the rows', 0 over none, at most 2 (runs) + 1 pieces, and the
+    twin classes and piece map against the dense columns."""
+    steps = [0] * (t.dim + 2)
+    for runs, share in t._entries.items():
+        for i, m, c in runs:
+            steps[i] += share * m
+            steps[i + c] -= share * m
+    rows = list(accumulate(steps[1:-1]))
+    assert t.row_sums() == rows
+    assert [t.row_sum(i) for i in range(1, t.dim + 1)] == rows
+    for lo in range(1, t.dim + 2):
+        assert t._rows_to(lo - 1) == rows[: lo - 1]
+        for hi in range(lo - 1, t.dim + 1):
+            assert t._row_max(lo, hi) == max(rows[lo - 1 : hi], default=0)
+    assert len(t._pieces()[1]) <= 2 * sum(map(len, t._entries)) + 1
+    check_piece_map(t)
 
 
 @pytest.mark.parametrize(
@@ -580,7 +616,7 @@ def test_layered_estimate_at_r_h_10_9_walks_pieces():
     h = HbGraph.from_dicts(("a", "b"), [{"a": 10**9}, {"a": 1, "b": 1}])
     t, _ = e_adjacency_tensor(h, "layered")
     start = time.perf_counter()
-    sizes, at = _twin_classes(t._entries)
+    sizes, at = t._pieces()[2:]
     assert sizes == [1, 10**9 - 1] and len(at) == 3
     assert len(_trie(t._entries.items(), at)[0]) == 4
     result = estimate_max_eigenvalue(t)

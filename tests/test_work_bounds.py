@@ -4,8 +4,9 @@ exactly by the input size on every graph drawn, under every approach.
 With S = sum |supp e| over the hb-edges and p their number:
 - the tensor keys, ``_edge_keys``, hold at most S + p runs in all: a key is
   its edge's support runs and at most one padding run;
-- ``_twin_classes`` parts the indices into at most 2 (runs) + 1 pieces, one
-  per range between two consecutive run boundaries;
+- the piece table (``SymTensor._pieces``) parts the indices into at most
+  2 (runs) + 1 pieces, one per range between two consecutive run
+  boundaries, and holds one row sum per piece, so no value per dimension;
 - the estimator's trie, over the twin-class piece map, has at most S + (the
   number of distinct m-cardinalities) nodes: the entries of one level share
   their padding, straightforward and silo one node, layered one chain;
@@ -13,7 +14,8 @@ With S = sum |supp e| over the hb-edges and p their number:
 
 Two bounds do not hold yet; each is a strict xfail (``xfail_strict``), owned by
 the ROADMAP item whose change flips it: ``diameter`` runs one search per
-vertex (item 13), and the row sums are one value per dimension (item 14).
+vertex (item 13), and the COO file spells every key as r_H dense indices
+(item 8).
 """
 
 from __future__ import annotations
@@ -23,9 +25,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hbtensor import APPROACHES, LAYERED, HbGraph, diameter, e_adjacency_tensor, paths
-from hbtensor.spectral import _trie, _twin_classes
+from hbtensor import (
+    APPROACHES,
+    LAYERED,
+    STRAIGHTFORWARD,
+    HbGraph,
+    diameter,
+    e_adjacency_tensor,
+    paths,
+)
+from hbtensor.spectral import _trie
 from hbtensor.tensor import _edge_keys
+from hbtensor.tensorfile import tensor_to_coo
 from randgen import random_hbgraph, random_hypergraph, random_uniform_hbgraph
 from test_spectral import highmult_shaped, sparse_shaped
 
@@ -37,8 +48,8 @@ def assert_work_bounds(h: HbGraph) -> None:
         t, trace = e_adjacency_tensor(h, approach)
         runs = sum(map(len, _edge_keys(h, approach, trace.r_h)))
         assert runs <= supports + h.p, approach
-        _, at = _twin_classes(t._entries)
-        assert len(at) <= 2 * runs + 1, approach
+        _, rows, _, at = t._pieces()
+        assert len(at) <= len(rows) <= 2 * runs + 1, approach
         nodes, _, _ = _trie(t._entries.items(), at)
         assert len(nodes) <= supports + len(levels), approach
         assert t.canonical_count() == h.p, approach
@@ -113,12 +124,25 @@ def test_diameter_of_a_chain_takes_two_searches(monkeypatch):
     assert len(calls) <= 2, len(calls)
 
 
-@pytest.mark.xfail(raises=AssertionError, reason="a row per dimension; ROADMAP item 14")
 def test_row_sums_hold_at_most_one_value_per_piece():
-    """The row sum is constant between two consecutive run boundaries, so at
-    most 2 (runs) + 1 values describe it; today the layered tensor of
-    {a^(10^6)}, {a, b} holds one per dimension, 10^6 + 1."""
+    """The row sum is constant between two consecutive run boundaries, so the
+    piece table holds at most 2 (runs) + 1 values: 4 on the layered tensor of
+    {a^(10^6)}, {a, b}, whose dimension is 10^6 + 1."""
     h = HbGraph.from_dicts(("a", "b"), [{"a": 10**6}, {"a": 1, "b": 1}])
     t, _ = e_adjacency_tensor(h, LAYERED)
     runs = sum(map(len, t._entries))
-    assert len(t._row_vector()) <= 2 * runs + 1, len(t._row_vector())
+    rows = t._pieces()[1]
+    assert len(rows) <= 2 * runs + 1, len(rows)
+
+
+@pytest.mark.xfail(raises=AssertionError, reason="r_H dense indices per key; ROADMAP item 8")
+def test_coo_bytes_follow_the_runs():
+    """A COO file in run tokens holds at most 64 bytes per run, entry and
+    header, times the digits of r_H plus one: 2688 bytes for the
+    straightforward tensor of {a^(10^5)}, {a, b}; today each key is 10^5
+    dense indices, 400 046 bytes."""
+    h = HbGraph.from_dicts(("a", "b"), [{"a": 10**5}, {"a": 1, "b": 1}])
+    t, trace = e_adjacency_tensor(h, STRAIGHTFORWARD)
+    runs = sum(map(len, t._entries))
+    size = len(tensor_to_coo(t).encode())
+    assert size <= 64 * (runs + t.canonical_count() + 1) * (len(str(trace.r_h)) + 1), size
